@@ -19,10 +19,10 @@ from .enumerator import OddBalancedSequence, count_rank_table, enumerate_sequenc
 from .genfunc import (
     RankTable,
     evaluate_V,
+    evaluate_V_bounded,
     expand_overpartition,
     expand_partition,
     expand_V_at_root,
-    expand_V_numeric,
     expand_V_rank,
     expand_v_totals,
     residue_twist,
@@ -49,7 +49,7 @@ __all__ = [
     "OddBalancedSequence", "QQ", "RankTable", "TruncatedSeries",
     "USING_COMPILED", "W", "ZZ",
     "appell", "count_rank_table", "enumerate_sequences", "eta", "evaluate_V",
-    "expand_V_at_root", "expand_V_numeric", "expand_V_rank",
+    "evaluate_V_bounded", "expand_V_at_root", "expand_V_rank",
     "expand_overpartition", "expand_partition", "expand_v_totals", "mordell",
     "mu", "pochhammer", "rank_of", "residue_twist", "residue_twist_cyclotomic",
     "theta", "theta_decay_mainterm",

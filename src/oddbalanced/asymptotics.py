@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .genfunc import evaluate_V_bounded
 from .modular import DomainError, mordell, qpow, q0pow, sqrt_neg_itau
 
 DEFAULT_DPS = 50
@@ -342,15 +343,6 @@ def logconcavity_scan(a, c, n_max, table, overpartitions):
 # Ratio tests against the interval main terms
 # ---------------------------------------------------------------------------
 
-def series_order_for(t):
-    """Truncation order making the series tail negligible at q = e^(-2*pi*t):
-    smallest N with 2*pi*t*N - pi*sqrt(N) > 60, iterated to a fixed point."""
-    n = 60.0 / (2 * math.pi * t)
-    for _ in range(6):
-        n = (60.0 + math.pi * math.sqrt(n)) / (2 * math.pi * t)
-    return max(64, int(n) + 8)
-
-
 @dataclass(frozen=True)
 class LemmaRatioRow:
     modulus: int
@@ -358,6 +350,7 @@ class LemmaRatioRow:
     t: float
     series_value: complex
     main_term: complex
+    series_tail_bound: float
 
     @property
     def deviation(self):
@@ -366,18 +359,17 @@ class LemmaRatioRow:
 
 def lemma_ratio_report(moduli=(3, 5), t_values=(0.1, 0.05, 0.025)):
     """For every z=j/c, compare the series value V(e^(2*pi*i*z); e^(-2*pi*t))
-    with the interval main term along the vertical ray tau = i*t."""
-    from .genfunc import evaluate_V  # local import to avoid a cycle
-
+    with the interval main term along the vertical ray tau = i*t.  The series
+    is summed to convergence and its truncation bound kept in each row."""
     rows = []
     for c in moduli:
         for j in range(1, c):
             z = j / c
             for t in sorted(t_values, reverse=True):
-                order = series_order_for(t)
-                val = evaluate_V(cmath.exp(2j * math.pi * z),
-                                 math.exp(-2 * math.pi * t), order)
+                val = evaluate_V_bounded(cmath.exp(2j * math.pi * z),
+                                         math.exp(-2 * math.pi * t))
                 rows.append(LemmaRatioRow(
                     modulus=c, j=j, t=t,
-                    series_value=val, main_term=lemma_main_term(z, 1j * t)))
+                    series_value=val.value, main_term=lemma_main_term(z, 1j * t),
+                    series_tail_bound=val.truncation_bound))
     return rows

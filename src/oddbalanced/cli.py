@@ -3,23 +3,41 @@
 Every verification and report is a subcommand with machine-readable output
 (CSV or JSON) and a deterministic evaluation order, so identical invocations
 produce identical bytes.  Exit codes: 0 all checks passed, 1 a threshold
-check failed (a JSON failure record goes to stderr), 2 usage error.
+check failed (a JSON failure record goes to stderr), 2 usage error (a
+one-line message goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 import mpmath as mp
 
 from . import asymptotics, decomposition, enumerator, genfunc, transforms
+from .modular import DomainError, PoleError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+
+class UsageError(ValueError):
+    """Input the command cannot run on; main turns it into exit code 2."""
+
+
+def _numeric_domain(fn, *args):
+    """Run fn, reporting a point outside the evaluators' domain (or on a
+    pole) as a usage error."""
+    try:
+        return fn(*args)
+    except (DomainError, PoleError) as exc:
+        raise UsageError(str(exc)) from exc
+    except OverflowError as exc:
+        raise UsageError(f"a value leaves the float range ({exc})") from exc
 
 
 @dataclass
@@ -132,7 +150,8 @@ def cmd_verify_transforms(config):
     _write_rows(out, ["law", "point", "residual"], config)
     failures = []
     for r in rows:
-        limit = config.max_residual or TRANSFORM_THRESHOLDS[r.law]
+        limit = (TRANSFORM_THRESHOLDS[r.law] if config.max_residual is None
+                 else config.max_residual)
         if not r.residual < limit:
             failures.append({"law": r.law, "point": r.point,
                              "residual": r.residual, "limit": limit})
@@ -141,19 +160,40 @@ def cmd_verify_transforms(config):
     return EXIT_OK
 
 
+def _grid_number(point, key, default=None):
+    value = point.get(key, default)
+    if value is None:
+        raise UsageError(f"grid point {point} has no {key!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise UsageError(f"grid point {point}: {key!r} must be a finite number")
+    return value
+
+
 def _load_grid(source):
     if source == "default":
         return decomposition.DEFAULT_GRID
-    with open(source, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return [(complex(p["z_re"], p.get("z_im", 0.0)),
-             complex(p.get("tau_re", 0.0), p["tau_im"]),
-             int(p.get("order", 400))) for p in raw]
+    try:
+        with open(source, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read grid {source}: {exc}") from exc
+    if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
+        raise UsageError(f"grid {source} must be a JSON list of objects")
+    grid = []
+    for p in raw:
+        order = _grid_number(p, "order", 400)
+        if order != int(order) or order < 1:
+            raise UsageError(f"grid point {p}: 'order' must be a positive integer")
+        grid.append((complex(_grid_number(p, "z_re"), _grid_number(p, "z_im", 0.0)),
+                     complex(_grid_number(p, "tau_re", 0.0), _grid_number(p, "tau_im")),
+                     int(order)))
+    return grid
 
 
 def cmd_verify_decomposition(config):
     grid = _load_grid(config.grid)
-    samples = decomposition.run_grid(grid)
+    samples = _numeric_domain(decomposition.run_grid, grid)
     rows = [{
         "z": s.z, "tau": s.tau, "order": s.order,
         "lhs": s.lhs, "rhs": s.rhs, "residual": s.residual,
@@ -161,7 +201,7 @@ def cmd_verify_decomposition(config):
     } for s in samples]
     _write_rows(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
                        "series_tail_bound"], config)
-    limit = config.max_residual or 1e-7
+    limit = 1e-7 if config.max_residual is None else config.max_residual
     bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual}
            for s in samples if not s.residual < limit]
     if bad:
@@ -247,15 +287,24 @@ def cmd_logconcavity_scan(config):
 
 
 def cmd_lemma_ratios(config):
-    rows_raw = asymptotics.lemma_ratio_report(config.moduli, config.t_values)
+    bad = [c for c in config.moduli if c < 3 or c % 2 == 0]
+    if bad:
+        raise UsageError(f"moduli must be odd and >= 3, so that no z=j/c is "
+                         f"1/4, 1/2 or 3/4; got c={bad[0]}")
+    if not all(t > 0 and math.isfinite(t) for t in config.t_values):
+        raise UsageError("t-values must be positive and finite")
+    ts = sorted(set(config.t_values), reverse=True)
+    if len(ts) < 2:
+        raise UsageError("the ratio test needs at least two distinct t-values")
+    rows_raw = _numeric_domain(asymptotics.lemma_ratio_report,
+                               config.moduli, config.t_values)
     rows = [{
         "c": r.modulus, "j": r.j, "t": r.t,
         "series_value": r.series_value, "main_term": r.main_term,
-        "deviation": r.deviation,
+        "deviation": r.deviation, "series_tail_bound": r.series_tail_bound,
     } for r in rows_raw]
-    _write_rows(rows, ["c", "j", "t", "series_value", "main_term", "deviation"],
-                config)
-    ts = sorted(config.t_values, reverse=True)
+    _write_rows(rows, ["c", "j", "t", "series_value", "main_term", "deviation",
+                       "series_tail_bound"], config)
     failures = []
     for c in config.moduli:
         for j in range(1, c):
@@ -382,7 +431,13 @@ def main(argv=None):
     )
     if config.modulus < 1 or not 0 <= config.residue < max(config.modulus, 1):
         build_parser().error(f"need 0 <= a < c, got a={config.residue}, c={config.modulus}")
-    return dispatch(config)
+    try:
+        if config.max_residual is not None and not config.max_residual >= 0:
+            raise UsageError(f"--max-residual must be >= 0, got {config.max_residual}")
+        return dispatch(config)
+    except UsageError as exc:
+        sys.stderr.write(f"oddbalanced {config.command}: error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,20 +16,19 @@ and the half-integer powers fixed by w^(1/2) := e^(pi*i*z).  The sign of the
 T1 term is the one the numerics force: with the opposite sign the residual
 is O(1) on every grid point, with this one it sits at rounding level.
 
-verify_decomposition computes the left side from the exact series expansion
-of V (complex-float ring, with a proven tail bound) and the right side from
-the modular evaluators, and reports the normalised residual.
+verify_decomposition computes the left side by summing the outer series of V
+directly (genfunc.evaluate_V_bounded, whose ratio tail bound holds for
+complex z too) and the right side from the modular evaluators, and reports
+the normalised residual.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .genfunc import expand_V_numeric
+from .genfunc import evaluate_V_bounded
 from .modular import (
     DomainError,
     HalfPlanePoint,
@@ -98,26 +97,13 @@ def T2_limit_w1(tau):
 # ---------------------------------------------------------------------------
 
 def series_lhs(z, tau, order):
-    """(1 + w^-1) q V(w;q) from the truncated complex expansion, plus a tail
-    bound using v(n) <= e^(pi*sqrt(n)) for the coefficient growth."""
+    """(1 + w^-1) q V(w;q) from at most `order` terms of the outer series,
+    with the evaluator's truncation bound scaled by |(1 + w^-1) q|."""
     w = cmath.exp(TWO_PI_I * z)
     q = qpow(tau, 1)
-    absq = abs(q)
-    if absq >= 1:
-        raise DomainError("needs |q| < 1")
-    coeffs = expand_V_numeric(w, order)
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * q + c
-    value = (1 + 1 / w) * q * acc
-    # |sum_{k>N} c_k q^k| <= sum_{k>N} e^(pi sqrt k) |q|^k, bounded by a
-    # geometric series from the first term since the ratio is < sqrt of
-    # e^(pi/sqrt(N)) |q| for k >= N
-    lead = math.exp(math.pi * math.sqrt(order + 1) + (order + 1) * math.log(absq))
-    ratio = absq * math.exp(math.pi / (2.0 * math.sqrt(order)))
-    tail = lead / (1.0 - ratio) if ratio < 1 else math.inf
-    tail *= abs((1 + 1 / w) * q)
-    return value, tail
+    v = evaluate_V_bounded(w, q, order)
+    factor = (1 + 1 / w) * q
+    return factor * v.value, abs(factor) * v.truncation_bound
 
 
 @dataclass(frozen=True)
@@ -164,19 +150,6 @@ DEFAULT_GRID = tuple(
 )
 
 
-def thread_count():
-    """Worker count for grid evaluation, from ODDBALANCED_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ODDBALANCED_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_grid(grid=DEFAULT_GRID):
     """Evaluate the decomposition residual on a grid of (z, tau, order)."""
-    points = list(grid)
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: verify_decomposition(*p), points))
-    return [verify_decomposition(*p) for p in points]
+    return [verify_decomposition(*p) for p in grid]

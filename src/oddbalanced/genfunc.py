@@ -10,15 +10,22 @@ computed by running the outer sum as a recurrence on a truncated series:
 where each factor is a single O(N) kernel pass.  Rank tracking keeps one
 series per power of w; a monomial w^m q^k can only occur for k >= m(m+1)/2,
 which caps the number of columns at ~sqrt(2N) and keeps the table small.
+
+Numeric values of V come from the same outer sum taken at a point
+(evaluate_V_bounded): O(terms) complex operations and a ratio tail bound,
+with no series built.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from math import isqrt
 
 from . import kernels
+from .modular import DomainError, EvalResult
 from .rings import CyclotomicRing
 from .series import TruncatedSeries
 
@@ -159,21 +166,59 @@ def expand_V_value(w_value, w_inverse, one, order):
     return acc
 
 
-def expand_V_numeric(w, order):
-    """Complex-float expansion of V(w;q); w must be nonzero."""
-    w = complex(w)
-    if w == 0:
-        raise ValueError("w must be invertible")
-    return expand_V_value(w, 1.0 / w, 1.0 + 0j, order)
+# relative size of the remainder at which evaluate_V_bounded stops summing
+V_REL_TOL = 2.0 ** -60
+# most terms one evaluation may sum: |q| too close to 1 raises instead of
+# running for hours
+V_MAX_TERMS = 1 << 20
 
 
-def evaluate_V(w, q, order):
-    """V(w;q) at numeric arguments: truncated expansion plus Horner."""
-    coeffs = expand_V_numeric(w, order)
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * q + c
-    return acc
+def evaluate_V_bounded(w, q, max_terms=None):
+    """V(w;q) at numeric arguments, summing the outer series term by term:
+
+        t_0 = 1/(1-q),   t_n = t_{n-1} (1+w q^n)(1+q^n/w) q / (1-q^(2n+1)).
+
+    For k >= n every ratio |t_{k+1}/t_k| is at most
+
+        r_n = (1+|w||q|^(n+1)) (1+|q|^(n+1)/|w|) |q| / (1-|q|^(2n+3)),
+
+    and r_n does not increase with n, so once r_n < 1 the remainder after
+    t_n is at most |t_n| r_n/(1-r_n), for any complex w.  Summation stops
+    when that bound drops below V_REL_TOL of the partial sum, or after
+    t_{max_terms} when a cap is given.  Returns EvalResult(value, bound);
+    the bound covers truncation, not float rounding.
+    """
+    w, q = complex(w), complex(q)
+    absq = abs(q)
+    if w == 0 or not absq < 1:
+        raise DomainError(f"V(w;q) needs w != 0 and |q| < 1, got w={w}, q={q}")
+    limit = V_MAX_TERMS if max_terms is None else min(max_terms, V_MAX_TERMS)
+    absw, winv = abs(w), 1 / w
+    term = total = 1 / (1 - q)
+    qn = 1.0  # q^n
+    a = absq  # |q|^(n+1)
+    n = 0
+    while True:
+        r = (1 + absw * a) * (1 + a / absw) * absq / (1 - a * a * absq)
+        bound = abs(term) * r / (1 - r) if r < 1 else math.inf
+        # "not >" also stops on a NaN partial sum
+        if not bound > V_REL_TOL * abs(total) or n >= limit:
+            break
+        n += 1
+        qn *= q
+        term *= (1 + w * qn) * (1 + qn * winv) * q / (1 - qn * qn * q)
+        total += term
+        a *= absq
+    if not cmath.isfinite(total):
+        raise DomainError(f"V(w;q) overflows at w={w}, q={q}")
+    if n == V_MAX_TERMS and bound > V_REL_TOL * abs(total):
+        raise DomainError(f"V(w;q) needs more than {V_MAX_TERMS} terms at |q|={absq}")
+    return EvalResult(total, bound)
+
+
+def evaluate_V(w, q, order=None):
+    """V(w;q) at numeric arguments; order caps the number of terms."""
+    return evaluate_V_bounded(w, q, order).value
 
 
 def expand_V_at_root(j, c, order):

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,7 +20,6 @@ from oddbalanced.asymptotics import (
     main_term_v,
     main_term_v_mod,
     overpartition_asym,
-    series_order_for,
     tauberian_apply,
 )
 from oddbalanced.modular import DomainError
@@ -140,17 +138,10 @@ def test_lemma_main_term_mirror_symmetry():
 
 def test_lemma_ratio_quick():
     rows = lemma_ratio_report(moduli=(3,), t_values=(0.1, 0.05))
+    assert all(r.series_tail_bound < 1e-17 * abs(r.series_value) for r in rows)
     for j in (1, 2):
         devs = {r.t: r.deviation for r in rows if r.j == j}
         assert devs[0.05] < devs[0.1]
-
-
-def test_series_order_for():
-    assert series_order_for(0.1) < series_order_for(0.05) < series_order_for(0.025)
-    # tail estimate: 2*pi*t*N - pi*sqrt(N) > 60 at the returned order
-    for t in (0.1, 0.05, 0.025):
-        n = series_order_for(t)
-        assert 2 * math.pi * t * n - math.pi * math.sqrt(n) > 59
 
 
 def test_asym_report_c1():

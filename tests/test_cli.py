@@ -81,6 +81,62 @@ def test_verify_decomposition_single_point(tmp_path):
     assert header.startswith("z,tau,order,lhs,rhs,residual")
 
 
+def test_verify_transforms_zero_max_residual_is_a_limit(tmp_path, capsys):
+    code, captured = run_cli(["verify-transforms", "--max-residual", "0",
+                              "--output", str(tmp_path / "laws.csv")], capsys)
+    assert code == 1
+    assert json.loads(captured.err.strip())["check"] == "verify-transforms"
+
+
+@pytest.mark.parametrize("command", ["verify-transforms", "verify-decomposition"])
+@pytest.mark.parametrize("value", ["-0.001", "nan"])
+def test_bad_max_residual_is_a_usage_error(tmp_path, capsys, command, value):
+    code, captured = run_cli([command, "--max-residual", value,
+                              "--output", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+
+
+def assert_one_line_usage_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and ": error: " in lines[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("point", [
+    {"z_re": 0.2, "tau_re": 0.0},  # no tau_im
+    {"tau_im": 0.9},  # no z_re
+    {"z_re": "a fifth", "tau_im": 0.9},
+    {"z_re": 0.2, "tau_im": None},
+    {"z_re": 0.2, "tau_im": 0.9, "order": 2.5},
+    {"z_re": 0.2, "tau_im": 0.2, "order": 3},  # order too low for the tail gate
+    {"z_re": 0.25, "tau_im": 0.9, "order": 200},  # on a T2 pole
+    {"z_re": 0.2, "tau_im": -0.5},  # |q| > 1
+])
+def test_bad_grid_points_are_usage_errors(tmp_path, capsys, point):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([point]))
+    code, captured = run_cli(["verify-decomposition", "--grid", str(grid),
+                              "--output", str(tmp_path / "dec.csv")], capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+
+
+@pytest.mark.parametrize("args", [
+    ["--moduli", "4"],
+    ["--moduli", "3,6"],
+    ["--moduli", "1"],
+    ["--t-values", "0.1"],
+    ["--t-values", "0.05,0.05"],
+    ["--t-values", "0.1,0"],
+])
+def test_bad_lemma_inputs_are_usage_errors(tmp_path, capsys, args):
+    code, captured = run_cli(["lemma-ratios", *args,
+                              "--output", str(tmp_path / "lr.csv")], capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+
+
 def test_verify_decomposition_default_grid(tmp_path):
     out = tmp_path / "dec.csv"
     code, _ = run_cli(["verify-decomposition", "--grid", "default",
@@ -142,7 +198,7 @@ def test_lemma_ratios_small(tmp_path):
                        "--output", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "c,j,t,series_value,main_term,deviation"
+    assert lines[0] == "c,j,t,series_value,main_term,deviation,series_tail_bound"
     assert len(lines) == 5
 
 

@@ -1,7 +1,10 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddbalanced.decomposition import (
     DEFAULT_GRID,
@@ -130,6 +133,48 @@ def test_series_lhs_truncation_stable():
         v1, _ = series_lhs(z, tau, 200)
         v2, _ = series_lhs(z, tau, 400)
         assert abs(v1 - v2) < 1e-11 * max(1.0, abs(v2))
+
+
+def lhs_reference(z, tau, terms=120):
+    """(1 + 1/w) q V(w;q) at 40 digits, from 120 terms of the outer series,
+    and the scale of float rounding in it: (1 + |1/w|) |q| sum |t_n|.  The
+    first factor keeps the scale honest near w = -1, where the value
+    vanishes but the float w = e^(2 pi i z) is off by one ulp."""
+    with mp.workdps(40):
+        z, tau = mp.mpc(z.real, z.imag), mp.mpc(tau.real, tau.imag)
+        w, q = mp.exp(2j * mp.pi * z), mp.exp(2j * mp.pi * tau)
+        term = 1 / (1 - q)
+        total, size, qn = term, abs(term), mp.mpf(1)
+        for _ in range(terms):
+            qn *= q
+            term *= (1 + w * qn) * (1 + qn / w) * q / (1 - qn * qn * q)
+            total += term
+            size += abs(term)
+        assert abs(term) < mp.mpf(10) ** -30 * abs(total)
+        factor = (1 + 1 / w) * q
+        return complex(factor * total), float((1 + 1 / abs(w)) * abs(q) * size)
+
+
+def assert_tail_bound_holds(z, tau, order):
+    lhs, tail = series_lhs(z, tau, order)
+    exact, scale = lhs_reference(complex(z), complex(tau))
+    assert abs(lhs - exact) <= tail + 1e-14 * scale
+
+
+def test_tail_bound_holds_for_complex_z():
+    # the coefficient-growth bound claimed a 1.6e-12 tail here while the
+    # truncated expansion was off by 2.7e-4
+    assert_tail_bound_holds(0.2 + 0.8j, 0.2j, 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z_re=st.floats(0.0, 1.0), z_im=st.floats(-0.8, 0.8),
+       tau_re=st.floats(-0.5, 0.5), tau_im=st.floats(0.15, 1.0),
+       order=st.integers(10, 60))
+def test_tail_bound_property(z_re, z_im, tau_re, tau_im, order):
+    # the series side is analytic in z (only T1, T and T2 have poles), so
+    # every point of the strip is valid here
+    assert_tail_bound_holds(complex(z_re, z_im), complex(tau_re, tau_im), order)
 
 
 def test_sample_exposes_half_plane_point():

@@ -8,16 +8,17 @@ from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import (
     RankTable,
     evaluate_V,
+    evaluate_V_bounded,
     expand_overpartition,
     expand_partition,
     expand_V_at_root,
-    expand_V_numeric,
     expand_V_rank,
     expand_v_totals,
     rank_support_bound,
     residue_twist,
     residue_twist_cyclotomic,
 )
+from oddbalanced.modular import DomainError
 from oddbalanced.rings import CyclotomicRing
 
 
@@ -146,12 +147,45 @@ def test_partition_counts():
     assert expand_partition(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
-def test_numeric_expansion_matches_laurent(rank_table_60):
-    w = cmath.exp(2j * math.pi * 0.3)
-    coeffs = expand_V_numeric(w, 30)
-    for n in (0, 1, 2, 7, 19, 30):
-        direct = sum(cnt * w ** m for m, cnt in rank_table_60.rank_polynomial(n).items())
-        assert abs(coeffs[n] - direct) < 1e-9 * max(1.0, abs(direct))
+@pytest.mark.parametrize("w", [cmath.exp(2j * math.pi * 0.3), 0.7 - 1.9j, -1.0],
+                         ids=["unit-circle", "off-circle", "minus-one"])
+def test_evaluator_matches_rank_table(rank_table_60, w):
+    # second route to V(w;q): the exact counts v(m,n), n <= 60, summed at a
+    # small q where the omitted q^61 tail is far below rounding
+    q = 0.04 * cmath.exp(0.7j)
+    direct = sum(cnt * w ** m * q ** n
+                 for n in range(61)
+                 for m, cnt in rank_table_60.rank_polynomial(n).items())
+    got = evaluate_V_bounded(w, q)
+    assert abs(got.value - direct) < 1e-14 * abs(direct)
+    assert got.truncation_bound < 1e-17 * abs(direct)
+
+
+def test_evaluator_term_cap_keeps_a_true_bound():
+    w, q = 0.2 + 0.5j, 0.6 * cmath.exp(1j)
+    full = evaluate_V_bounded(w, q)
+    for cap in (0, 3, 10, 30):
+        capped = evaluate_V_bounded(w, q, cap)
+        assert abs(capped.value - full.value) <= capped.truncation_bound + 1e-14 * abs(full.value)
+    assert evaluate_V(w, q, 30) == capped.value
+
+
+@pytest.mark.parametrize("w,q", [(0, 0.5), (1.0, 1.0), (1.0, -1.2j), (1.0, complex("nan"))],
+                         ids=["w-zero", "q-one", "q-outside", "q-nan"])
+def test_evaluator_rejects_points_outside_the_domain(w, q):
+    with pytest.raises(DomainError):
+        evaluate_V_bounded(w, q)
+
+
+def test_evaluator_stops_when_q_nears_one(monkeypatch):
+    # on the real axis V overflows first; off it the sum would need ~10^7
+    # terms, past the ceiling (lowered here to keep the test fast)
+    with pytest.raises(DomainError, match="overflows"):
+        evaluate_V_bounded(1.0, 1.0 - 1e-12)
+    monkeypatch.setattr(genfunc, "V_MAX_TERMS", 1000)
+    with pytest.raises(DomainError, match="more than 1000 terms"):
+        evaluate_V_bounded(1.0, (1 - 1e-6) * 1j)
+    assert evaluate_V_bounded(1.0, (1 - 1e-6) * 1j, 500).truncation_bound > 0
 
 
 def test_evaluate_V_small_q():
