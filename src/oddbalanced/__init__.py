@@ -3,8 +3,10 @@ unimodal sequences.
 
 The package has three layers:
 
-* exact q-series machinery (series, rings, genfunc, enumerator) producing
-  integer rank tables v(m,n) and their residue-class refinements v(a,c;n);
+* exact expansions (genfunc, enumerator): one recurrence for V(w;q) on
+  integer columns with the rank variable w reduced mod w^c - 1 yields the
+  totals v(n), the residue-class counts v(a,c;n) and the rank table v(m,n),
+  and the brute-force enumerator checks them;
 * complex-numeric evaluators (modular, transforms, decomposition) for the
   theta/eta/Appell/Mordell functions and the three-term decomposition of
   the generating function;
@@ -22,11 +24,8 @@ from .genfunc import (
     evaluate_V_bounded,
     expand_overpartition,
     expand_partition,
-    expand_V_at_root,
     expand_V_rank,
     expand_v_totals,
-    residue_twist,
-    residue_twist_cyclotomic,
 )
 from .kernels import USING_COMPILED
 from .modular import (
@@ -39,18 +38,14 @@ from .modular import (
     theta,
     theta_decay_mainterm,
 )
-from .rings import CC, QQ, W, ZZ, CyclotomicRing, LaurentPoly
-from .series import TruncatedSeries, pochhammer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CC", "CyclotomicRing", "EvalResult", "HalfPlanePoint", "LaurentPoly",
-    "OddBalancedSequence", "QQ", "RankTable", "TruncatedSeries",
-    "USING_COMPILED", "W", "ZZ",
+    "EvalResult", "HalfPlanePoint", "OddBalancedSequence", "RankTable",
+    "USING_COMPILED",
     "appell", "count_rank_table", "enumerate_sequences", "eta", "evaluate_V",
-    "evaluate_V_bounded", "expand_V_at_root", "expand_V_rank",
-    "expand_overpartition", "expand_partition", "expand_v_totals", "mordell",
-    "mu", "pochhammer", "rank_of", "residue_twist", "residue_twist_cyclotomic",
+    "evaluate_V_bounded", "expand_V_rank", "expand_overpartition",
+    "expand_partition", "expand_v_totals", "mordell", "mu", "rank_of",
     "theta", "theta_decay_mainterm",
 ]

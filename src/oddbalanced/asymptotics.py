@@ -228,7 +228,8 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
     plus the equidistribution statistic for c > 1.
 
     For c == 1 exact totals may be passed directly (cheap scalar expansion);
-    otherwise a RankTable covering max(checkpoints) is required.  Even c > 1
+    otherwise a RankTable covering max(checkpoints) is required, either the
+    full table or one reduced mod a multiple of c.  Even c > 1
     is allowed only with allow_even=True, which suppresses the main-term
     column (exact counts stay available)."""
     checkpoints = sorted(checkpoints)

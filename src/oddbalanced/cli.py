@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -45,7 +45,6 @@ class RunConfig:
     command: str
     n_max: int = 10
     n: int = 5
-    order: int = 400
     modulus: int = 1
     residue: int = 0
     moduli: tuple = (3, 5, 7)
@@ -58,7 +57,6 @@ class RunConfig:
     seed: int = 20260810
     max_residual: float = None
     allow_even: bool = False
-    extras: dict = field(default_factory=dict)
 
 
 def _fmt(x, digits):
@@ -106,6 +104,8 @@ def _fail(check, detail):
 # ---------------------------------------------------------------------------
 
 def cmd_expand(config):
+    if config.n_max < 0:
+        raise UsageError(f"--n-max must be >= 0, got {config.n_max}")
     table = genfunc.expand_V_rank(config.n_max)
     rows = [{"n": n, "m": m, "count": cnt} for n, m, cnt in table.nonzero_items()]
     _write_rows(rows, ["n", "m", "count"], config)
@@ -113,6 +113,8 @@ def cmd_expand(config):
 
 
 def cmd_enumerate(config):
+    if config.n < 0:
+        raise UsageError(f"--n must be >= 0, got {config.n}")
     lines = []
     for seq in enumerator.enumerate_sequences(config.n):
         lines.append(json.dumps({
@@ -209,16 +211,27 @@ def cmd_verify_decomposition(config):
     return EXIT_OK
 
 
+def _check_checkpoints(checkpoints):
+    if not all(n >= 1 for n in checkpoints):
+        raise UsageError(f"checkpoints must be >= 1, got {','.join(map(str, checkpoints))}")
+
+
 def cmd_asym_report(config):
+    if config.precision < 30:
+        raise UsageError("--precision below 30 digits is not meaningful here")
+    if config.modulus % 2 == 0 and not config.allow_even:
+        raise UsageError(f"c={config.modulus} is even, so no main term applies; "
+                         "pass --allow-even to tabulate the exact counts only")
     checkpoints = config.checkpoints or ((100, 400, 1600) if config.modulus == 1
                                          else (150, 600))
+    _check_checkpoints(checkpoints)
     top = max(checkpoints)
     if config.modulus == 1:
         totals = genfunc.expand_v_totals(top)
         report = asymptotics.asym_report(0, 1, checkpoints, totals=totals,
                                          dps=config.precision)
     else:
-        table = genfunc.expand_V_rank(top)
+        table = genfunc.expand_V_rank(top, config.modulus)
         report = asymptotics.asym_report(config.residue, config.modulus,
                                          checkpoints, table=table,
                                          dps=config.precision,
@@ -235,11 +248,18 @@ def cmd_asym_report(config):
 
 
 def cmd_equidistribution(config):
+    if not config.moduli or min(config.moduli) < 2:
+        raise UsageError("moduli must be >= 2, so that the residue classes "
+                         "can differ")
     checkpoints = config.checkpoints or (150, 600)
-    table = genfunc.expand_V_rank(max(checkpoints))
+    _check_checkpoints(checkpoints)
+    if len(set(checkpoints)) < 2:
+        raise UsageError("the statistic must shrink between checkpoints, "
+                         "so at least two distinct ones are needed")
     rows = []
     decreasing = True
     for c in config.moduli:
+        table = genfunc.expand_V_rank(max(checkpoints), c)
         stats = [(n, asymptotics.equidistribution_stat(table, c, n))
                  for n in sorted(checkpoints)]
         for n, stat in stats:
@@ -254,7 +274,9 @@ def cmd_equidistribution(config):
 
 def cmd_logconcavity_scan(config):
     n_max = config.n_max
-    table = genfunc.expand_V_rank(n_max + 1)
+    if n_max < 1:
+        raise UsageError(f"--n-max must be >= 1, got {n_max}")
+    table = genfunc.expand_V_rank(n_max + 1, config.modulus)
     pbar = genfunc.expand_overpartition(n_max + 1)
     report = asymptotics.logconcavity_scan(config.residue, config.modulus,
                                            n_max, table, pbar)
@@ -332,8 +354,6 @@ def dispatch(config):
         "logconcavity-scan": cmd_logconcavity_scan,
         "lemma-ratios": cmd_lemma_ratios,
     }
-    if config.precision < 30 and config.command in ("asym-report",):
-        raise SystemExit("precision below 30 digits is not meaningful here")
     return handlers[config.command](config)
 
 

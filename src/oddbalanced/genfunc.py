@@ -2,14 +2,20 @@
 
 The central object is V(w;q) = sum_{n>=0} (-wq;q)_n (-q/w;q)_n q^n / (q;q^2)_{n+1},
 whose q^n coefficient is the Laurent polynomial sum_m v(m,n) w^m counting
-odd-balanced unimodal sequences of size 2n+2 by rank m.  Everything is
-computed by running the outer sum as a recurrence on a truncated series:
+odd-balanced unimodal sequences of size 2n+2 by rank m.  One engine
+computes every exact count: the outer sum run as a recurrence,
 
-    P_0 = 1/(1-q),   P_n = P_{n-1} * q * (1+w q^n)(1+w^-1 q^n) / (1-q^{2n+1})
+    P_0 = 1/(1-q),   P_n = P_{n-1} * q * (1+w q^n)(1+w^-1 q^n) / (1-q^{2n+1}),
 
-where each factor is a single O(N) kernel pass.  Rank tracking keeps one
-series per power of w; a monomial w^m q^k can only occur for k >= m(m+1)/2,
-which caps the number of columns at ~sqrt(2N) and keeps the table small.
+on c integer q-series columns with w reduced mod w^c - 1, so that a factor
+of w is a cyclic shift of the columns and each factor is one kernel pass.
+The reduction picks what is counted:
+
+* c = 1 sets w = 1 and gives the totals v(n);
+* c > 1 gives the residue-class counts v(a,c;n) directly, column a;
+* c = 2*mmax+1 gives the full rank table, because a monomial w^m q^k only
+  occurs for k >= m(m+1)/2, so no rank with |m| > mmax ~ sqrt(2N) appears
+  and nothing wraps.
 
 Numeric values of V come from the same outer sum taken at a point
 (evaluate_V_bounded): O(terms) complex operations and a ratio tail bound,
@@ -26,8 +32,6 @@ from math import isqrt
 
 from . import kernels
 from .modular import DomainError, EvalResult
-from .rings import CyclotomicRing
-from .series import TruncatedSeries
 
 
 def rank_support_bound(order):
@@ -41,13 +45,30 @@ def rank_support_bound(order):
 
 @dataclass
 class RankTable:
-    """Exact table of v(m,n) for n <= max_n, stored as one integer column
-    per rank m.  Immutable once built; safe to share."""
+    """Exact counts for n <= max_n, one integer column per rank m, or, when
+    the ranks were reduced mod `modulus`, one column per residue class
+    a = 0..modulus-1.  A reduced table answers totals and residue classes
+    mod divisors of its modulus, and raises ValueError on anything else.
+    Immutable once built; safe to share."""
 
     max_n: int
-    columns: dict  # m -> list of counts indexed by n
+    columns: dict  # m (or a, when reduced) -> list of counts indexed by n
+    modulus: int = None  # None for the full rank table
+
+    def _require_ranks(self):
+        if self.modulus is not None:
+            raise ValueError(f"ranks were reduced mod {self.modulus}; "
+                             "only residue classes are known")
+
+    def _check_modulus(self, c):
+        if c < 1:
+            raise ValueError("modulus must be >= 1")
+        if self.modulus is not None and self.modulus % c:
+            raise ValueError(f"residues mod {c} are not known from a table "
+                             f"reduced mod {self.modulus}")
 
     def v(self, m, n):
+        self._require_ranks()
         if not 0 <= n <= self.max_n:
             raise IndexError(f"n={n} outside 0..{self.max_n}")
         col = self.columns.get(m)
@@ -66,11 +87,11 @@ class RankTable:
 
     def residue_class(self, a, c, n):
         """v(a,c;n): ranks congruent to a mod c."""
-        if c < 1:
-            raise ValueError("modulus must be >= 1")
+        self._check_modulus(c)
         return sum(col[n] for m, col in self.columns.items() if m % c == a % c)
 
     def residue_sequence(self, a, c):
+        self._check_modulus(c)
         out = [0] * (self.max_n + 1)
         for m, col in self.columns.items():
             if m % c == a % c:
@@ -79,15 +100,15 @@ class RankTable:
         return out
 
     def nonzero_items(self):
-        """Yield (n, m, count) triples with count > 0, sorted by n then m."""
-        for n in range(self.max_n + 1):
-            for m in sorted(self.columns):
-                cnt = self.columns[m][n]
-                if cnt:
-                    yield n, m, cnt
+        """(n, m, count) triples with count > 0, sorted by n then m."""
+        self._require_ranks()
+        cols = sorted(self.columns.items())
+        return ((n, m, col[n]) for n in range(self.max_n + 1)
+                for m, col in cols if col[n])
 
     def rank_polynomial(self, n):
         """{m: v(m,n)} for one n, nonzero entries only."""
+        self._require_ranks()
         return {m: col[n] for m, col in sorted(self.columns.items()) if col[n]}
 
     def to_csv_rows(self):
@@ -108,62 +129,50 @@ class RankTable:
 # Expansions
 # ---------------------------------------------------------------------------
 
-def expand_V_rank(order):
-    """Full rank table of v(m,n) for n <= order, by Laurent-column expansion."""
-    mmax = rank_support_bound(order)
-    ncols = 2 * mmax + 1
+def _expand_mod(order, c):
+    """Coefficients of V(w;q) for n <= order with w reduced mod w^c - 1:
+    c integer columns, column i holding the q-series of the ranks
+    congruent to i mod c.
 
-    def fresh():
-        return [[0] * (order + 1) for _ in range(ncols)]
-
-    prod = fresh()
-    for k in range(order + 1):
-        prod[mmax][k] = 1  # 1/(1-q)
-    acc = fresh()
-    for k in range(order + 1):
-        acc[mmax][k] = 1
-
+    Multiplying by w moves column i to column i+1 mod c.  The table
+    kernels shift between neighbouring columns, so the column that wraps
+    round is handed to them as a saved copy placed beyond the far end.
+    """
+    prod = [[0] * (order + 1) for _ in range(c)]
+    prod[0] = [1] * (order + 1)  # 1/(1-q)
+    acc = [list(col) for col in prod]
     for n in range(1, order + 1):
         for col in prod:
             kernels.shift_up(col, 1, 0)
-        kernels.table_mul_w(prod, n, n)
-        kernels.table_mul_winv(prod, n, n)
+        kernels.table_mul_w([list(prod[-1])] + prod, n, n)
+        kernels.table_mul_winv(prod + [list(prod[0])], n, n)
         kernels.table_geometric(prod, 2 * n + 1, n)
         kernels.table_acc(acc, prod, n)
+    return acc
 
-    columns = {}
-    for i, col in enumerate(acc):
-        if any(col):
-            columns[i - mmax] = col
-    return RankTable(max_n=order, columns=columns)
+
+def expand_V_rank(order, modulus=None):
+    """Exact counts for n <= order: the full rank table of v(m,n), or with
+    a modulus c the table of v(a,c;n) reduced mod c."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if modulus is not None:
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        return RankTable(max_n=order, columns=dict(enumerate(_expand_mod(order, modulus))),
+                         modulus=modulus)
+    # |m| never exceeds mmax, so with 2*mmax+1 columns nothing wraps and
+    # column m mod c holds rank m exactly
+    mmax = rank_support_bound(order)
+    c = 2 * mmax + 1
+    cols = _expand_mod(order, c)
+    return RankTable(max_n=order, columns={
+        m: cols[m % c] for m in range(-mmax, mmax + 1) if any(cols[m % c])})
 
 
 def expand_v_totals(order):
     """Exact v(n) = coefficient of q^n in V(1;q), for n <= order."""
-    prod = [1] * (order + 1)  # 1/(1-q)
-    acc = list(prod)
-    for n in range(1, order + 1):
-        kernels.shift_up(prod, 1, 0)
-        kernels.shifted_add_one(prod, n, n)  # (1+q^n) twice
-        kernels.shifted_add_one(prod, n, n)
-        kernels.geometric_add(prod, 2 * n + 1, n)
-        kernels.acc_add(acc, prod, n)
-    return acc
-
-
-def expand_V_value(w_value, w_inverse, one, order):
-    """Coefficients of V(w;q) with w specialised to a fixed invertible
-    value (complex number, cyclotomic element, ...)."""
-    zero = one * 0
-    prod = [one] * (order + 1)
-    acc = list(prod)
-    for n in range(1, order + 1):
-        kernels.shift_up(prod, 1, zero)
-        kernels.shifted_add(prod, n, w_value, n)
-        kernels.shifted_add(prod, n, w_inverse, n)
-        kernels.geometric_add(prod, 2 * n + 1, n)
-        kernels.acc_add(acc, prod, n)
-    return acc
+    return _expand_mod(order, 1)[0]
 
 
 # relative size of the remainder at which evaluate_V_bounded stops summing
@@ -219,55 +228,6 @@ def evaluate_V_bounded(w, q, max_terms=None):
 def evaluate_V(w, q, order=None):
     """V(w;q) at numeric arguments; order caps the number of terms."""
     return evaluate_V_bounded(w, q, order).value
-
-
-def expand_V_at_root(j, c, order):
-    """V(zeta_c^j; q) expanded exactly over the cyclotomic ring of order c.
-
-    Must agree with substituting w -> zeta_c^j in the rank table; the test
-    suite checks that substitution homomorphism property.
-    """
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    ring = CyclotomicRing(c)
-    coeffs = expand_V_value(ring.root(j % c), ring.root(-j % c), ring.one, order)
-    return TruncatedSeries(ring, coeffs)
-
-
-def residue_twist(a, c, table):
-    """Exact v(a,c;n) for n <= table.max_n, by bucketing the rank table."""
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    if not 0 <= a < c:
-        raise ValueError("residue must satisfy 0 <= a < c")
-    return table.residue_sequence(a, c)
-
-
-def residue_twist_cyclotomic(a, c, order):
-    """v(a,c;n) via the root-of-unity average
-    (1/c) * sum_j zeta_c^(-aj) V(zeta_c^j;q),
-    evaluated exactly in the cyclotomic ring.  Each coefficient must come
-    out a rational integer divisible by c; raises ValueError otherwise.
-
-    Exponentially slower than residue_twist (c full expansions); intended
-    as an independent cross-check at small truncation orders.
-    """
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    ring = CyclotomicRing(c)
-    total = [ring.zero] * (order + 1)
-    for j in range(c):
-        series = expand_V_at_root(j, c, order)
-        twist = ring.root((-a * j) % c)
-        for k in range(order + 1):
-            total[k] = total[k] + twist * series.coeffs[k]
-    out = []
-    for k, val in enumerate(total):
-        n = val.as_rational_integer()  # raises if not a rational integer
-        if n % c:
-            raise ValueError(f"coefficient {n} at q^{k} not divisible by c={c}")
-        out.append(n // c)
-    return out
 
 
 def expand_overpartition(order):

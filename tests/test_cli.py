@@ -167,10 +167,34 @@ def test_asym_report_c1(tmp_path):
     assert lines[1].startswith("2,5,")
 
 
-def test_asym_report_precision_floor():
-    with pytest.raises(SystemExit):
-        cli.main(["asym-report", "--c", "1", "--checkpoints", "2",
-                  "--precision", "10"])
+def test_asym_report_precision_floor(capsys):
+    code, captured = run_cli(["asym-report", "--c", "1", "--checkpoints", "2",
+                              "--precision", "10"], capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+
+
+@pytest.mark.parametrize("args", [
+    ["expand", "--n-max", "-1"],
+    ["enumerate", "--n", "-1"],
+    ["logconcavity-scan", "--n-max", "-2"],
+    ["logconcavity-scan", "--n-max", "0"],  # no tail to scan
+    ["asym-report", "--checkpoints", "0"],
+    ["asym-report", "--c", "3", "--checkpoints=-5,600"],
+    ["asym-report", "--c", "2"],
+    ["asym-report", "--precision", "20"],
+    ["equidistribution", "--moduli", "0"],
+    ["equidistribution", "--moduli", "-3"],
+    ["equidistribution", "--moduli", "1"],  # the statistic is always 0
+    ["equidistribution", "--moduli", ""],
+    ["equidistribution", "--checkpoints=-1,60"],
+    ["equidistribution", "--checkpoints", "60"],  # nothing to shrink between
+], ids=lambda args: " ".join(args))
+def test_bad_exact_command_inputs_are_usage_errors(tmp_path, capsys, args):
+    code, captured = run_cli([*args, "--output", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_equidistribution_small(tmp_path):

@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddbalanced import genfunc
 from oddbalanced.enumerator import count_rank_table
@@ -11,15 +13,11 @@ from oddbalanced.genfunc import (
     evaluate_V_bounded,
     expand_overpartition,
     expand_partition,
-    expand_V_at_root,
     expand_V_rank,
     expand_v_totals,
     rank_support_bound,
-    residue_twist,
-    residue_twist_cyclotomic,
 )
 from oddbalanced.modular import DomainError
-from oddbalanced.rings import CyclotomicRing
 
 
 def test_known_small_coefficients():
@@ -55,70 +53,88 @@ def test_matches_enumeration():
             assert table.v(m, n) == enum.v(m, n)
 
 
-def test_residue_twist_examples(rank_table_60):
-    assert residue_twist(0, 1, rank_table_60) == rank_table_60.totals()
+def test_residue_class_examples(rank_table_60):
+    assert rank_table_60.residue_sequence(0, 1) == rank_table_60.totals()
     assert rank_table_60.residue_class(0, 3, 2) == 3
     assert rank_table_60.residue_class(1, 3, 2) == 1
     assert rank_table_60.residue_class(2, 3, 2) == 1  # m=-1 lands in class 2
     for n in (2, 10, 40):
         assert sum(rank_table_60.residue_class(a, 3, n) for a in range(3)) \
             == rank_table_60.total(n)
+    assert expand_V_rank(2, 3).columns == {0: [1, 2, 3], 1: [0, 0, 1], 2: [0, 0, 1]}
 
 
 def test_residue_monotonicity(rank_table_60):
     for c in range(1, 10):
         for a in range(c):
-            seq = residue_twist(a, c, rank_table_60)
+            seq = rank_table_60.residue_sequence(a, c)
             assert all(x <= y for x, y in zip(seq, seq[1:]))
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 9])
-def test_cyclotomic_twist_matches_table(c):
-    order = 24
-    table = expand_V_rank(order)
+def test_reduced_expansion_matches_enumerator(c):
+    order = 10
+    reduced = expand_V_rank(order, c)
+    buckets = [[0] * (order + 1) for _ in range(c)]
+    for (m, n), cnt in count_rank_table(order).counts.items():
+        buckets[m % c][n] += cnt
+    assert reduced.columns == dict(enumerate(buckets))
+
+
+@pytest.mark.parametrize("fixture,moduli", [("rank_table_60", range(1, 10)),
+                                            ("rank_table_604", (3, 5, 7))])
+def test_reduced_table_buckets_the_rank_table(request, fixture, moduli):
+    table = request.getfixturevalue(fixture)
+    for c in moduli:
+        reduced = expand_V_rank(table.max_n, c)
+        for a in range(c):
+            assert reduced.columns[a] == table.residue_sequence(a, c)
+
+
+# v(a,3;n) as computed by the separate Laurent-column expansion that preceded
+# the reduced engine (also recorded in perfbench/reference.json)
+PINNED_MOD_3 = {
+    150: (26710495794354, 26710493508824, 26710493508824),
+    600: (468314350712677827518026016744, 468314350712677743377298797916,
+          468314350712677743377298797916),
+}
+
+
+def test_reduced_table_pinned_values():
+    reduced = expand_V_rank(600, 3)
+    for n, counts in PINNED_MOD_3.items():
+        assert tuple(reduced.residue_class(a, 3, n) for a in range(3)) == counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=st.integers(1, 12), order=st.integers(0, 80))
+def test_residue_classes_sum_to_totals_and_mirror(c, order):
+    reduced = expand_V_rank(order, c)
+    assert reduced.totals() == expand_v_totals(order)
     for a in range(c):
-        assert residue_twist_cyclotomic(a, c, order) == residue_twist(a, c, table)
-
-
-def test_root_expansion_is_substitution_hom():
-    order = 20
-    c = 5
-    table = expand_V_rank(order)
-    ring = CyclotomicRing(c)
-    for j in (1, 2):
-        series = expand_V_at_root(j, c, order)
-        for n in range(order + 1):
-            expected = ring.zero
-            for m, cnt in table.rank_polynomial(n).items():
-                expected = expected + cnt * ring.root((j * m) % c)
-            assert series.coeff(n).reduce_mod_minimal() == expected.reduce_mod_minimal()
-
-
-def test_root_expansion_c1_equals_totals():
-    series = expand_V_at_root(0, 1, 12)
-    assert [c.coeffs[0] for c in series.coeffs] == expand_v_totals(12)
-
-
-def test_root_expansion_known_value():
-    # at the cube root of unity the q^2 coefficient collapses to 2
-    series = expand_V_at_root(1, 3, 4)
-    assert series.coeff(2).as_rational_integer() == 2
-
-
-def test_root_expansion_trivial_root_consistency():
-    # zeta_1 = 1, so j=1 mod 1 and the "fifth root to the zeroth power"
-    # describe the same numbers
-    a = expand_V_at_root(1, 1, 10)
-    b = expand_V_at_root(0, 5, 10)
-    assert [x.as_rational_integer() for x in a.coeffs] \
-        == [x.as_rational_integer() for x in b.coeffs]
+        # w <-> 1/w symmetry: v(a,c;n) = v(-a mod c,c;n)
+        assert reduced.columns[a] == reduced.columns[-a % c]
 
 
 def test_bad_modulus_rejected():
     with pytest.raises(ValueError):
-        expand_V_at_root(0, 0, 4)
+        expand_V_rank(4, 0)
     with pytest.raises(ValueError):
-        residue_twist(3, 3, expand_V_rank(2))
+        expand_V_rank(4).residue_class(0, 0, 2)
+
+
+def test_reduced_table_refuses_rank_queries_and_foreign_moduli():
+    reduced = expand_V_rank(8, 6)
+    full = expand_V_rank(8)
+    for d in (1, 2, 3, 6):
+        assert reduced.residue_sequence(1, d) == full.residue_sequence(1, d)
+    assert reduced.totals() == full.totals()
+    for query in (lambda: reduced.v(0, 2), lambda: reduced.rank_polynomial(2),
+                  reduced.nonzero_items, reduced.to_json_dict,
+                  lambda: reduced.residue_class(0, 4, 2),
+                  lambda: reduced.residue_sequence(0, 5)):
+        with pytest.raises(ValueError):
+            query()
 
 
 def _brute_overpartitions(n):
