@@ -81,6 +81,56 @@ def test_reduced_expansion_matches_enumerator(c):
     assert reduced.columns == dict(enumerate(buckets))
 
 
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 9])
+def test_cyclotomic_twist_matches_table(c):
+    # the twisted counts v(a,c;n) read off V mod w^c - 1 equal the full rank
+    # table bucketed by m mod c
+    order = 24
+    reduced = expand_V_rank(order, c)
+    table = expand_V_rank(order)
+    for a in range(c):
+        assert reduced.residue_sequence(a, c) == table.residue_sequence(a, c)
+
+
+def test_root_expansion_is_substitution_hom():
+    # w -> zeta^j on Z[w]/(w^c - 1) sends column a to class j*a mod c; the
+    # reduced table must agree with substituting into every rank polynomial
+    order = 20
+    c = 5
+    reduced = expand_V_rank(order, c)
+    table = expand_V_rank(order)
+    for j in (1, 2):
+        for n in range(order + 1):
+            expected = [0] * c
+            for m, cnt in table.rank_polynomial(n).items():
+                expected[(j * m) % c] += cnt
+            got = [0] * c
+            for a in range(c):
+                got[(j * a) % c] += reduced.columns[a][n]
+            assert got == expected
+
+
+def test_root_expansion_c1_equals_totals():
+    assert expand_V_rank(12, 1).columns[0] == expand_v_totals(12) \
+        == expand_V_rank(12).totals()
+
+
+def test_root_expansion_known_value():
+    # at the cube root of unity the q^2 coefficient collapses to 2:
+    # classes (3, 1, 1) give 3 + zeta + zeta^2 = 2
+    cols = expand_V_rank(4, 3).columns
+    assert cols[1][2] == cols[2][2]
+    assert cols[0][2] - cols[1][2] == 2
+
+
+def test_root_expansion_trivial_root_consistency():
+    # zeta_1 = 1 and the fifth root to the zeroth power describe the same
+    # numbers: the mod-1 column is the sum of the mod-5 columns
+    mod1 = expand_V_rank(10, 1).columns[0]
+    mod5 = expand_V_rank(10, 5).columns
+    assert mod1 == [sum(mod5[a][n] for a in range(5)) for n in range(11)]
+
+
 @pytest.mark.parametrize("fixture,moduli", [("rank_table_60", range(1, 10)),
                                             ("rank_table_604", (3, 5, 7))])
 def test_reduced_table_buckets_the_rank_table(request, fixture, moduli):
