@@ -3,10 +3,11 @@ unimodal sequences.
 
 The package has three layers:
 
-* exact expansions (genfunc, enumerator): one recurrence for V(w;q) on
-  integer columns with the rank variable w reduced mod w^c - 1 yields the
-  totals v(n), the residue-class counts v(a,c;n) and the rank table v(m,n),
-  and the brute-force enumerator checks them;
+* exact expansions (genfunc, enumerator): V(w;q) on integer columns with
+  the rank variable w reduced mod w^c - 1 yields the totals v(n), the
+  residue-class counts v(a,c;n) and the rank table v(m,n), by the
+  three-term identity as exact q-series for odd c and by the outer-sum
+  recurrence for even c; the brute-force enumerator checks them;
 * complex-numeric evaluators (modular, transforms, decomposition) for the
   theta/eta/Appell/Mordell functions and the three-term decomposition of
   the generating function;

@@ -239,10 +239,11 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
     else:
         if table is None:
             raise ValueError("residue classes need the rank table")
-        if checkpoints[-1] > table.max_n:
-            raise IndexError(f"checkpoint {checkpoints[-1]} beyond table (max_n={table.max_n})")
         seq = table.residue_sequence(a, c)
         total_seq = table.totals()
+    if checkpoints and not 0 <= checkpoints[0] <= checkpoints[-1] < len(seq):
+        raise IndexError(f"checkpoints {checkpoints[0]}..{checkpoints[-1]} "
+                         f"outside 0..{len(seq) - 1}")
     even = c > 1 and c % 2 == 0
     if even and not allow_even:
         raise EvenModulusError(f"c={c} is even; pass allow_even to tabulate exact counts only")

@@ -449,9 +449,9 @@ def main(argv=None):
         max_residual=getattr(args, "max_residual", None),
         allow_even=getattr(args, "allow_even", False),
     )
-    if config.modulus < 1 or not 0 <= config.residue < max(config.modulus, 1):
-        build_parser().error(f"need 0 <= a < c, got a={config.residue}, c={config.modulus}")
     try:
+        if config.modulus < 1 or not 0 <= config.residue < config.modulus:
+            raise UsageError(f"need 0 <= a < c, got a={config.residue}, c={config.modulus}")
         if config.max_residual is not None and not config.max_residual >= 0:
             raise UsageError(f"--max-residual must be >= 0, got {config.max_residual}")
         return dispatch(config)

@@ -29,7 +29,8 @@ table_acc = _impl.table_acc
 
 def shift_up(c, by, zero):
     """In place, multiply the series by q^by (coefficients above the
-    truncation order fall off the end)."""
+    truncation order fall off the end; the length never changes)."""
+    by = min(by, len(c))
     if by <= 0:
         return
     c[by:] = c[: len(c) - by]

@@ -183,6 +183,9 @@ def test_asym_report_precision_floor(capsys):
     ["asym-report", "--c", "3", "--checkpoints=-5,600"],
     ["asym-report", "--c", "2"],
     ["asym-report", "--precision", "20"],
+    ["asym-report", "--c", "3", "--a", "5"],
+    ["asym-report", "--c", "0"],
+    ["logconcavity-scan", "--c", "5", "--a", "-1"],
     ["equidistribution", "--moduli", "0"],
     ["equidistribution", "--moduli", "-3"],
     ["equidistribution", "--moduli", "1"],  # the statistic is always 0
@@ -232,7 +235,4 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["asym-report", "--c", "3", "--a", "5"])
     assert exc.value.code == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import genfunc
+from oddbalanced import _kernels_py, genfunc
 from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import (
     RankTable,
@@ -185,6 +185,125 @@ def test_reduced_table_refuses_rank_queries_and_foreign_moduli():
                   lambda: reduced.residue_sequence(0, 5)):
         with pytest.raises(ValueError):
             query()
+
+
+@pytest.mark.parametrize("order,c", [(600, 1), (600, 3), (600, 5), (600, 7), (600, 9),
+                                     (3600, 1)])
+def test_identity_route_equals_recurrence(order, c):
+    # the two exact routes share no code: the three-term identity as
+    # q-series against the outer-sum recurrence
+    assert genfunc._expand_identity(order, c) == genfunc._expand_mod(order, c)
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_identity_route_low_orders(c):
+    for order in range(6):
+        assert genfunc._expand_identity(order, c) == genfunc._expand_mod(order, c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=st.integers(0, 7).map(lambda i: 2 * i + 1), order=st.integers(0, 120))
+def test_identity_route_property(c, order):
+    assert genfunc._expand_identity(order, c) == genfunc._expand_mod(order, c)
+
+
+def test_full_table_equals_recurrence():
+    # the full table runs the identity at c = 2*mmax+1, where nothing wraps
+    order = 150
+    mmax = rank_support_bound(order)
+    c = 2 * mmax + 1
+    cols = genfunc._expand_mod(order, c)
+    assert expand_V_rank(order).columns == {
+        m: cols[m % c] for m in range(-mmax, mmax + 1) if any(cols[m % c])}
+
+
+def test_identity_route_checks_its_exact_division(monkeypatch):
+    # a wrong piece must raise, never be floored into plausible counts
+    s_hat = genfunc._s_hat
+
+    def perturbed(size, c, j):
+        cols = s_hat(size, c, j)
+        cols[0][5] += 1
+        return cols
+
+    monkeypatch.setattr(genfunc, "_s_hat", perturbed)
+    for c in (1, 3):
+        with pytest.raises(ArithmeticError):
+            genfunc._expand_identity(20, c)
+
+
+def test_r_cubed_by_the_triple_product():
+    # R = sum (-1)^k q^(6k^2+10k+4) / sum (-1)^k q^(3k^2+5k+2); the identity
+    # route uses R^3 = (q^4;q^4)^3 / (q^2;q^2)^3 instead
+    size = 400
+    ks = range(-20, 21)
+    num = genfunc._sparse(((6 * k * k + 10 * k + 4, (-1) ** abs(k)) for k in ks), size)
+    den = genfunc._sparse(((3 * k * k + 5 * k + 2, (-1) ** abs(k)) for k in ks), size)
+    jac = {d: genfunc._sparse(((d * e, (-1) ** k * (2 * k + 1))
+                               for k, e in genfunc._triangular(size)), size)
+           for d in (2, 4)}
+    r3 = [1] + [0] * (size - 1)
+    for _ in range(3):
+        r3 = genfunc._div_sparse(genfunc._mul_sparse(r3, num), den)
+    unit = [1] + [0] * (size - 1)
+    assert r3 == genfunc._div_sparse(genfunc._mul_sparse(unit, jac[4]), jac[2])
+
+
+def test_sparse_division_needs_a_unit_constant_term():
+    with pytest.raises(ValueError):
+        genfunc._div_sparse([1, 0, 0], {2: [0], 1: [1]})
+
+
+def test_range_checks_residue_class():
+    table = expand_V_rank(20, 3)
+    assert table.residue_class(0, 3, 20) == 3365
+    for n in (-1, 21):
+        with pytest.raises(IndexError):
+            table.residue_class(0, 3, n)
+
+
+def test_range_checks_total():
+    for table in (expand_V_rank(20, 3), expand_V_rank(20)):
+        assert table.total(20) == expand_v_totals(20)[20]
+        for n in (-1, 21):
+            with pytest.raises(IndexError):
+                table.total(n)
+
+
+def test_range_checks_residue_sequence_callers():
+    from oddbalanced.asymptotics import asym_report
+    table = expand_V_rank(20, 3)
+    assert len(table.residue_sequence(0, 3)) == 21
+    for checkpoints in ((-1, 10), (10, 21)):
+        with pytest.raises(IndexError):
+            asym_report(0, 3, checkpoints, table=table)
+        with pytest.raises(IndexError):
+            asym_report(0, 1, checkpoints, totals=expand_v_totals(20))
+
+
+def _overpartitions_by_product(order):
+    out = [0] * (order + 1)
+    out[0] = 1
+    for k in range(1, order + 1):
+        _kernels_py.shifted_add_one(out, k)
+        _kernels_py.geometric_add(out, k)
+    return out
+
+
+def _partitions_by_product(order):
+    out = [0] * (order + 1)
+    out[0] = 1
+    for k in range(1, order + 1):
+        _kernels_py.geometric_add(out, k)
+    return out
+
+
+def test_divisions_equal_the_product_forms():
+    assert expand_overpartition(601) == _overpartitions_by_product(601)
+    assert expand_partition(601) == _partitions_by_product(601)
+    for order in range(4):
+        assert expand_overpartition(order) == _overpartitions_by_product(order)
+        assert expand_partition(order) == _partitions_by_product(order)
 
 
 def _brute_overpartitions(n):

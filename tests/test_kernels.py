@@ -94,6 +94,9 @@ def test_shift_up():
     assert c == [0, 0, 0, 1]
     shift_up(c, 0, 0)
     assert c == [0, 0, 0, 1]
+    c = [0, 1, 2]
+    shift_up(c, 5, 0)  # past the end: all zeros, same length
+    assert c == [0, 0, 0]
 
 
 def test_geometric_add_is_inverse_of_one_minus_qa():
