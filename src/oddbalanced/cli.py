@@ -36,7 +36,9 @@ def _numeric_domain(fn, *args):
         return fn(*args)
     except (DomainError, PoleError) as exc:
         raise UsageError(str(exc)) from exc
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
+        # cmath/math reject arguments whose result leaves the float range
+        # (an overflow) or is undefined there (a "math domain error")
         raise UsageError(f"a value leaves the float range ({exc})") from exc
 
 
@@ -357,16 +359,30 @@ def dispatch(config):
     return handlers[config.command](config)
 
 
-def _int_list(text):
-    return tuple(int(x) for x in text.split(",") if x)
+def _number_list(kind):
+    def parse(text):
+        try:
+            return tuple(kind(x) for x in text.split(",") if x)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__}s, got {text!r}") from None
+    return parse
 
 
-def _float_list(text):
-    return tuple(float(x) for x in text.split(",") if x)
+_int_list = _number_list(int)
+_float_list = _number_list(float)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors are one stderr line, like UsageError's;
+    the subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="oddbalanced",
         description="Exact counts, modular transformation checks and "
                     "asymptotic reports for odd-balanced unimodal sequences.")

@@ -15,15 +15,18 @@ Each evaluator returns an EvalResult carrying the value and a bound on the
 discarded tail (rigorous for theta/eta, heuristic-but-conservative for the
 quadrature).  sqrt(-i*tau) always means the principal branch, which is the
 convention validated by the transformation-law tests.
+
+All evaluators are plain cmath/math loops; the Gauss-Legendre nodes of the
+quadrature are computed on first use, so importing this module costs
+nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
@@ -116,9 +119,13 @@ def theta(z, tau, cutoff=None):
     tau = _require_upper_half(tau)
     z = complex(z)
     J = cutoff if cutoff is not None else theta_cutoff(z, tau)
-    ns = np.arange(-J, J) + 0.5
-    terms = np.exp(1j * math.pi * ns * ns * tau + 2j * math.pi * ns * (z + 0.5))
-    value = complex(terms.sum())
+    a = 1j * math.pi * tau
+    b = 2j * math.pi * (z + 0.5)
+    exp = cmath.exp
+    value = 0j
+    for k in range(-J, J):
+        n = k + 0.5
+        value += exp((a * n + b) * n)
     # tail bound: 2 * sum_{n >= J+1/2} exp(-pi t n^2 + 2 pi b n), geometric from
     # the first omitted term
     t, b = tau.imag, abs(z.imag)
@@ -154,7 +161,33 @@ def eta(tau):
 # Mordell integral
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
+GL_POINTS = 40  # nodes of the Gauss-Legendre rule on each panel
+
+
+@functools.cache
+def gauss_legendre(npoints):
+    """Nodes (ascending) and weights of the npoints-point Gauss-Legendre rule
+    on [-1, 1], by Newton's method on the three-term recurrence
+    k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2}.  The rule is symmetric, so only
+    the nodes in (0, 1) (and 0 for odd npoints) are solved for."""
+    upper = []
+    for i in range(npoints // 2 + npoints % 2):
+        x = math.cos(math.pi * (i + 0.75) / (npoints + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, npoints + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = npoints * (x * p - p_prev) / (x * x - 1.0)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    if npoints % 2:
+        upper[-1] = (0.0, upper[-1][1])
+    lower = [(-x, w) for x, w in upper[:npoints // 2]]
+    rule = lower + upper[::-1]
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
 def _mordell_halfwidth(z, tau):
@@ -184,17 +217,26 @@ def mordell(z, tau):
         raise DomainError(
             f"divergent parameter regime: Im(tau)=0 needs |Re z| < 1/2, got z={z}")
     X = _mordell_halfwidth(z, tau)
+    rule = tuple(zip(*gauss_legendre(GL_POINTS)))
+    a = 1j * math.pi * tau
+    b = -TWO_PI * z
+    pi, exp, cexp = math.pi, math.exp, cmath.exp
     npanels = max(8, int(X))
     prev = None
     value = 0j
     delta = math.inf
     for _ in range(10):
-        edges = np.linspace(-X, X, npanels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        x = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-        f = np.exp(1j * math.pi * tau * x * x - TWO_PI * z * x) / np.cosh(math.pi * x)
-        value = complex(np.sum(halves[:, None] * _GL_WEIGHTS[None, :] * f))
+        half = X / npanels
+        value = 0j
+        for p in range(npanels):
+            mid = -X + (2 * p + 1) * half
+            for node, weight in rule:
+                x = mid + half * node
+                # 1/cosh(pi x) as 2 e^(-pi|x|)/(1 + e^(-2 pi|x|)), which
+                # cannot overflow where the integrand is negligible
+                ax = pi * abs(x)
+                value += weight / (1.0 + exp(-2.0 * ax)) * cexp((a * x + b) * x - ax)
+        value *= 2.0 * half
         if prev is not None:
             delta = abs(value - prev)
             if delta <= 1e-12 * max(1.0, abs(value)):

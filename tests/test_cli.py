@@ -1,8 +1,17 @@
+import io
 import json
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddbalanced import cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(args, capsys=None):
@@ -112,6 +121,7 @@ def assert_one_line_usage_error(err):
     {"z_re": 0.2, "tau_im": 0.2, "order": 3},  # order too low for the tail gate
     {"z_re": 0.25, "tau_im": 0.9, "order": 200},  # on a T2 pole
     {"z_re": 0.2, "tau_im": -0.5},  # |q| > 1
+    {"z_re": 1e308, "z_im": 0, "tau_re": 0, "tau_im": 0.5, "order": 50},  # w is not a float
 ])
 def test_bad_grid_points_are_usage_errors(tmp_path, capsys, point):
     grid = tmp_path / "grid.json"
@@ -236,3 +246,120 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["asym-report", "--c", "1", "--checkpoints", "5,abc"],
+    ["expand", "--format", "xml"],
+    ["expand", "--bogus-flag"],
+    ["no-such-command"],
+], ids=lambda args: " ".join(args))
+def test_parser_errors_are_one_line(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert_one_line_usage_error(capsys.readouterr().err)
+
+
+def _child(code, tmp_path):
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={"PYTHONPATH": SRC}, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    proc = _child("import sys, oddbalanced.cli; "
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-transforms"],
+    ["verify-decomposition", "--grid", "default"],
+    ["lemma-ratios", "--moduli", "3"],
+], ids=lambda args: args[0])
+def test_numeric_commands_run_without_numpy(tmp_path, args):
+    # a None entry in sys.modules makes every `import numpy` raise ImportError
+    proc = _child("import sys; sys.modules['numpy'] = None; "
+                  "from oddbalanced.cli import main; "
+                  f"sys.exit(main({[*args, '--output', 'out.csv']!r}))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text().count("\n") > 1
+
+
+# Flag values for the contract property: valid small values, values out of
+# range and values that do not parse.  Sizes are capped (--n-max <= 40,
+# --n <= 8, checkpoints <= 60) so that every example stays cheap.
+_INTS = ["0", "1", "2", "3", "5", "-1", "-3"]
+_JUNK = ["nan", "inf", "-inf", "abc", ""]
+
+
+def _lists(items):
+    return st.lists(st.sampled_from(items), max_size=3).map(",".join)
+
+
+_CHECKPOINTS = _lists(_INTS + ["12", "60", "abc", "nan"])
+_MODULI = _lists(_INTS + ["7", "9"] + _JUNK)
+_COMMON = {
+    "--format": st.sampled_from(["csv", "json", "xml", ""]),
+    "--precision": st.sampled_from(["30", "50", "100", "10", "0", "-1", "abc"]),
+}
+_FLAGS = {
+    "expand": {"--n-max": st.sampled_from(_INTS + ["40"] + _JUNK)},
+    "enumerate": {"--n": st.sampled_from(_INTS + ["8"] + _JUNK)},
+    "verify-transforms": {
+        "--seed": st.sampled_from(_INTS + _JUNK),
+        "--max-residual": st.sampled_from(["0", "1e-7", "1", "-1"] + _JUNK),
+    },
+    "verify-decomposition": {
+        "--grid": st.sampled_from(["default", "", "missing.json"]),
+        "--max-residual": st.sampled_from(["0", "1e-7", "1", "-1"] + _JUNK),
+    },
+    "asym-report": {
+        "--a": st.sampled_from(_INTS + _JUNK),
+        "--c": st.sampled_from(_INTS + _JUNK),
+        "--checkpoints": _CHECKPOINTS,
+        "--allow-even": None,
+    },
+    "equidistribution": {"--moduli": _MODULI, "--checkpoints": _CHECKPOINTS},
+    "logconcavity-scan": {
+        "--a": st.sampled_from(_INTS + _JUNK),
+        "--c": st.sampled_from(_INTS + _JUNK),
+        "--n-max": st.sampled_from(_INTS + ["40"] + _JUNK),
+    },
+    "lemma-ratios": {
+        "--moduli": _MODULI,
+        "--t-values": _lists(["0.1", "0.05", "1", "0", "-0.1"] + _JUNK),
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {**_FLAGS[command], **_COMMON, "--bogus-flag": None}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        if flags[flag] is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(flags[flag])}")
+        else:
+            argv += [flag, draw(flags[flag])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert_one_line_usage_error(err.getvalue())
+    elif code == 1:
+        assert json.loads(err.getvalue())["status"] == "fail"

@@ -10,6 +10,7 @@ from oddbalanced.modular import (
     appell,
     eta,
     eta_mainterm,
+    gauss_legendre,
     mordell,
     mu,
     q0pow,
@@ -22,6 +23,21 @@ from oddbalanced.modular import (
 )
 
 PI_I = 1j * math.pi
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_79():
+    nodes, weights = gauss_legendre(40)
+    assert len(nodes) == len(weights) == 40
+    assert list(nodes) == sorted(nodes) and -1 < nodes[0] and nodes[-1] < 1
+    assert all(x == -y for x, y in zip(nodes, reversed(nodes)))
+    assert all(w == v for w, v in zip(weights, reversed(weights)))
+    assert abs(math.fsum(weights) - 2.0) <= 1e-14
+    for k in range(80):
+        integral = math.fsum(w * x ** k for x, w in zip(nodes, weights))
+        if k % 2:
+            assert integral == 0.0  # the symmetric terms cancel exactly
+        else:
+            assert abs(integral - 2.0 / (k + 1)) <= 1e-13 * 2.0 / (k + 1)
 
 
 def test_theta_odd_vanishes_at_zero():
