@@ -182,8 +182,8 @@ def _load_grid(source):
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read grid {source}: {exc}") from exc
-    if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
-        raise UsageError(f"grid {source} must be a JSON list of objects")
+    if not isinstance(raw, list) or not raw or not all(isinstance(p, dict) for p in raw):
+        raise UsageError(f"grid {source} must be a non-empty JSON list of objects")
     grid = []
     for p in raw:
         order = _grid_number(p, "order", 400)
@@ -311,6 +311,8 @@ def cmd_logconcavity_scan(config):
 
 
 def cmd_lemma_ratios(config):
+    if not config.moduli:
+        raise UsageError("no moduli given, so there is nothing to check")
     bad = [c for c in config.moduli if c < 3 or c % 2 == 0]
     if bad:
         raise UsageError(f"moduli must be odd and >= 3, so that no z=j/c is "

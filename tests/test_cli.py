@@ -124,8 +124,16 @@ def assert_one_line_usage_error(err):
     {"z_re": 1e308, "z_im": 0, "tau_re": 0, "tau_im": 0.5, "order": 50},  # w is not a float
 ])
 def test_bad_grid_points_are_usage_errors(tmp_path, capsys, point):
+    assert_bad_grid_is_a_usage_error(tmp_path, capsys, [point])
+
+
+def test_empty_grid_is_a_usage_error(tmp_path, capsys):
+    assert_bad_grid_is_a_usage_error(tmp_path, capsys, [])
+
+
+def assert_bad_grid_is_a_usage_error(tmp_path, capsys, points):
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps([point]))
+    grid.write_text(json.dumps(points))
     code, captured = run_cli(["verify-decomposition", "--grid", str(grid),
                               "--output", str(tmp_path / "dec.csv")], capsys)
     assert code == 2
@@ -133,6 +141,7 @@ def test_bad_grid_points_are_usage_errors(tmp_path, capsys, point):
 
 
 @pytest.mark.parametrize("args", [
+    ["--moduli", ""],  # nothing to check
     ["--moduli", "4"],
     ["--moduli", "3,6"],
     ["--moduli", "1"],
