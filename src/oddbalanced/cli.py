@@ -77,22 +77,37 @@ def _fmt(x, digits):
     return str(x)
 
 
+def _emit(text, config):
+    """Write text to --output, or to stdout when none is given."""
+    if not config.output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(config.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {config.output}: "
+                         f"{exc.strerror or exc}") from exc
+
+
 def _write_rows(rows, header, config):
     """Emit rows (list of dicts) in the configured format."""
     digits = config.precision
     if config.fmt == "json":
-        payload = [{k: _fmt(r.get(k), digits) for k in header} for r in rows]
-        text = json.dumps(payload, indent=1) + "\n"
+        # the layout of json.dumps(payload, indent=1), whose indented
+        # encoder is pure Python; json.dumps on one string is the C encoder
+        keys = [f"  {json.dumps(k)}: " for k in header]
+        objects = [",\n".join(k + json.dumps(_fmt(r.get(h), digits))
+                              for k, h in zip(keys, header))
+                   for r in rows]
+        text = ("[\n {\n" + "\n },\n {\n".join(objects) + "\n }\n]\n"
+                if rows else "[]\n")
     else:
         lines = [",".join(header)]
         for r in rows:
             lines.append(",".join(_fmt(r.get(k), digits) for k in header))
         text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, config)
 
 
 def _fail(check, detail):
@@ -117,20 +132,13 @@ def cmd_expand(config):
 def cmd_enumerate(config):
     if config.n < 0:
         raise UsageError(f"--n must be >= 0, got {config.n}")
-    lines = []
-    for seq in enumerator.enumerate_sequences(config.n):
-        lines.append(json.dumps({
-            "size": seq.size,
-            "sequence": list(seq.flatten()),
-            "peak": seq.peak,
-            "rank": seq.rank,
-        }, separators=(",", ":")))
-    text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # every field is an int, so this is compact json.dumps output; every
+    # part is at most the size, so their decimal strings are made once
+    line = '{"size":%d,"sequence":[%s],"peak":%d,"rank":%d}'
+    part = [str(k) for k in range(2 * config.n + 3)].__getitem__
+    lines = [line % (seq.size, ",".join(map(part, seq.flatten())), seq.peak, seq.rank)
+             for seq in enumerator.enumerate_sequences(config.n)]
+    _emit("\n".join(lines) + "\n", config)
     return EXIT_OK
 
 

@@ -39,7 +39,6 @@ ratio tail bound, with no series built.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -130,19 +129,6 @@ class RankTable:
         """{m: v(m,n)} for one n, nonzero entries only."""
         self._require_ranks()
         return {m: col[n] for m, col in sorted(self.columns.items()) if col[n]}
-
-    def to_csv_rows(self):
-        yield "n,m,count"
-        for n, m, cnt in self.nonzero_items():
-            yield f"{n},{m},{cnt}"
-
-    def to_json_dict(self):
-        return {
-            "max_n": self.max_n,
-            "entries": [
-                {"n": n, "m": m, "count": cnt} for n, m, cnt in self.nonzero_items()
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +522,3 @@ def expand_partition(order):
         k += 1
     return _div_sparse([int(n == 0) for n in range(order + 1)],
                        _sparse(pentagonal[1:], order + 1))
-
-
-def write_table_csv(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in table.to_csv_rows():
-            fh.write(row + "\n")
-
-
-def write_table_json(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_json_dict(), fh, indent=1)
-        fh.write("\n")

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddbalanced import cli
+from oddbalanced.enumerator import enumerate_sequences
+from oddbalanced.genfunc import expand_V_rank
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -219,6 +221,45 @@ def test_bad_exact_command_inputs_are_usage_errors(tmp_path, capsys, args):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("args", [["enumerate", "--n", "2"], ["verify-transforms"]],
+                         ids=lambda args: args[0])
+@pytest.mark.parametrize("target", ["directory", "missing-dir/out.txt"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, args, target):
+    output = tmp_path if target == "directory" else tmp_path / target
+    code, captured = run_cli([*args, "--output", str(output)], capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+    assert captured.out == ""
+
+
+def test_enumerate_lines_are_compact_json(capsys):
+    code, captured = run_cli(["enumerate", "--n", "7"], capsys)
+    assert code == 0
+    assert captured.out == "".join(
+        json.dumps({"size": s.size, "sequence": list(s.flatten()), "peak": s.peak,
+                    "rank": s.rank}, separators=(",", ":")) + "\n"
+        for s in enumerate_sequences(7))
+
+
+def test_json_rows_match_json_dumps(capsys):
+    code, captured = run_cli(["expand", "--n-max", "12", "--format", "json"], capsys)
+    assert code == 0
+    payload = [{"n": str(n), "m": str(m), "count": str(cnt)}
+               for n, m, cnt in expand_V_rank(12).nonzero_items()]
+    assert captured.out == json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"text": 'a "quoted" back\\slash\nnew line \u00e9', "n": 3}, {"n": None}],
+], ids=["no rows", "escaped strings"])
+def test_json_writer_matches_json_dumps(capsys, rows):
+    header = ["text", "n"]
+    cli._write_rows(rows, header, cli.RunConfig(command="expand", fmt="json"))
+    payload = [{k: cli._fmt(r.get(k), 50) for k in header} for r in rows]
+    assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
+
+
 def test_equidistribution_small(tmp_path):
     out = tmp_path / "eq.csv"
     code, _ = run_cli(["equidistribution", "--moduli", "3", "--checkpoints",
@@ -310,6 +351,8 @@ _CHECKPOINTS = _lists(_INTS + ["12", "60", "abc", "nan"])
 _MODULI = _lists(_INTS + ["7", "9"] + _JUNK)
 _COMMON = {
     "--format": st.sampled_from(["csv", "json", "xml", ""]),
+    # unwritable only, so that no example leaves a file behind
+    "--output": st.sampled_from([".", "missing-dir/out.txt"]),
     "--precision": st.sampled_from(["30", "50", "100", "10", "0", "-1", "abc"]),
 }
 _FLAGS = {

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from oddbalanced import enumerator
 from oddbalanced.enumerator import (
     OddBalancedSequence,
     count_rank_table,
@@ -91,12 +92,57 @@ def test_count_rank_table_values():
     assert table.total(2) == 5
 
 
+INVALID = [
+    dict(peak=3, left_evens=(), right_evens=(), side_odds=()),
+    dict(peak=4, left_evens=(4,), right_evens=(), side_odds=()),
+    dict(peak=4, left_evens=(), right_evens=(), side_odds=(5,)),
+]
+
+
 def test_invalid_sequences_rejected():
-    with pytest.raises(AssertionError):
-        OddBalancedSequence(peak=3, left_evens=(), right_evens=(), side_odds=())
-    with pytest.raises(AssertionError):
-        OddBalancedSequence(peak=4, left_evens=(4,), right_evens=(), side_odds=())
-    with pytest.raises(AssertionError):
-        OddBalancedSequence(peak=4, left_evens=(), right_evens=(), side_odds=(5,))
+    for fields in INVALID:
+        with pytest.raises(AssertionError):
+            OddBalancedSequence(**fields)
     with pytest.raises(ValueError):
         enumerate_sequences(-1)
+
+
+def clear_check_caches():
+    for check in (enumerator._increasing_evens, enumerator._decreasing_evens,
+                  enumerator._odds_below):
+        check.cache_clear()
+
+
+def test_cached_checks_reject_after_warm_up():
+    enumerate_sequences(8)
+    for fields in INVALID:
+        with pytest.raises(AssertionError):
+            OddBalancedSequence(**fields)
+    # a decreasing left side and an increasing right side
+    for fields in (dict(left_evens=(4, 2), right_evens=()),
+                   dict(left_evens=(), right_evens=(2, 4)),
+                   dict(left_evens=(2, 2), right_evens=()),
+                   dict(left_evens=(), right_evens=(2, 2))):
+        with pytest.raises(AssertionError):
+            OddBalancedSequence(peak=6, side_odds=(), **fields)
+
+
+@pytest.mark.parametrize("accepted_first", [True, False])
+@pytest.mark.parametrize("component", [dict(left_evens=(2, 4)),
+                                       dict(right_evens=(4, 2)),
+                                       dict(side_odds=(5,))])
+def test_cached_checks_depend_on_the_peak(component, accepted_first):
+    # (component, peak) is the cache key: a part below peak 6 is not below
+    # peak 4, whichever of the two is checked first
+    fields = {"left_evens": (), "right_evens": (), "side_odds": (), **component}
+
+    def accept():
+        OddBalancedSequence(peak=6, **fields)
+
+    def reject():
+        with pytest.raises(AssertionError):
+            OddBalancedSequence(peak=4, **fields)
+
+    clear_check_caches()
+    for check in ((accept, reject) if accepted_first else (reject, accept)):
+        check()

@@ -1,11 +1,12 @@
 import cmath
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import _kernels_py, genfunc
+from oddbalanced import _kernels_py, cli, genfunc
 from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import (
     RankTable,
@@ -180,7 +181,7 @@ def test_reduced_table_refuses_rank_queries_and_foreign_moduli():
         assert reduced.residue_sequence(1, d) == full.residue_sequence(1, d)
     assert reduced.totals() == full.totals()
     for query in (lambda: reduced.v(0, 2), lambda: reduced.rank_polynomial(2),
-                  reduced.nonzero_items, reduced.to_json_dict,
+                  reduced.nonzero_items,
                   lambda: reduced.residue_class(0, 4, 2),
                   lambda: reduced.residue_sequence(0, 5)):
         with pytest.raises(ValueError):
@@ -382,13 +383,15 @@ def test_evaluate_V_small_q():
 
 
 def test_csv_and_json_shapes(tmp_path):
-    table = expand_V_rank(4)
-    rows = list(table.to_csv_rows())
+    # tables are written by the CLI's one row writer
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    assert cli.main(["expand", "--n-max", "4", "--output", str(csv_path)]) == 0
+    assert cli.main(["expand", "--n-max", "4", "--format", "json",
+                     "--output", str(json_path)]) == 0
+    rows = csv_path.read_text().splitlines()
     assert rows[0] == "n,m,count"
     assert "2,-1,1" in rows and "2,0,3" in rows
-    payload = table.to_json_dict()
-    assert payload["max_n"] == 4
-    assert {"n": 0, "m": 0, "count": 1} in payload["entries"]
-    genfunc.write_table_csv(table, tmp_path / "t.csv")
-    genfunc.write_table_json(table, tmp_path / "t.json")
-    assert (tmp_path / "t.csv").read_text().splitlines()[0] == "n,m,count"
+    payload = json.loads(json_path.read_text())
+    assert max(int(entry["n"]) for entry in payload) == 4
+    assert {"n": "0", "m": "0", "count": "1"} in payload
+    assert len(payload) == len(rows) - 1
