@@ -2,17 +2,18 @@
 
 High-precision arithmetic (mpmath, default 50 digits) keeps e^(pi*sqrt(n))
 exact-enough for ratio columns up to n ~ 10^4; exact integers from the
-expansion modules are only ever floated inside a ratio.
+expansion modules are only ever floated inside a ratio.  mpmath is
+imported inside the functions that evaluate a main term, so only
+asym_report and the main-term functions load it: the other reports, and
+every CLI command but asym-report, run on the standard library alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-
-import mpmath as mp
 
 from .genfunc import evaluate_V_bounded
 from .modular import DomainError, mordell, qpow, q0pow, sqrt_neg_itau
@@ -25,6 +26,8 @@ class EvenModulusError(ValueError):
 
 
 def _workdps(dps):
+    import mpmath as mp
+
     return mp.workdps(max(dps, 30))
 
 
@@ -35,6 +38,8 @@ def _workdps(dps):
 def tauberian_apply(lam, alpha, A, n, dps=DEFAULT_DPS):
     """Coefficient main term lam * A^(alpha/2+1/4) / (2 sqrt(pi) n^(alpha/2+3/4))
     * e^(2 sqrt(A n)) transferred from C(e^-t) ~ lam * t^alpha * e^(A/t)."""
+    import mpmath as mp
+
     if n < 1:
         raise ValueError("n must be >= 1")
     with _workdps(dps):
@@ -51,6 +56,8 @@ def tauberian_apply(lam, alpha, A, n, dps=DEFAULT_DPS):
 
 def main_term_v(n, dps=DEFAULT_DPS):
     """e^(pi sqrt n) / (16 n^(3/4)); equals tauberian_apply(sqrt(2)/8, 0, pi^2/4, n)."""
+    import mpmath as mp
+
     if n < 1:
         raise ValueError("n must be >= 1")
     with _workdps(dps):
@@ -72,6 +79,8 @@ def main_term_v_mod(a, c, n, dps=DEFAULT_DPS):
 
 def hardy_ramanujan_p(n, dps=DEFAULT_DPS):
     """Partition main term e^(pi sqrt(2n/3)) / (4 sqrt(3) n)."""
+    import mpmath as mp
+
     if n < 1:
         raise ValueError("n must be >= 1")
     with _workdps(dps):
@@ -81,6 +90,8 @@ def hardy_ramanujan_p(n, dps=DEFAULT_DPS):
 
 def overpartition_asym(n, dps=DEFAULT_DPS):
     """Overpartition main term e^(pi sqrt n) / (8 n)."""
+    import mpmath as mp
+
     if n < 1:
         raise ValueError("n must be >= 1")
     with _workdps(dps):
@@ -92,15 +103,11 @@ def overpartition_asym(n, dps=DEFAULT_DPS):
 # Exponent polynomials on (0,1)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentPolynomial:
-    """Quadratic a*z^2 + b*z + c with an interval of validity in (0,1)."""
+class ExponentPolynomial(namedtuple("ExponentPolynomial", "a b c lo hi")):
+    """Quadratic a*z^2 + b*z + c with an interval of validity (lo, hi) in
+    (0,1); every field a Fraction."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
     def __call__(self, z):
         z = Fraction(z)
@@ -197,14 +204,15 @@ def lemma_main_term(z, tau):
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReportRow:
-    n: int
-    exact: int
-    main_term: object  # mpf; None when no main term applies (even modulus)
-    ratio: object
+class ReportRow(namedtuple("ReportRow", "n exact main_term ratio")):
+    """One checkpoint: main_term and ratio are mpf, or None when no main
+    term applies (even modulus)."""
+
+    __slots__ = ()
 
     def as_dict(self, digits=DEFAULT_DPS):
+        import mpmath as mp
+
         return {
             "n": self.n,
             "exact": str(self.exact),
@@ -213,13 +221,13 @@ class ReportRow:
         }
 
 
-@dataclass
 class AsymptoticReport:
-    residue: int
-    modulus: int
-    formula: str
-    rows: list = field(default_factory=list)
-    equidistribution: list = field(default_factory=list)  # (n, max_a |c v(a,c;n)/v(n) - 1|)
+    def __init__(self, residue, modulus, formula):
+        self.residue = residue
+        self.modulus = modulus
+        self.formula = formula
+        self.rows = []
+        self.equidistribution = []  # (n, max_a |c v(a,c;n)/v(n) - 1|)
 
 
 def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
@@ -232,15 +240,15 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
     full table or one reduced mod a multiple of c.  Even c > 1
     is allowed only with allow_even=True, which suppresses the main-term
     column (exact counts stay available)."""
+    import mpmath as mp
+
     checkpoints = sorted(checkpoints)
     if c == 1:
         seq = totals if totals is not None else table.totals()
-        total_seq = seq
     else:
         if table is None:
             raise ValueError("residue classes need the rank table")
         seq = table.residue_sequence(a, c)
-        total_seq = table.totals()
     if checkpoints and not 0 <= checkpoints[0] <= checkpoints[-1] < len(seq):
         raise IndexError(f"checkpoints {checkpoints[0]}..{checkpoints[-1]} "
                          f"outside 0..{len(seq) - 1}")
@@ -260,38 +268,40 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
                 ratio = mp.mpf(exact) / main
             report.rows.append(ReportRow(n=n, exact=exact, main_term=main, ratio=ratio))
             if c > 1:
-                stat = max(
-                    abs(mp.mpf(c) * table.residue_class(b, c, n) / total_seq[n] - 1)
-                    for b in range(c))
-                report.equidistribution.append((n, stat))
+                report.equidistribution.append((n, equidistribution_stat(table, c, n)))
     return report
 
 
 def equidistribution_stat(table, c, n):
-    """max_a |c * v(a,c;n) / v(n) - 1|."""
+    """max_a |c * v(a,c;n) / v(n) - 1|, correctly rounded to a float.
+
+    The difference c * v(a,c;n) - v(n) is taken in integers and divided
+    once: in floats, c * v(a,c;n) / v(n) - 1 cancels to rounding noise
+    (2.2e-16 or 0.0) once the statistic drops below ~1e-16, which it does
+    by n = 600 at c = 3."""
     total = table.total(n)
-    return max(abs(c * table.residue_class(a, c, n) / total - 1.0) for a in range(c))
+    return max(abs(c * table.residue_class(a, c, n) - total) for a in range(c)) / total
 
 
 # ---------------------------------------------------------------------------
 # Log-concavity style scan
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LogConcavityReport:
-    residue: int
-    modulus: int
-    n_max: int
-    # reading (i): v(a,c;n)^2 <= v(a,c;n-1) v(a,c;n+1)
-    square_threshold: int = None
-    square_violations: list = field(default_factory=list)
-    # reading (ii): v(a,c;2n) <= v(a,c;n-1) v(a,c;n+1), where 2n is in range
-    double_threshold: int = None
-    double_scan_max: int = 0
-    double_violations: list = field(default_factory=list)
-    # upper bound: v(a,c;n-1) v(a,c;n+1) < sqrt(n) pbar(n-1) pbar(n+1)
-    bound_threshold: int = None
-    bound_violations: list = field(default_factory=list)
+    def __init__(self, residue, modulus, n_max):
+        self.residue = residue
+        self.modulus = modulus
+        self.n_max = n_max
+        # reading (i): v(a,c;n)^2 <= v(a,c;n-1) v(a,c;n+1)
+        self.square_threshold = None
+        self.square_violations = []
+        # reading (ii): v(a,c;2n) <= v(a,c;n-1) v(a,c;n+1), where 2n is in range
+        self.double_threshold = None
+        self.double_scan_max = 0
+        self.double_violations = []
+        # upper bound: v(a,c;n-1) v(a,c;n+1) < sqrt(n) pbar(n-1) pbar(n+1)
+        self.bound_threshold = None
+        self.bound_violations = []
 
     @property
     def square_fails_to_end(self):
@@ -345,14 +355,9 @@ def logconcavity_scan(a, c, n_max, table, overpartitions):
 # Ratio tests against the interval main terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaRatioRow:
-    modulus: int
-    j: int
-    t: float
-    series_value: complex
-    main_term: complex
-    series_tail_bound: float
+class LemmaRatioRow(namedtuple("LemmaRatioRow", "modulus j t series_value main_term "
+                                               "series_tail_bound")):
+    __slots__ = ()
 
     @property
     def deviation(self):

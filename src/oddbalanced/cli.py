@@ -5,6 +5,13 @@ Every verification and report is a subcommand with machine-readable output
 produce identical bytes.  Exit codes: 0 all checks passed, 1 a threshold
 check failed (a JSON failure record goes to stderr), 2 usage error (a
 one-line message goes to stderr).
+
+Each command starts in a fresh process, so start-up is part of its cost.
+Importing this module loads only the standard library and the package's
+exact and numeric core (genfunc, enumerator, modular); each handler
+imports the report module it runs (asymptotics, decomposition or
+transforms), and mpmath loads only when asym-report evaluates its main
+terms.
 """
 
 from __future__ import annotations
@@ -13,11 +20,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-import mpmath as mp
-
-from . import asymptotics, decomposition, enumerator, genfunc, transforms
+from . import enumerator, genfunc
 from .modular import DomainError, PoleError
 
 EXIT_OK = 0
@@ -42,38 +46,24 @@ def _numeric_domain(fn, *args):
         raise UsageError(f"a value leaves the float range ({exc})") from exc
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n_max: int = 10
-    n: int = 5
-    modulus: int = 1
-    residue: int = 0
-    moduli: tuple = (3, 5, 7)
-    checkpoints: tuple = ()
-    t_values: tuple = (0.1, 0.05, 0.025)
-    grid: str = "default"
-    output: str = None
-    fmt: str = "csv"
-    precision: int = 50
-    seed: int = 20260810
-    max_residual: float = None
-    allow_even: bool = False
+class RunConfig(argparse.Namespace):
+    """The settings of one run, named as the parser stores them.  main has
+    the parser fill one from argv; RunConfig(command, **settings) takes the
+    parser's defaults for the command and then the given settings, so every
+    default has its one home in build_parser."""
+
+    def __init__(self, command=None, **settings):
+        if command is not None:
+            build_parser().parse_args([command], self)
+        vars(self).update(settings)
 
 
-def _fmt(x, digits):
+def _fmt(x):
+    # str of a float or complex is its shortest round-trip repr
     if x is None:
         return ""
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, complex):
-        return repr(x)
-    if isinstance(x, mp.mpf):
-        return mp.nstr(x, digits)
     return str(x)
 
 
@@ -92,12 +82,11 @@ def _emit(text, config):
 
 def _write_rows(rows, header, config):
     """Emit rows (list of dicts) in the configured format."""
-    digits = config.precision
     if config.fmt == "json":
         # the layout of json.dumps(payload, indent=1), whose indented
         # encoder is pure Python; json.dumps on one string is the C encoder
         keys = [f"  {json.dumps(k)}: " for k in header]
-        objects = [",\n".join(k + json.dumps(_fmt(r.get(h), digits))
+        objects = [",\n".join(k + json.dumps(_fmt(r.get(h)))
                               for k, h in zip(keys, header))
                    for r in rows]
         text = ("[\n {\n" + "\n },\n {\n".join(objects) + "\n }\n]\n"
@@ -105,7 +94,7 @@ def _write_rows(rows, header, config):
     else:
         lines = [",".join(header)]
         for r in rows:
-            lines.append(",".join(_fmt(r.get(k), digits) for k in header))
+            lines.append(",".join(_fmt(r.get(k)) for k in header))
         text = "\n".join(lines) + "\n"
     _emit(text, config)
 
@@ -156,7 +145,15 @@ TRANSFORM_THRESHOLDS = {
 }
 
 
+def _check_max_residual(config):
+    if config.max_residual is not None and not config.max_residual >= 0:
+        raise UsageError(f"--max-residual must be >= 0, got {config.max_residual}")
+
+
 def cmd_verify_transforms(config):
+    from . import transforms
+
+    _check_max_residual(config)
     rows = transforms.all_rows(seed=config.seed)
     out = [{"law": r.law, "point": r.point, "residual": r.residual} for r in rows]
     _write_rows(out, ["law", "point", "residual"], config)
@@ -183,6 +180,8 @@ def _grid_number(point, key, default=None):
 
 
 def _load_grid(source):
+    from . import decomposition
+
     if source == "default":
         return decomposition.DEFAULT_GRID
     try:
@@ -204,6 +203,9 @@ def _load_grid(source):
 
 
 def cmd_verify_decomposition(config):
+    from . import decomposition
+
+    _check_max_residual(config)
     grid = _load_grid(config.grid)
     samples = _numeric_domain(decomposition.run_grid, grid)
     rows = [{
@@ -213,7 +215,7 @@ def cmd_verify_decomposition(config):
     } for s in samples]
     _write_rows(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
                        "series_tail_bound"], config)
-    limit = 1e-7 if config.max_residual is None else config.max_residual
+    limit = config.max_residual
     bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual}
            for s in samples if not s.residual < limit]
     if bad:
@@ -226,7 +228,15 @@ def _check_checkpoints(checkpoints):
         raise UsageError(f"checkpoints must be >= 1, got {','.join(map(str, checkpoints))}")
 
 
+def _check_residue(config):
+    if config.modulus < 1 or not 0 <= config.residue < config.modulus:
+        raise UsageError(f"need 0 <= a < c, got a={config.residue}, c={config.modulus}")
+
+
 def cmd_asym_report(config):
+    from . import asymptotics
+
+    _check_residue(config)
     if config.precision < 30:
         raise UsageError("--precision below 30 digits is not meaningful here")
     if config.modulus % 2 == 0 and not config.allow_even:
@@ -247,9 +257,8 @@ def cmd_asym_report(config):
                                          dps=config.precision,
                                          allow_even=config.allow_even)
     rows = [r.as_dict(config.precision) for r in report.rows]
-    for row, (n, stat) in zip(rows, report.equidistribution or [(None, None)] * len(rows)):
-        if n is not None:
-            row["equidistribution_stat"] = float(stat)
+    for row, (_, stat) in zip(rows, report.equidistribution):
+        row["equidistribution_stat"] = stat
     header = ["n", "exact", "main_term", "ratio"]
     if report.equidistribution:
         header.append("equidistribution_stat")
@@ -258,12 +267,14 @@ def cmd_asym_report(config):
 
 
 def cmd_equidistribution(config):
+    from . import asymptotics
+
     if not config.moduli or min(config.moduli) < 2:
         raise UsageError("moduli must be >= 2, so that the residue classes "
                          "can differ")
     checkpoints = config.checkpoints or (150, 600)
     _check_checkpoints(checkpoints)
-    if len(set(checkpoints)) < 2:
+    if len(checkpoints) < 2:
         raise UsageError("the statistic must shrink between checkpoints, "
                          "so at least two distinct ones are needed")
     rows = []
@@ -283,6 +294,9 @@ def cmd_equidistribution(config):
 
 
 def cmd_logconcavity_scan(config):
+    from . import asymptotics
+
+    _check_residue(config)
     n_max = config.n_max
     if n_max < 1:
         raise UsageError(f"--n-max must be >= 1, got {n_max}")
@@ -319,6 +333,8 @@ def cmd_logconcavity_scan(config):
 
 
 def cmd_lemma_ratios(config):
+    from . import asymptotics
+
     if not config.moduli:
         raise UsageError("no moduli given, so there is nothing to check")
     bad = [c for c in config.moduli if c < 3 or c % 2 == 0]
@@ -327,7 +343,7 @@ def cmd_lemma_ratios(config):
                          f"1/4, 1/2 or 3/4; got c={bad[0]}")
     if not all(t > 0 and math.isfinite(t) for t in config.t_values):
         raise UsageError("t-values must be positive and finite")
-    ts = sorted(set(config.t_values), reverse=True)
+    ts = sorted(config.t_values, reverse=True)
     if len(ts) < 2:
         raise UsageError("the ratio test needs at least two distinct t-values")
     rows_raw = _numeric_domain(asymptotics.lemma_ratio_report,
@@ -370,9 +386,11 @@ def dispatch(config):
 
 
 def _number_list(kind):
+    """Parser of a comma-separated list; a repeated value is kept once, at
+    its first place, so that no row is printed twice."""
     def parse(text):
         try:
-            return tuple(kind(x) for x in text.split(",") if x)
+            return tuple(dict.fromkeys(kind(x) for x in text.split(",") if x))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {kind.__name__}s, got {text!r}") from None
@@ -399,7 +417,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="file path (default stdout)")
         sp.add_argument("--precision", type=int, default=50,
                         help="significant digits for high-precision columns")
@@ -437,7 +455,7 @@ def build_parser():
     sp = sub.add_parser("equidistribution",
                         help="max_a |c v(a,c;n)/v(n) - 1| at checkpoints")
     sp.add_argument("--moduli", type=_int_list, default=(3, 5, 7))
-    sp.add_argument("--checkpoints", type=_int_list, default=(150, 600))
+    sp.add_argument("--checkpoints", type=_int_list, default=())
     common(sp)
 
     sp = sub.add_parser("logconcavity-scan",
@@ -457,29 +475,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        n_max=getattr(args, "n_max", 10),
-        n=getattr(args, "n", 5),
-        modulus=getattr(args, "modulus", 1),
-        residue=getattr(args, "residue", 0),
-        moduli=getattr(args, "moduli", (3, 5, 7)),
-        checkpoints=getattr(args, "checkpoints", ()),
-        t_values=getattr(args, "t_values", (0.1, 0.05, 0.025)),
-        grid=getattr(args, "grid", "default"),
-        output=args.output,
-        fmt=args.format,
-        precision=args.precision,
-        seed=getattr(args, "seed", 20260810),
-        max_residual=getattr(args, "max_residual", None),
-        allow_even=getattr(args, "allow_even", False),
-    )
+    config = build_parser().parse_args(argv, RunConfig())
     try:
-        if config.modulus < 1 or not 0 <= config.residue < config.modulus:
-            raise UsageError(f"need 0 <= a < c, got a={config.residue}, c={config.modulus}")
-        if config.max_residual is not None and not config.max_residual >= 0:
-            raise UsageError(f"--max-residual must be >= 0, got {config.max_residual}")
         return dispatch(config)
     except UsageError as exc:
         sys.stderr.write(f"oddbalanced {config.command}: error: {exc}\n")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .genfunc import evaluate_V_bounded
 from .modular import (
@@ -106,16 +106,9 @@ def series_lhs(z, tau, order):
     return factor * v.value, abs(factor) * v.truncation_bound
 
 
-@dataclass(frozen=True)
-class DecompositionSample:
-    z: complex
-    tau: complex
-    order: int
-    lhs: complex
-    t1: complex
-    t: complex
-    t2: complex
-    lhs_tail: float
+class DecompositionSample(namedtuple("DecompositionSample",
+                                     "z tau order lhs t1 t t2 lhs_tail")):
+    __slots__ = ()
 
     @property
     def point(self):

@@ -7,28 +7,36 @@ counted by the rank generating function, so the enumeration here serves as
 the independent oracle for the series expansion.
 
 The number of sequences grows like e^(pi sqrt(n)) times a power of n;
-n = 24 (size 50, 32 769 sequences) takes about 0.1 s (pure Python, 2 vCPU).
+n = 24 (size 50, 32 769 sequences) takes about 0.07 s in process, and
+`enumerate --n 24`, with its JSON lines, about 0.36 s as a fresh process
+(pure Python, 2 vCPU).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class OddBalancedSequence:
-    peak: int
-    left_evens: tuple  # strictly increasing, each < peak
-    right_evens: tuple  # strictly decreasing, each < peak
-    side_odds: tuple  # one side's odd multiset, sorted descending
+class OddBalancedSequence(namedtuple("OddBalancedSequence",
+                                     "peak left_evens right_evens side_odds")):
+    """peak; left_evens strictly increasing and right_evens strictly
+    decreasing, each even and < peak; side_odds one side's odd multiset,
+    sorted descending."""
 
-    def __post_init__(self):
-        peak = self.peak
+    __slots__ = ()
+
+    def __new__(cls, peak, left_evens, right_evens, side_odds):
         assert peak % 2 == 0 and peak >= 2
-        assert _increasing_evens(self.left_evens, peak)
-        assert _decreasing_evens(self.right_evens, peak)
-        assert _odds_below(self.side_odds, peak)
+        assert _increasing_evens(left_evens, peak)
+        assert _decreasing_evens(right_evens, peak)
+        assert _odds_below(side_odds, peak)
+        return super().__new__(cls, peak, left_evens, right_evens, side_odds)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it asserts the shape too
+        return cls(*iterable)
 
     @property
     def size(self):
@@ -145,12 +153,12 @@ def enumerate_sequences(n):
     return out
 
 
-@dataclass
 class EnumeratedTable:
     """Exact v(m,n) counts gathered from enumeration."""
 
-    max_n: int
-    counts: dict = field(default_factory=dict)  # (m, n) -> count
+    def __init__(self, max_n):
+        self.max_n = max_n
+        self.counts = {}  # (m, n) -> count
 
     def v(self, m, n):
         return self.counts.get((m, n), 0)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
 
@@ -57,7 +56,6 @@ def rank_support_bound(order):
     return m
 
 
-@dataclass
 class RankTable:
     """Exact counts for n <= max_n, one integer column per rank m, or, when
     the ranks were reduced mod `modulus`, one column per residue class
@@ -65,9 +63,10 @@ class RankTable:
     mod divisors of its modulus, and raises ValueError on anything else.
     Immutable once built; safe to share."""
 
-    max_n: int
-    columns: dict  # m (or a, when reduced) -> list of counts indexed by n
-    modulus: int = None  # None for the full rank table
+    def __init__(self, max_n, columns, modulus=None):
+        self.max_n = max_n
+        self.columns = columns  # m (or a, when reduced) -> list of counts indexed by n
+        self.modulus = modulus  # None for the full rank table
 
     def _require_ranks(self):
         if self.modulus is not None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
@@ -40,28 +40,30 @@ class PoleError(ArithmeticError):
     """Evaluation point sits on (or within tolerance of) a pole."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: complex
-    truncation_bound: float
+class EvalResult(namedtuple("EvalResult", "value truncation_bound")):
+    __slots__ = ()
 
     def __complex__(self):
         return self.value
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
+class HalfPlanePoint(namedtuple("HalfPlanePoint", "tau z")):
     """A point tau in the upper half-plane with an elliptic variable z.
 
     The nome q = e^(2*pi*i*tau) and the dual nome q0 = e^(-2*pi*i/tau) are
     derived; both lie strictly inside the unit disc."""
 
-    tau: complex
-    z: complex = 0j
+    __slots__ = ()
 
-    def __post_init__(self):
-        if complex(self.tau).imag <= 0:
-            raise DomainError(f"tau={self.tau} is not in the upper half-plane")
+    def __new__(cls, tau, z=0j):
+        if complex(tau).imag <= 0:
+            raise DomainError(f"tau={tau} is not in the upper half-plane")
+        return super().__new__(cls, tau, z)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it checks the domain too
+        return cls(*iterable)
 
     @property
     def q(self):

@@ -10,18 +10,14 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .modular import appell, eta, mordell, sqrt_neg_itau, theta
 
 PI_I = 1j * math.pi
 
 
-@dataclass(frozen=True)
-class LawResidual:
-    law: str
-    point: str
-    residual: float
+LawResidual = namedtuple("LawResidual", "law point residual")
 
 
 def _residual(lhs, rhs):

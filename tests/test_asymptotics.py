@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -160,6 +161,21 @@ def test_asym_report_residue_classes(rank_table_60):
     assert len(report.equidistribution) == 2
     stat = equidistribution_stat(rank_table_60, 3, 60)
     assert 0 <= stat < 1
+    assert report.equidistribution == [(n, equidistribution_stat(rank_table_60, 3, n))
+                                       for n in (30, 60)]
+
+
+@pytest.mark.parametrize("c", [3, 5, 7])
+def test_equidistribution_stat_is_correctly_rounded(c):
+    # from n = 600 on (c = 3) the statistic is below 1e-16, where the float
+    # difference c * v(a,c;n) / v(n) - 1 would read 2.2e-16 or 0.0
+    table = genfunc.expand_V_rank(1200, c)
+    for n in (150, 600, 1200):
+        total = table.total(n)
+        exact = float(max(abs(Fraction(c * table.residue_class(a, c, n), total) - 1)
+                          for a in range(c)))
+        assert exact > 0
+        assert abs(equidistribution_stat(table, c, n) - exact) <= math.ulp(exact)
 
 
 def test_asym_report_even_modulus(rank_table_60):

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddbalanced import cli
-from oddbalanced.enumerator import enumerate_sequences
+from oddbalanced.asymptotics import LemmaRatioRow
+from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
+from oddbalanced.modular import EvalResult
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -256,7 +258,7 @@ def test_json_rows_match_json_dumps(capsys):
 def test_json_writer_matches_json_dumps(capsys, rows):
     header = ["text", "n"]
     cli._write_rows(rows, header, cli.RunConfig(command="expand", fmt="json"))
-    payload = [{k: cli._fmt(r.get(k), 50) for k in header} for r in rows]
+    payload = [{k: cli._fmt(r.get(k)) for k in header} for r in rows]
     assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
 
 
@@ -268,6 +270,31 @@ def test_equidistribution_small(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "c,n,stat"
     assert len(lines) == 3
+
+
+def test_equidistribution_below_float_rounding(tmp_path):
+    # at c = 3 the statistic is 6.9e-24 at n = 1200 and 1.8e-29 at 1800
+    out = tmp_path / "eq.csv"
+    code, _ = run_cli(["equidistribution", "--moduli", "3", "--checkpoints",
+                       "1200,1800", "--output", str(out)])
+    assert code == 0
+    stats = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert 0 < stats[1] < stats[0] < 1e-20
+
+
+@pytest.mark.parametrize("repeated, distinct", [
+    pytest.param(["lemma-ratios", "--moduli", "3,5,3", "--t-values", "0.1,0.1,0.05"],
+                 ["lemma-ratios", "--moduli", "3,5", "--t-values", "0.1,0.05"],
+                 id="lemma-ratios"),
+    pytest.param(["equidistribution", "--moduli", "5,3,5", "--checkpoints", "60,20,60"],
+                 ["equidistribution", "--moduli", "5,3", "--checkpoints", "60,20"],
+                 id="equidistribution"),
+    pytest.param(["asym-report", "--c", "3", "--checkpoints", "30,10,30"],
+                 ["asym-report", "--c", "3", "--checkpoints", "30,10"],
+                 id="asym-report"),
+])
+def test_repeated_values_print_one_row(capsys, repeated, distinct):
+    assert run_cli(repeated, capsys)[1].out == run_cli(distinct, capsys)[1].out
 
 
 def test_logconcavity_scan_small(tmp_path):
@@ -316,9 +343,15 @@ def _child(code, tmp_path):
                           env={"PYTHONPATH": SRC}, capture_output=True, text=True)
 
 
-def test_cli_import_leaves_numpy_out(tmp_path):
-    proc = _child("import sys, oddbalanced.cli; "
-                  "assert 'numpy' not in sys.modules, 'numpy was imported'", tmp_path)
+def test_cli_import_loads_only_the_standard_library(tmp_path):
+    # each command is a fresh process, so what the import loads is paid by
+    # every command; only asym-report's main terms need mpmath, and each
+    # report module is imported by the commands that run it
+    proc = _child("import sys; before = set(sys.modules); import oddbalanced.cli; "
+                  "loaded = {'mpmath', 'dataclasses', 'numpy', 'oddbalanced.asymptotics', "
+                  "'oddbalanced.decomposition', 'oddbalanced.transforms'} "
+                  "& (set(sys.modules) - before); "
+                  "assert not loaded, f'{sorted(loaded)} imported'", tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -334,6 +367,35 @@ def test_numeric_commands_run_without_numpy(tmp_path, args):
                   f"sys.exit(main({[*args, '--output', 'out.csv']!r}))", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.csv").read_text().count("\n") > 1
+
+
+@pytest.mark.parametrize("args", [
+    ["expand", "--n-max", "10"],
+    ["enumerate", "--n", "3"],
+    ["verify-transforms"],
+    ["verify-decomposition", "--grid", "default"],
+    ["equidistribution", "--moduli", "3", "--checkpoints", "20,60"],
+    ["logconcavity-scan", "--c", "3", "--n-max", "60"],
+    ["lemma-ratios", "--moduli", "3"],
+], ids=lambda args: args[0])
+def test_commands_but_asym_report_run_without_mpmath(tmp_path, args):
+    proc = _child("import sys; sys.modules['mpmath'] = None; "
+                  "from oddbalanced.cli import main; "
+                  f"sys.exit(main({[*args, '--output', 'out.csv']!r}))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text().count("\n") > 1
+
+
+@pytest.mark.parametrize("record, field", [
+    (EvalResult(1j, 0.0), "value"),
+    (LemmaRatioRow(3, 1, 0.1, 1j, 1j, 0.0), "t"),
+    (OddBalancedSequence(4, (2,), (), (1,)), "peak"),
+], ids=["EvalResult", "LemmaRatioRow", "OddBalancedSequence"])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 0
 
 
 # Flag values for the contract property: valid small values, values out of

@@ -103,6 +103,9 @@ def test_invalid_sequences_rejected():
     for fields in INVALID:
         with pytest.raises(AssertionError):
             OddBalancedSequence(**fields)
+        with pytest.raises(AssertionError):
+            OddBalancedSequence(peak=4, left_evens=(), right_evens=(), side_odds=())._replace(
+                **fields)
     with pytest.raises(ValueError):
         enumerate_sequences(-1)
 

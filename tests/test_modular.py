@@ -258,3 +258,5 @@ def test_half_plane_point():
     assert abs(pt.w - cmath.exp(2j * math.pi * 0.2)) < 1e-15
     with pytest.raises(DomainError):
         HalfPlanePoint(tau=0.3 - 0.7j)
+    with pytest.raises(DomainError):
+        pt._replace(tau=0.3 - 0.7j)
