@@ -100,12 +100,12 @@ INVALID = [
 
 
 def test_invalid_sequences_rejected():
+    valid = OddBalancedSequence(peak=4, left_evens=(), right_evens=(), side_odds=())
     for fields in INVALID:
         with pytest.raises(AssertionError):
             OddBalancedSequence(**fields)
         with pytest.raises(AssertionError):
-            OddBalancedSequence(peak=4, left_evens=(), right_evens=(), side_odds=())._replace(
-                **fields)
+            valid._replace(**fields)
     with pytest.raises(ValueError):
         enumerate_sequences(-1)
 
