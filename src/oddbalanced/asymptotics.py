@@ -15,8 +15,14 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .genfunc import evaluate_V_bounded
-from .modular import DomainError, mordell, qpow, q0pow, sqrt_neg_itau
+from .modular import (
+    DomainError,
+    evaluate_V_bounded,
+    mordell,
+    qpow,
+    q0pow,
+    sqrt_neg_itau,
+)
 
 DEFAULT_DPS = 50
 

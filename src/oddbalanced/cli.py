@@ -8,21 +8,19 @@ one-line message goes to stderr).
 
 Each command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads only the standard library and the package's
-exact and numeric core (genfunc, enumerator, modular); each handler
-imports the report module it runs (asymptotics, decomposition or
-transforms), and mpmath loads only when asym-report evaluates its main
-terms.
+kernel lane (kernels); each handler imports the layers it runs.  The exact
+commands load genfunc (the reports also asymptotics, and modular through
+it), enumerate loads enumerator, and the numeric commands load modular
+with transforms, decomposition or asymptotics, never the exact engine.
+mpmath loads only when asym-report evaluates its main terms, and json
+only for --format json, a --grid file or a failure record.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-
-from . import enumerator, genfunc
-from .modular import DomainError, PoleError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,6 +34,8 @@ class UsageError(ValueError):
 def _numeric_domain(fn, *args):
     """Run fn, reporting a point outside the evaluators' domain (or on a
     pole) as a usage error."""
+    from .modular import DomainError, PoleError
+
     try:
         return fn(*args)
     except (DomainError, PoleError) as exc:
@@ -83,6 +83,8 @@ def _emit(text, config):
 def _write_rows(rows, header, config):
     """Emit rows (list of dicts) in the configured format."""
     if config.fmt == "json":
+        import json
+
         # the layout of json.dumps(payload, indent=1), whose indented
         # encoder is pure Python; json.dumps on one string is the C encoder
         keys = [f"  {json.dumps(k)}: " for k in header]
@@ -100,6 +102,8 @@ def _write_rows(rows, header, config):
 
 
 def _fail(check, detail):
+    import json
+
     record = {"status": "fail", "check": check, "detail": detail}
     sys.stderr.write(json.dumps(record) + "\n")
     return EXIT_CHECK_FAILED
@@ -110,6 +114,8 @@ def _fail(check, detail):
 # ---------------------------------------------------------------------------
 
 def cmd_expand(config):
+    from . import genfunc
+
     if config.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {config.n_max}")
     table = genfunc.expand_V_rank(config.n_max)
@@ -119,6 +125,8 @@ def cmd_expand(config):
 
 
 def cmd_enumerate(config):
+    from . import enumerator
+
     if config.n < 0:
         raise UsageError(f"--n must be >= 0, got {config.n}")
     # every field is an int, so this is compact json.dumps output; every
@@ -184,6 +192,8 @@ def _load_grid(source):
 
     if source == "default":
         return decomposition.DEFAULT_GRID
+    import json
+
     try:
         with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -234,7 +244,7 @@ def _check_residue(config):
 
 
 def cmd_asym_report(config):
-    from . import asymptotics
+    from . import asymptotics, genfunc
 
     _check_residue(config)
     if config.precision < 30:
@@ -267,7 +277,7 @@ def cmd_asym_report(config):
 
 
 def cmd_equidistribution(config):
-    from . import asymptotics
+    from . import asymptotics, genfunc
 
     if not config.moduli or min(config.moduli) < 2:
         raise UsageError("moduli must be >= 2, so that the residue classes "
@@ -294,7 +304,7 @@ def cmd_equidistribution(config):
 
 
 def cmd_logconcavity_scan(config):
-    from . import asymptotics
+    from . import asymptotics, genfunc
 
     _check_residue(config)
     n_max = config.n_max

@@ -17,7 +17,7 @@ T1 term is the one the numerics force: with the opposite sign the residual
 is O(1) on every grid point, with this one it sits at rounding level.
 
 verify_decomposition computes the left side by summing the outer series of V
-directly (genfunc.evaluate_V_bounded, whose ratio tail bound holds for
+directly (modular.evaluate_V_bounded, whose ratio tail bound holds for
 complex z too) and the right side from the modular evaluators, and reports
 the normalised residual.
 """
@@ -28,12 +28,12 @@ import cmath
 import math
 from collections import namedtuple
 
-from .genfunc import evaluate_V_bounded
 from .modular import (
     DomainError,
     HalfPlanePoint,
     PoleError,
     eta,
+    evaluate_V_bounded,
     mu,
     qpow,
     q0pow,

@@ -1,4 +1,4 @@
-"""Numerical evaluators for the modular building blocks.
+"""Numerical evaluators for the modular building blocks and for V(w;q).
 
 Implements, for tau in the upper half-plane:
 
@@ -7,14 +7,17 @@ Implements, for tau in the upper half-plane:
 * the Mordell integral h(z;tau) = int exp(pi*i*tau*x^2 - 2*pi*z*x)/cosh(pi*x) dx,
 * level-ell Appell sums A_ell(u,v,tau) and the normalised quotient
   mu(u,v,tau) = A_1(u,v,tau)/theta(v;tau),
-
-plus the closed-form decay main terms of theta and eta as tau -> 0 along
-rays, expressed through the dual nome q0 = exp(-2*pi*i/tau).
+* the rank generating function V(w;q) at a point (evaluate_V_bounded), the
+  one numeric evaluator of V that the decomposition check and the lemma
+  ratios share.
 
 Each evaluator returns an EvalResult carrying the value and a bound on the
-discarded tail (rigorous for theta/eta, heuristic-but-conservative for the
-quadrature).  sqrt(-i*tau) always means the principal branch, which is the
-convention validated by the transformation-law tests.
+discarded tail.  The truncation bounds of theta, eta and V are rigorous;
+the quadrature's bound adds, to the tail, a per-panel error estimate from the
+highest Legendre coefficients of the same pass and a rounding allowance,
+and is checked against 30-digit quadrature in the tests.
+sqrt(-i*tau) always means the principal branch, which is the convention
+validated by the transformation-law tests.
 
 All evaluators are plain cmath/math loops; the Gauss-Legendre nodes of the
 quadrature are computed on first use, so importing this module costs
@@ -27,6 +30,7 @@ import cmath
 import functools
 import math
 from collections import namedtuple
+from operator import mul
 
 TWO_PI = 2.0 * math.pi
 LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
@@ -192,8 +196,25 @@ def gauss_legendre(npoints):
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _mordell_halfwidth(z, tau):
-    """X with |integrand| < e^LOG_EPS outside [-X, X]."""
+@functools.cache
+def _legendre_top(npoints):
+    """Row vectors that map the values of f at the npoints Gauss-Legendre
+    nodes to the coefficients of P_(npoints-2) and P_(npoints-1) in the
+    Legendre expansion of f's interpolant: (2k+1)/2 * w_j * P_k(x_j)."""
+    nodes, weights = gauss_legendre(npoints)
+    lower, upper = [], []
+    for x, w in zip(nodes, weights):
+        p_prev, p = 1.0, x
+        for k in range(2, npoints):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        lower.append((npoints - 1.5) * w * p_prev)
+        upper.append((npoints - 0.5) * w * p)
+    return tuple(lower), tuple(upper)
+
+
+def _mordell_range(z, tau):
+    """X with |integrand| < e^LOG_EPS outside [-X, X], and a bound on the
+    integral over the discarded |x| > X."""
     a = math.pi * tau.imag  # Gaussian decay
     b = TWO_PI * abs(z.real) - math.pi  # worst-case exponential growth vs cosh
     X = 1.0
@@ -202,15 +223,51 @@ def _mordell_halfwidth(z, tau):
         if X > 1e4:
             raise DomainError(
                 f"integrand decays too slowly for quadrature (z={z}, tau={tau})")
-    return X
+    # |integrand| <= 2 e^(-a x^2 + b |x|), and beyond X the exponent falls
+    # at least as fast as its slope at X, so each side is below
+    # 2 e^(-a X^2 + b X)/slope
+    return X, 4.0 * math.exp(-a * X * X + b * X) / (2.0 * a * X - b)
+
+
+def _mordell_pass(a, b, X, npanels):
+    """One Gauss-Legendre pass over npanels equal panels of [0, X] for
+
+        int_0^X e^(a x^2) (e^(b x) + e^(-b x)) / cosh(pi x) dx,
+
+    the Mordell integral folded onto x >= 0.  Returns (value, estimate,
+    l1): the estimate is the size of the two highest Legendre coefficients
+    of each panel's interpolant, summed over the panels, which for an
+    integrand analytic around the panel is far above the error of the
+    rule; l1 is the same rule applied to |integrand|."""
+    nodes, weights = gauss_legendre(GL_POINTS)
+    lower, upper = _legendre_top(GL_POINTS)
+    half = X / (2 * npanels)
+    pi, exp, cexp = math.pi, math.exp, cmath.exp
+    value = estimate = l1 = 0.0
+    for p in range(npanels):
+        mid = (2 * p + 1) * half
+        # 1/cosh(pi x) as 2 e^(-pi x)/(1 + e^(-2 pi x)), which cannot
+        # overflow where the integrand is negligible
+        f = [(cexp(u + bx) + cexp(u - bx)) / (1.0 + exp(-2.0 * pi * x))
+             for t in nodes for x in [mid + half * t]
+             for u in [(a * x - pi) * x] for bx in [b * x]]
+        value += sum(map(mul, weights, f))
+        estimate += abs(sum(map(mul, lower, f))) + abs(sum(map(mul, upper, f)))
+        l1 += sum(map(mul, weights, map(abs, f)))
+    return 2.0 * half * value, 4.0 * half * estimate, 2.0 * half * l1
 
 
 def mordell(z, tau):
-    """h(z;tau) by panelwise Gauss-Legendre quadrature on [-X, X], with the
-    panel count doubled until two refinements agree to 1e-12 relative.
+    """h(z;tau) by panelwise Gauss-Legendre quadrature of the integrand
+    folded onto [0, X], on panels at most one unit wide (the nearest poles
+    of 1/cosh(pi x), at +-i/2, lie half a unit off the real axis), with the
+    panel count doubled while the error estimate of _mordell_pass is above
+    1e-12 relative.
 
-    Allows Im(tau) = 0 (the boundary case) when |Re z| < 1/2, where the
-    1/cosh factor alone makes the integral converge.
+    The bound adds the estimate, 64 ulps of the quadrature of |integrand|
+    for rounding, and the discarded tail beyond X.  Allows Im(tau) = 0
+    (the boundary case) when |Re z| < 1/2, where the 1/cosh factor alone
+    makes the integral converge.
     """
     z, tau = complex(z), complex(tau)
     if tau.imag < 0:
@@ -218,35 +275,16 @@ def mordell(z, tau):
     if tau.imag == 0 and abs(z.real) >= 0.5:
         raise DomainError(
             f"divergent parameter regime: Im(tau)=0 needs |Re z| < 1/2, got z={z}")
-    X = _mordell_halfwidth(z, tau)
-    rule = tuple(zip(*gauss_legendre(GL_POINTS)))
+    X, tail = _mordell_range(z, tau)
     a = 1j * math.pi * tau
     b = -TWO_PI * z
-    pi, exp, cexp = math.pi, math.exp, cmath.exp
-    npanels = max(8, int(X))
-    prev = None
-    value = 0j
-    delta = math.inf
+    npanels = math.ceil(X)
     for _ in range(10):
-        half = X / npanels
-        value = 0j
-        for p in range(npanels):
-            mid = -X + (2 * p + 1) * half
-            for node, weight in rule:
-                x = mid + half * node
-                # 1/cosh(pi x) as 2 e^(-pi|x|)/(1 + e^(-2 pi|x|)), which
-                # cannot overflow where the integrand is negligible
-                ax = pi * abs(x)
-                value += weight / (1.0 + exp(-2.0 * ax)) * cexp((a * x + b) * x - ax)
-        value *= 2.0 * half
-        if prev is not None:
-            delta = abs(value - prev)
-            if delta <= 1e-12 * max(1.0, abs(value)):
-                break
-        prev = value
+        value, estimate, l1 = _mordell_pass(a, b, X, npanels)
+        if estimate <= 1e-12 * max(1.0, abs(value)):
+            break
         npanels *= 2
-    tail = math.exp(LOG_EPS)  # discarded |x| > X region
-    return EvalResult(value, delta + tail)
+    return EvalResult(value, estimate + 2.0 ** -46 * l1 + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -323,42 +361,54 @@ def mu(u, v, tau):
 
 
 # ---------------------------------------------------------------------------
-# Decay main terms as tau -> 0
+# The rank generating function at a point
 # ---------------------------------------------------------------------------
 
-def theta_mainterm_lattice(alpha, tau):
-    """Leading behaviour of theta(alpha*tau; tau) as tau -> 0:
-    -2i sin(pi*alpha) q^(-alpha^2/2) q0^(1/8) / sqrt(-i*tau)."""
-    if not 0 <= alpha < 1:
-        raise DomainError("alpha must lie in [0, 1)")
-    tau = _require_upper_half(tau)
-    return (-2j * math.sin(math.pi * alpha) * qpow(tau, -alpha * alpha / 2.0)
-            * q0pow(tau, 0.125) / sqrt_neg_itau(tau))
+# relative size of the remainder at which evaluate_V_bounded stops summing
+V_REL_TOL = 2.0 ** -60
+# most terms one evaluation may sum: |q| too close to 1 raises instead of
+# running for hours
+V_MAX_TERMS = 1 << 20
 
 
-def theta_mainterm_shifted(alpha, k, tau):
-    """Leading behaviour of theta(1/k + alpha*tau; tau) as tau -> 0:
-    -(q^(-alpha^2/2) e^(pi*i*alpha(1-2/k)) / sqrt(-i*tau)) * q0^(1/(2k^2)-1/(2k)+1/8)."""
-    if not 0 <= alpha < 1:
-        raise DomainError("alpha must lie in [0, 1)")
-    if not k > 1:
-        raise DomainError("k must be > 1")
-    tau = _require_upper_half(tau)
-    expo = 1.0 / (2.0 * k * k) - 1.0 / (2.0 * k) + 0.125
-    return (-(qpow(tau, -alpha * alpha / 2.0)
-              * cmath.exp(1j * math.pi * alpha * (1.0 - 2.0 / k)))
-            / sqrt_neg_itau(tau) * q0pow(tau, expo))
+def evaluate_V_bounded(w, q, max_terms=None):
+    """V(w;q) at numeric arguments, summing the outer series term by term:
 
+        t_0 = 1/(1-q),   t_n = t_{n-1} (1+w q^n)(1+q^n/w) q / (1-q^(2n+1)).
 
-def eta_mainterm(tau):
-    """Leading behaviour of eta(tau) as tau -> 0: q0^(1/24)/sqrt(-i*tau)."""
-    tau = _require_upper_half(tau)
-    return q0pow(tau, 1.0 / 24.0) / sqrt_neg_itau(tau)
+    For k >= n every ratio |t_{k+1}/t_k| is at most
 
+        r_n = (1+|w||q|^(n+1)) (1+|q|^(n+1)/|w|) |q| / (1-|q|^(2n+3)),
 
-def theta_decay_mainterm(alpha, k, tau):
-    """Dispatcher: k=None gives the theta(alpha*tau;tau) main term, a
-    rational k>1 the theta(1/k + alpha*tau;tau) one."""
-    if k is None:
-        return theta_mainterm_lattice(alpha, tau)
-    return theta_mainterm_shifted(alpha, float(k), tau)
+    and r_n does not increase with n, so once r_n < 1 the remainder after
+    t_n is at most |t_n| r_n/(1-r_n), for any complex w.  Summation stops
+    when that bound drops below V_REL_TOL of the partial sum, or after
+    t_{max_terms} when a cap is given.  Returns EvalResult(value, bound);
+    the bound covers truncation, not float rounding.
+    """
+    w, q = complex(w), complex(q)
+    absq = abs(q)
+    if w == 0 or not absq < 1:
+        raise DomainError(f"V(w;q) needs w != 0 and |q| < 1, got w={w}, q={q}")
+    limit = V_MAX_TERMS if max_terms is None else min(max_terms, V_MAX_TERMS)
+    absw, winv = abs(w), 1 / w
+    term = total = 1 / (1 - q)
+    qn = 1.0  # q^n
+    a = absq  # |q|^(n+1)
+    n = 0
+    while True:
+        r = (1 + absw * a) * (1 + a / absw) * absq / (1 - a * a * absq)
+        bound = abs(term) * r / (1 - r) if r < 1 else math.inf
+        # "not >" also stops on a NaN partial sum
+        if not bound > V_REL_TOL * abs(total) or n >= limit:
+            break
+        n += 1
+        qn *= q
+        term *= (1 + w * qn) * (1 + qn * winv) * q / (1 - qn * qn * q)
+        total += term
+        a *= absq
+    if not cmath.isfinite(total):
+        raise DomainError(f"V(w;q) overflows at w={w}, q={q}")
+    if n == V_MAX_TERMS and bound > V_REL_TOL * abs(total):
+        raise DomainError(f"V(w;q) needs more than {V_MAX_TERMS} terms at |q|={absq}")
+    return EvalResult(total, bound)

@@ -345,14 +345,49 @@ def _child(code, tmp_path):
 
 def test_cli_import_loads_only_the_standard_library(tmp_path):
     # each command is a fresh process, so what the import loads is paid by
-    # every command; only asym-report's main terms need mpmath, and each
-    # report module is imported by the commands that run it
+    # every command; of the package it loads only the kernel lane, and each
+    # handler imports the layers it runs
     proc = _child("import sys; before = set(sys.modules); import oddbalanced.cli; "
-                  "loaded = {'mpmath', 'dataclasses', 'numpy', 'oddbalanced.asymptotics', "
-                  "'oddbalanced.decomposition', 'oddbalanced.transforms'} "
-                  "& (set(sys.modules) - before); "
+                  "new = set(sys.modules) - before; "
+                  "loaded = {'mpmath', 'dataclasses', 'numpy', 'json'} & new; "
+                  "loaded |= {m for m in new if m.startswith('oddbalanced.')} - "
+                  "{'oddbalanced.cli', 'oddbalanced.kernels', 'oddbalanced._kernels_py', "
+                  "'oddbalanced._speedups'}; "
                   "assert not loaded, f'{sorted(loaded)} imported'", tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+_NUMERIC_ABSENT = {"genfunc", "enumerator", "json"}
+_CSV_ABSENT = {"json"}
+
+
+@pytest.mark.parametrize("args, absent", [
+    (["verify-transforms"], _NUMERIC_ABSENT),
+    (["verify-decomposition", "--grid", "default"], _NUMERIC_ABSENT),
+    (["lemma-ratios", "--moduli", "3"], _NUMERIC_ABSENT),
+    (["enumerate", "--n", "3"], {"modular", "genfunc", "json"}),
+    (["expand", "--n-max", "10"], _CSV_ABSENT),
+    (["asym-report", "--c", "3", "--checkpoints", "20,40"], _CSV_ABSENT),
+    (["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], _CSV_ABSENT),
+    (["logconcavity-scan", "--c", "3", "--n-max", "60"], _CSV_ABSENT),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_each_command_loads_only_its_layers(tmp_path, args, absent):
+    # run as `python -m oddbalanced.cli` runs it; the names are package
+    # submodules, or json
+    code = "\n".join([
+        "import runpy, sys",
+        f"sys.argv = ['oddbalanced', *{args!r}, '--output', 'out.csv']",
+        "try:",
+        "    runpy.run_module('oddbalanced.cli', run_name='__main__')",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0, exc.code",
+        "names = {m.split('.', 1)[1] for m in sys.modules if m.startswith('oddbalanced.')}",
+        f"loaded = sorted((names | set(sys.modules)) & set({sorted(absent)!r}))",
+        "assert not loaded, f'{loaded} imported'",
+    ])
+    proc = _child(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text().count("\n") > 1
 
 
 @pytest.mark.parametrize("args", [

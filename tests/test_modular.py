@@ -1,15 +1,20 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oddbalanced import transforms
+from oddbalanced import modular, transforms
+from oddbalanced.genfunc import evaluate_V
 from oddbalanced.modular import (
     DomainError,
     PoleError,
+    _require_upper_half,
     appell,
     eta,
-    eta_mainterm,
+    evaluate_V_bounded,
     gauss_legendre,
     mordell,
     mu,
@@ -17,9 +22,6 @@ from oddbalanced.modular import (
     qpow,
     sqrt_neg_itau,
     theta,
-    theta_decay_mainterm,
-    theta_mainterm_lattice,
-    theta_mainterm_shifted,
 )
 
 PI_I = 1j * math.pi
@@ -134,6 +136,89 @@ def test_mordell_divergent_domain():
     assert abs(mordell(0.6, 1j).value) > 0
 
 
+def _mordell_reference(z, tau):
+    """h(z;tau) to 30 digits by mpmath's quadrature on unit subintervals of
+    a range outside which the integrand is below e^-80."""
+    g, c = math.pi * tau.imag, 2 * math.pi * abs(z.real) - math.pi
+    X = 1
+    while -g * X * X + c * X > -80:
+        X += 1
+    with mp.workdps(30):
+        zz, tt = mp.mpc(z), mp.mpc(tau)
+        return mp.quad(lambda x: mp.exp(mp.pi * 1j * tt * x * x - 2 * mp.pi * zz * x)
+                       / mp.cosh(mp.pi * x), mp.linspace(-X, X, 2 * X + 1))
+
+
+def _assert_within_bound(z, tau, result):
+    with mp.workdps(30):
+        err = abs(mp.mpc(result.value) - _mordell_reference(z, tau))
+    assert err <= result.truncation_bound, (z, tau, float(err), result.truncation_bound)
+
+
+def _uniform(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _cplx(re, im):
+    return st.builds(complex, re, im)
+
+
+def _lemma_point(x, t):
+    # lemma_main_term's h(2z;2tau) for z < 1/4 and h(2-2z;2tau) for
+    # z > 3/4: the same x = 2z or 2-2z in (0, 1/2), at tau = 2it
+    return x, 2j * t
+
+
+def _inverted(z, tau):
+    # mordell_grid's left side
+    return z / tau, -1 / tau
+
+
+# the (z, tau) at which the commands evaluate h: verify-transforms' Mordell
+# grid (both sides) and its Appell grid (h(u-v;tau)), lemma-ratios, and the
+# decomposition grid's ranges
+MORDELL_POINTS = st.one_of(
+    st.tuples(_cplx(_uniform(-0.3, 0.3), _uniform(-0.1, 0.1)),
+              _cplx(_uniform(-0.2, 0.2), _uniform(0.4, 1.5))),
+    st.builds(_inverted, _cplx(_uniform(-0.3, 0.3), _uniform(-0.1, 0.1)),
+              _cplx(_uniform(-0.2, 0.2), _uniform(0.4, 1.5))),
+    st.builds(lambda u, v, tau: (u - v, tau),
+              _cplx(_uniform(0.08, 0.42), _uniform(0.02, 0.25)), _uniform(0.1, 0.45),
+              _cplx(_uniform(-0.3, 0.3), _uniform(0.5, 1.5))),
+    st.builds(_lemma_point, _uniform(0.02, 0.48), _uniform(0.0125, 0.1)),
+    st.tuples(_cplx(_uniform(0.0, 1.0), _uniform(-0.8, 0.8)),
+              _cplx(_uniform(-0.5, 0.5), _uniform(0.15, 1.0))),
+)
+
+
+@given(MORDELL_POINTS)
+@settings(max_examples=30, deadline=None)
+def test_mordell_bound_holds_against_mpmath(point):
+    z, tau = point
+    _assert_within_bound(z, tau, mordell(z, tau))
+
+
+def test_mordell_refines_where_the_first_pass_misses(monkeypatch):
+    # a fast-turning Gaussian: one pass on unit panels does not resolve it
+    z, tau = 0.3, 5 + 0.5j
+    passes = []
+    one_pass = modular._mordell_pass
+
+    def recorded(*args):
+        out = one_pass(*args)
+        passes.append(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "_mordell_pass", recorded)
+        result = mordell(z, tau)
+    (first, first_estimate, _), (last, last_estimate, _) = passes[0], passes[-1]
+    assert first_estimate > 1e-12 * max(1.0, abs(first))
+    assert last_estimate <= 1e-12 * max(1.0, abs(last))
+    assert result.value == last
+    _assert_within_bound(z, tau, result)
+
+
 def test_appell_transformation_example():
     u, v, tau = 0.23 + 0.1j, 0.37, 0.8j
     assert transforms.appell_transformation_residual(u, v, tau) < 1e-10
@@ -190,8 +275,19 @@ def test_mu_pole_on_theta_zero():
 
 
 # ---------------------------------------------------------------------------
-# Decay main terms
+# Decay main terms as tau -> 0, in closed form through the dual nome
+# q0 = exp(-2*pi*i/tau); no command evaluates them, so they live here
 # ---------------------------------------------------------------------------
+
+def theta_mainterm_lattice(alpha, tau):
+    """Leading behaviour of theta(alpha*tau; tau) as tau -> 0:
+    -2i sin(pi*alpha) q^(-alpha^2/2) q0^(1/8) / sqrt(-i*tau)."""
+    if not 0 <= alpha < 1:
+        raise DomainError("alpha must lie in [0, 1)")
+    tau = _require_upper_half(tau)
+    return (-2j * math.sin(math.pi * alpha) * qpow(tau, -alpha * alpha / 2.0)
+            * q0pow(tau, 0.125) / sqrt_neg_itau(tau))
+
 
 def test_theta_lattice_mainterm_ratio():
     alpha = 0.25
@@ -207,6 +303,20 @@ def test_theta_lattice_mainterm_ratio():
         ratio = theta(alpha * tau, tau).value / theta_mainterm_lattice(alpha, tau)
         devs.append(abs(ratio - 1))
     assert devs[0] > devs[1] > devs[2]
+
+
+def theta_mainterm_shifted(alpha, k, tau):
+    """Leading behaviour of theta(1/k + alpha*tau; tau) as tau -> 0:
+    -(q^(-alpha^2/2) e^(pi*i*alpha(1-2/k)) / sqrt(-i*tau)) * q0^(1/(2k^2)-1/(2k)+1/8)."""
+    if not 0 <= alpha < 1:
+        raise DomainError("alpha must lie in [0, 1)")
+    if not k > 1:
+        raise DomainError("k must be > 1")
+    tau = _require_upper_half(tau)
+    expo = 1.0 / (2.0 * k * k) - 1.0 / (2.0 * k) + 0.125
+    return (-(qpow(tau, -alpha * alpha / 2.0)
+              * cmath.exp(1j * math.pi * alpha * (1.0 - 2.0 / k)))
+            / sqrt_neg_itau(tau) * q0pow(tau, expo))
 
 
 def test_theta_shifted_mainterm_ratio():
@@ -226,12 +336,26 @@ def test_theta_shifted_mainterm_ratio():
     assert devs[0] > devs[1] > devs[2]
 
 
+def eta_mainterm(tau):
+    """Leading behaviour of eta(tau) as tau -> 0: q0^(1/24)/sqrt(-i*tau)."""
+    tau = _require_upper_half(tau)
+    return q0pow(tau, 1.0 / 24.0) / sqrt_neg_itau(tau)
+
+
 def test_eta_mainterm_ratio():
     for t in (0.2, 0.1, 0.05):
         tau = t * 1j
         assert abs(eta(tau).value / eta_mainterm(tau) - 1) < 1e-9
     devs = [abs(eta(t * 1j).value / eta_mainterm(t * 1j) - 1) for t in (1.0, 0.7, 0.5)]
     assert devs[0] > devs[1] > devs[2]
+
+
+def theta_decay_mainterm(alpha, k, tau):
+    """Dispatcher: k=None gives the theta(alpha*tau;tau) main term, a
+    rational k>1 the theta(1/k + alpha*tau;tau) one."""
+    if k is None:
+        return theta_mainterm_lattice(alpha, tau)
+    return theta_mainterm_shifted(alpha, float(k), tau)
 
 
 def test_mainterm_dispatcher_and_validation():
@@ -260,3 +384,48 @@ def test_half_plane_point():
         HalfPlanePoint(tau=0.3 - 0.7j)
     with pytest.raises(DomainError):
         pt._replace(tau=0.3 - 0.7j)
+
+
+# ---------------------------------------------------------------------------
+# V(w;q) at a point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("w", [cmath.exp(2j * math.pi * 0.3), 0.7 - 1.9j, -1.0],
+                         ids=["unit-circle", "off-circle", "minus-one"])
+def test_evaluator_matches_rank_table(rank_table_60, w):
+    # second route to V(w;q): the exact counts v(m,n), n <= 60, summed at a
+    # small q where the omitted q^61 tail is far below rounding
+    q = 0.04 * cmath.exp(0.7j)
+    direct = sum(cnt * w ** m * q ** n
+                 for n in range(61)
+                 for m, cnt in rank_table_60.rank_polynomial(n).items())
+    got = evaluate_V_bounded(w, q)
+    assert abs(got.value - direct) < 1e-14 * abs(direct)
+    assert got.truncation_bound < 1e-17 * abs(direct)
+
+
+def test_evaluator_term_cap_keeps_a_true_bound():
+    w, q = 0.2 + 0.5j, 0.6 * cmath.exp(1j)
+    full = evaluate_V_bounded(w, q)
+    for cap in (0, 3, 10, 30):
+        capped = evaluate_V_bounded(w, q, cap)
+        assert abs(capped.value - full.value) <= capped.truncation_bound + 1e-14 * abs(full.value)
+    assert evaluate_V(w, q, 30) == capped.value
+
+
+@pytest.mark.parametrize("w,q", [(0, 0.5), (1.0, 1.0), (1.0, -1.2j), (1.0, complex("nan"))],
+                         ids=["w-zero", "q-one", "q-outside", "q-nan"])
+def test_evaluator_rejects_points_outside_the_domain(w, q):
+    with pytest.raises(DomainError):
+        evaluate_V_bounded(w, q)
+
+
+def test_evaluator_stops_when_q_nears_one(monkeypatch):
+    # on the real axis V overflows first; off it the sum would need ~10^7
+    # terms, past the ceiling (lowered here to keep the test fast)
+    with pytest.raises(DomainError, match="overflows"):
+        evaluate_V_bounded(1.0, 1.0 - 1e-12)
+    monkeypatch.setattr(modular, "V_MAX_TERMS", 1000)
+    with pytest.raises(DomainError, match="more than 1000 terms"):
+        evaluate_V_bounded(1.0, (1 - 1e-6) * 1j)
+    assert evaluate_V_bounded(1.0, (1 - 1e-6) * 1j, 500).truncation_bound > 0
