@@ -5,9 +5,9 @@ The package has three layers, each imported from its own module:
 
 * exact expansions (genfunc, enumerator): V(w;q) on integer columns with
   the rank variable w reduced mod w^c - 1 yields the totals v(n), the
-  residue-class counts v(a,c;n) and the rank table v(m,n), by the
-  three-term identity as exact q-series for odd c and by the outer-sum
-  recurrence for even c; the brute-force enumerator checks them;
+  residue-class counts v(a,c;n) and the rank table v(m,n), each class a
+  sum of partial theta series divided by phi(-q); the outer-sum
+  recurrence and the brute-force enumerator check them;
 * complex-numeric evaluators (modular, transforms, decomposition) for the
   theta/eta/Appell/Mordell functions, V(w;q) at a point
   (modular.evaluate_V_bounded) and the three-term decomposition of the
@@ -16,8 +16,8 @@ The package has three layers, each imported from its own module:
   e^(pi*sqrt(n))/(16*c*n^(3/4)) main term and its relatives.
 
 Importing the package loads no layer, so each CLI command pays only for
-the layers it runs.  The hot kernels run from a compiled extension when
-built, with a pure-Python fallback (USING_COMPILED says which).
+the layers it runs.  The recurrence's kernels run from a compiled extension
+when built, with a pure-Python fallback (USING_COMPILED says which).
 """
 
 from .kernels import USING_COMPILED

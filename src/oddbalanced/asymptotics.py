@@ -2,10 +2,14 @@
 
 High-precision arithmetic (mpmath, default 50 digits) keeps e^(pi*sqrt(n))
 exact-enough for ratio columns up to n ~ 10^4; exact integers from the
-expansion modules are only ever floated inside a ratio.  mpmath is
-imported inside the functions that evaluate a main term, so only
-asym_report and the main-term functions load it: the other reports, and
-every CLI command but asym-report, run on the standard library alone.
+expansion modules are only ever floated inside a ratio.  Main terms are
+evaluated with GUARD_DIGITS digits beyond the requested precision, so
+every printed digit is correct.  mpmath is imported inside the functions
+that evaluate a main term, so only asym_report and the main-term functions
+load it: the other reports, and every CLI command but asym-report, run on
+the standard library alone.  modular is imported inside the lemma
+functions and where a DomainError is raised, so the exact reports
+(asym-report, equidistribution, logconcavity-scan) never load it.
 """
 
 from __future__ import annotations
@@ -15,16 +19,11 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .modular import (
-    DomainError,
-    evaluate_V_bounded,
-    mordell,
-    qpow,
-    q0pow,
-    sqrt_neg_itau,
-)
-
 DEFAULT_DPS = 50
+
+# digits carried beyond the requested precision, so that the last printed
+# digit of a main term or ratio is not rounding noise
+GUARD_DIGITS = 10
 
 
 class EvenModulusError(ValueError):
@@ -34,7 +33,7 @@ class EvenModulusError(ValueError):
 def _workdps(dps):
     import mpmath as mp
 
-    return mp.workdps(max(dps, 30))
+    return mp.workdps(max(dps, 30) + GUARD_DIGITS)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +117,8 @@ class ExponentPolynomial(namedtuple("ExponentPolynomial", "a b c lo hi")):
     def __call__(self, z):
         z = Fraction(z)
         if not self.lo < z < self.hi:
+            from .modular import DomainError
+
             raise DomainError(f"z={z} outside ({self.lo}, {self.hi})")
         return self.a * z * z + self.b * z + self.c
 
@@ -153,6 +154,8 @@ def interval_exponent(z, polynomials=GAP_POLYNOMIALS):
     for poly in polynomials:
         if poly.lo < z < poly.hi:
             return poly(z)
+    from .modular import DomainError
+
     raise DomainError(f"z={z} hits an interval boundary")
 
 
@@ -189,6 +192,8 @@ def lemma_main_term(z, tau):
     sign alternation makes the whole expression symmetric under z -> 1-z,
     matching the w <-> 1/w symmetry of V itself.
     """
+    from .modular import DomainError, mordell, q0pow, qpow, sqrt_neg_itau
+
     z = float(z)
     if not 0 < z < 1 or z in (0.25, 0.5, 0.75):
         raise DomainError(f"z={z} outside the four open intervals")
@@ -374,6 +379,8 @@ def lemma_ratio_report(moduli=(3, 5), t_values=(0.1, 0.05, 0.025)):
     """For every z=j/c, compare the series value V(e^(2*pi*i*z); e^(-2*pi*t))
     with the interval main term along the vertical ray tau = i*t.  The series
     is summed to convergence and its truncation bound kept in each row."""
+    from .modular import evaluate_V_bounded
+
     rows = []
     for c in moduli:
         for j in range(1, c):

@@ -9,8 +9,8 @@ one-line message goes to stderr).
 Each command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads only the standard library and the package's
 kernel lane (kernels); each handler imports the layers it runs.  The exact
-commands load genfunc (the reports also asymptotics, and modular through
-it), enumerate loads enumerator, and the numeric commands load modular
+commands load genfunc (the reports also asymptotics, never modular),
+enumerate loads enumerator, and the numeric commands load modular
 with transforms, decomposition or asymptotics, never the exact engine.
 mpmath loads only when asym-report evaluates its main terms, and json
 only for --format json, a --grid file or a failure record.

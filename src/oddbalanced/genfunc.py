@@ -9,26 +9,42 @@ what is counted:
 
 * c = 1 sets w = 1 and gives the totals v(n);
 * c > 1 gives the residue-class counts v(a,c;n) directly, column a;
-* c = 2*mmax+1 gives the full rank table, because a monomial w^m q^k only
-  occurs for k >= m(m+1)/2, so no rank with |m| > mmax ~ sqrt(2N) appears
-  and nothing wraps.
+* c = 2*mmax+1 gives the full rank table, because rank m first occurs at
+  q^{m(m+3)/2}, so no rank with |m| > mmax ~ sqrt(2N) appears and nothing
+  wraps.
 
-Two routes compute the columns, and each c has exactly one of them:
+One route (_expand_partial_theta) computes the columns for every c, odd
+and even.  It rests on the identity
 
-* odd c, which covers the totals, the residue classes of the paper and the
-  full table, runs the identity route (_expand_identity): the three-term
-  decomposition of (1 + w^-1) q V as an exact identity of q-series, built
-  from sparse theta-type series by multiplications and divisions by
-  sparse series with constant term +-1, O(c N^1.5).  It works in integers
-  throughout, scaled by 16, and raises ArithmeticError unless the
-  constant term vanishes and the final division by 16 is exact;
-* even c, where 1 + w is a zero divisor and the identity cannot be
-  divided out, runs the outer sum as a recurrence (_expand_mod),
+    phi(-q) (1 + w^-1) V(w;q) = sum_{t>=0} (w^t + w^{-t-1}) G_t(q),
+    G_t(q) = sum_{k>=0} (-1)^k q^{k^2 + 2k(t+1) + t(t+3)/2},
 
-      P_0 = 1/(1-q),   P_n = P_{n-1} * q * (1+w q^n)(1+w^-1 q^n) / (1-q^{2n+1}),
+where phi(-q) = sum_{j in Z} (-1)^j q^{j^2} and 1/phi(-q) is the
+overpartition generating function.  The right side is a Hecke-type double
+sum (with j = t+1+k the exponent is j^2 - t(t+1)/2 - 1) whose
+coefficients are all +-1.  Rank by rank it reads
+phi(-q) (V_m + V_{m+1}) = G_m for m >= 0, so
+phi(-q) V_m = sum_{t>=|m|} (-1)^{t-|m|} G_t.  At w = 1 every G_t counts
+once: v(n) = sum_k h(k) pbar(n-k) with h = sum_t G_t, |h| <= 3 up to
+n = 1200, the paper's overpartition relation as an exact convolution.  At
+w = -1 it gives phi(-q) V(-1;q) = sum_t (-1)^t (2t+1) G_t.
 
-  one kernel pass per factor, O(c N^2).  The tests also use it as the
-  independent second route for odd c.
+The identity is verified, not proved: it agrees exactly with the
+three-term decomposition read as a q-series identity (the route it
+replaced) for c = 1 to N = 40000, c = 3 to N = 10000 and c = 5 to
+N = 6000, and with the outer-sum recurrence for every c <= 16 at orders
+below 8 and for the even c of 2..16 at N = 200 to 600; the tests repeat
+these comparisons against the recurrence.  The cost is
+O(c * #terms of G) = O(c N) to build the class numerators, plus
+c//2 + 1 divisions by phi(-q) of O(N^1.5) each (class -a equals class a).
+The route raises ArithmeticError if a count comes out negative.
+
+_expand_mod runs the outer sum as a recurrence,
+
+    P_0 = 1/(1-q),   P_n = P_{n-1} * q * (1+w q^n)(1+w^-1 q^n) / (1-q^{2n+1}),
+
+one kernel pass per factor, O(c N^2).  No command calls it: it is the
+independent reference route the tests hold the identity route equal to.
 
 Overpartitions and partitions are one sparse division each, by phi(-q) and
 by the pentagonal series.  This module is exact only: numeric values of V
@@ -39,17 +55,17 @@ thin caller of it.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import isqrt
 
 from . import kernels
 
 
 def rank_support_bound(order):
-    """Largest m with m(m+1)/2 <= order; v(m,n)=0 for |m| above it when
-    n <= order."""
-    m = (isqrt(8 * order + 1) - 1) // 2
-    while m * (m + 1) // 2 > order:
+    """Largest m with m(m+3)/2 <= order; v(m,n)=0 for |m| above it when
+    n <= order, because the smallest sequence of rank m (right evens
+    2..2m, peak 2m+2) has n = m(m+3)/2."""
+    m = (isqrt(8 * order + 9) - 3) // 2
+    while m * (m + 3) // 2 > order:
         m -= 1
     return m
 
@@ -174,23 +190,6 @@ def _sparse(pairs, limit):
     return out
 
 
-def _mul_sparse(x, sparse):
-    """The q-series x times a sparse series, truncated to len(x)."""
-    size = len(x)
-    y = [0] * size
-    for s, exps in sparse.items():
-        for e in exps:
-            if e >= size:
-                break
-            if s == 1:
-                y[e:] = [a + b for a, b in zip(y[e:], x)]
-            elif s == -1:
-                y[e:] = [a - b for a, b in zip(y[e:], x)]
-            else:
-                y[e:] = [a + s * b for a, b in zip(y[e:], x)]
-    return y
-
-
 def _div_sparse(x, sparse):
     """The q-series x divided by a sparse series whose constant term is
     +-1, truncated to len(x): y[k] = (x[k] - sum_{e>0} d_e y[k-e]) / d_0.
@@ -240,208 +239,75 @@ def _phi_minus_q(limit):
                    limit)
 
 
-def _triangular(limit):
-    """(k, k(k+1)/2) for k >= 0 while k(k+1)/2 < limit."""
-    k = 0
-    while k * (k + 1) // 2 < limit:
-        yield k, k * (k + 1) // 2
+def _partial_theta(t, limit):
+    """G_t(q) = sum_{k>=0} (-1)^k q^{k^2 + 2k(t+1) + t(t+3)/2} below q^limit,
+    as the exponents of its +1 terms and of its -1 terms."""
+    plus, minus = [], []
+    k, e = 0, t * (t + 3) // 2
+    while e < limit:
+        (minus if k & 1 else plus).append(e)
+        e += 2 * k + 2 * t + 3
         k += 1
+    return plus, minus
 
 
-def _mirrored(column, c, mirror):
-    """[column(a) for a in range(c)] for a table whose column a equals
-    column mirror - a (mod c): each pair is computed once and shared."""
-    out = [None] * c
-    for a in range(c):
-        twin = out[(mirror - a) % c]
-        out[a] = column(a) if twin is None else twin
-    return out
-
-
-def _iota(cols, j):
-    """iota_j X = 2(1 + w^j)^-1 X = sum_{i<c} (-w^j)^i X mod w^c - 1 (c odd,
-    gcd(j, c) = 1): column 0 by the alternating sum, every other column
-    from (1 + w^j) Y = 2X along the cycle t -> t + j."""
-    c = len(cols)
-    first = [0] * len(cols[0])
-    for i in range(c):
-        src = cols[-j * i % c]
-        first = [a - b if i & 1 else a + b for a, b in zip(first, src)]
-    out = [None] * c
-    out[0] = first
+def _expand_partial_theta(order, c):
+    """Coefficients of V(w;q) for n <= order with w reduced mod w^c - 1:
+    the numerator of each class, a sum of partial theta series G_t, divided
+    by phi(-q).  Class a is the sum over t of kappa_{a,t} G_t with
+    kappa_{a,t} = sum_{|m|<=t, m = a mod c} (-1)^(t-|m|), built as
+    kappa_0 = e_0, kappa_t = -kappa_{t-1} + e_{t mod c} + e_{-t mod c};
+    G_t starts at q^{t(t+3)/2}.  Class -a equals class a (w <-> 1/w), so
+    c//2 + 1 divisions serve every class.  Raises ArithmeticError if a
+    count comes out negative."""
+    size = order + 1
+    nums = [[0] * size for _ in range(c // 2 + 1)]
+    kappa = [0] * c
     t = 0
-    for _ in range(c - 1):
-        nxt = (t + j) % c
-        out[nxt] = [2 * a - b for a, b in zip(cols[nxt], out[t])]
-        t = nxt
-    return out
-
-
-def _s_hat(size, c, j):
-    """2 S1(w^j; q^j) mod w^c - 1, with S1(w;q) = sum_{n in Z} q^{n(n+1)/2}/(1 + w q^n)
-    expanded geometrically: the n = 0 term is iota_j, the others are
-    2 sum_{n>=1, k>=0} (-1)^k q^{j(n(n+1)/2 + nk)} (w^{jk} + w^{-j(k+1)})."""
-    cols = [[0] * size for _ in range(c)]
-    for i in range(c):
-        cols[j * i % c][0] += _sign(i)
-    n = 1
-    while j * n * (n + 1) // 2 < size:
-        e, k = j * n * (n + 1) // 2, 0
-        while e < size:
-            s = 2 * _sign(k)
-            cols[j * k % c][e] += s
-            cols[-j * (k + 1) % c][e] += s
-            e += j * n
-            k += 1
-        n += 1
-    return cols
-
-
-def _r3_ab_over_c_prime(ab, jac2, jac4):
-    """R^3 A'B / C' mod w^c - 1 from the table A'B, with R^3 = jac4/jac2.
-
-    C' = sum_{k>=0} (-1)^k q^{2k(k+1)} u_k with u_k = w^{-4k}(1 + w^4 + ... + w^{8k})
-    is the one divisor that mixes columns.  In the order p -> column 4p mod
-    c, u_k is the window p in [-k, k]: (2k+1)//c full cycles, which add
-    (2k+1)//c times the column sum, and a remainder of (2k+1) % c
-    consecutive positions, a difference of two prefix sums.  At w = 1,
-    C'(1) = (q^4;q^4)^3 = jac4 cancels the numerator of R^3, so the column
-    sum is A'B(1)/jac2, one scalar division, and for c = 1 it is the
-    answer.
-    """
-    c, size = len(ab), len(ab[0])
-    total = _div_sparse([sum(col) for col in zip(*ab)], jac2)
-    if c == 1:
-        return [total]
-    x = _mirrored(lambda a: _div_sparse(_mul_sparse(ab[a], jac4), jac2), c, -4)
-    terms = [(2 * k * (k + 1), _sign(k), 2 * k + 1) for k in range(1, size)
-             if 2 * k * (k + 1) < size]
-    full = _mul_sparse(total, _sparse(((e, s * (width // c)) for e, s, width in terms), size))
-    windows = [(e, s, width % c, (k - width % c + 1) % c)
-               for k, (e, s, width) in enumerate(terms, 1) if width % c]
-    perm = [4 * p % c for p in range(c)]
-    out = [[0] * size for _ in range(c)]
-    prefix = []  # per n: prefix sums of the row, in p order, over three cycles
-    for n in range(size):
-        row = [x[t][n] - full[n] for t in perm]
-        for e, s, r, start in windows:
-            if e > n:
-                break
-            pre = prefix[n - e]
-            if s == 1:
-                row = [v - hi + lo for v, hi, lo in zip(row, pre[start + r:], pre[start:])]
-            else:
-                row = [v + hi - lo for v, hi, lo in zip(row, pre[start + r:], pre[start:])]
-        prefix.append(list(accumulate(row * 3, initial=0)))
-        for t, v in zip(perm, row):
-            out[t][n] = v
-    return out
-
-
-def _expand_identity(order, c):
-    """Coefficients of V(w;q) for n <= order with w reduced mod w^c - 1, c
-    odd, from the three-term decomposition read as an exact identity of
-    q-series, O(c N^1.5):
-
-        8(1+w^-1) q V = -2 S1^/Delta + 2w Delta~ S2^/(phi(-q) Delta(q^2))
-                        + 2w^3 iota_1 iota_2 R^3 A' B / C'
-        16 V          = iota_{c-1} (the above) / q
-
-    with iota_j = 2(1 + w^j)^-1, S1^ = 2 S1(w;q), S2^ = 2 S1(w^2;q^2) and
-
-        Delta(q) = sum_{k>=0} q^{k(k+1)/2},   phi(-q) = sum_{j in Z} (-1)^j q^{j^2},
-        Delta~   = sum_{k in Z} w^k q^{k(k+1)/2},
-        A'       = sum_{k>=0} (-1)^k q^{k(k+1)/2} w^-k (1 + w + ... + w^2k),
-        B        = sum_{k in Z} (-1)^k w^2k q^{(k+1)^2},
-        C'       = sum_{k>=0} (-1)^k q^{2k(k+1)} w^-4k (1 + w^4 + ... + w^8k),
-        R        = sum_k (-1)^k q^{6k^2+10k+4} / sum_k (-1)^k q^{3k^2+5k+2}.
-
-    By the triple product both sums in R are -(q^4;q^4) and -(q^2;q^2), so
-    R^3 = (q^4;q^4)^3/(q^2;q^2)^3, two sparse series by Jacobi's
-    (q;q)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}.  Every step multiplies
-    or divides by a sparse series; only C' mixes the columns, and a power
-    of w is a cyclic shift.  Columns are integers throughout, and the last
-    step divides by 16, which must be exact.
-    """
-    if c % 2 == 0:
-        raise ValueError(f"the identity needs an odd modulus, got c={c}")
-    size = order + 2  # (1 + w^-1) q V through q^(order+1)
-    tri = list(_triangular(size))
-    psi = _sparse(((e, 1) for _, e in tri), size)
-    psi2 = _sparse(((2 * e, 1) for _, e in tri), size)
+    while t * (t + 3) // 2 < size:
+        kappa = [-k for k in kappa]
+        kappa[t % c] += 1
+        if t:
+            kappa[-t % c] += 1
+        plus, minus = _partial_theta(t, size)
+        for col, k in zip(nums, kappa):
+            if k:
+                for e in plus:
+                    col[e] += k
+                for e in minus:
+                    col[e] -= k
+        t += 1
     phi = _phi_minus_q(size)
-    jac2 = _sparse(((2 * e, _sign(k) * (2 * k + 1)) for k, e in tri), size)
-    jac4 = _sparse(((4 * e, _sign(k) * (2 * k + 1)) for k, e in tri), size)
-
-    s1 = _s_hat(size, c, 1)
-    t1 = _mirrored(lambda a: _div_sparse(s1[a], psi), c, -1)
-
-    # w Delta~ = sum_{k>=0} (w^{k+1} + w^-k) q^{k(k+1)/2}, one sparse series per shift
-    shifts = {}
-    for k, e in tri:
-        for j in (k + 1, -k):
-            shifts.setdefault(j % c, []).append((e, 1))
-    shifts = {j: _sparse(pairs, size) for j, pairs in shifts.items()}
-    s2 = _s_hat(size, c, 2)
-
-    def mid(a):
-        acc = [0] * size
-        for j, sparse in shifts.items():
-            kernels.acc_add(acc, _mul_sparse(s2[(a - j) % c], sparse))
-        return _div_sparse(_div_sparse(acc, phi), psi2)
-
-    t_mid = _mirrored(mid, c, -1)
-
-    # A' B: a sparse product, laid out as a table
-    ab = [[0] * size for _ in range(c)]
-    r = isqrt(size - 1)  # B has the terms with |k+1| <= r
-    b_terms = [((k + 1) ** 2, 2 * k % c, _sign(k)) for k in range(-r - 1, r)]
-    for k, e in tri:
-        u = [0] * c
-        for i in range(-k, k + 1):
-            u[i % c] += _sign(k)
-        for eb, jb, sb in b_terms:
-            if e + eb < size:
-                for i, v in enumerate(u):
-                    if v:
-                        ab[(i + jb) % c][e + eb] += sb * v
-    t2 = _iota(_iota(_r3_ab_over_c_prime(ab, jac2, jac4), 1), 2)
-
-    rhs = [[2 * (xm - x1 + x2) for x1, xm, x2 in zip(t1[a], t_mid[a], t2[(a - 3) % c])]
-           for a in range(c)]
-    if any(col[0] for col in rhs):
-        raise ArithmeticError("the identity's right side has a nonzero constant term")
-    v16 = _iota([col[1:] for col in rhs], c - 1)
-    if any(v & 15 for col in v16 for v in col):
-        raise ArithmeticError("a coefficient of 16 V is not divisible by 16")
-    return [[v >> 4 for v in col] for col in v16]
+    cols = [_div_sparse(col, phi) for col in nums]
+    if any(min(col) < 0 for col in cols):
+        raise ArithmeticError("a count of V came out negative")
+    return [cols[min(a, c - a)] for a in range(c)]
 
 
 def expand_V_rank(order, modulus=None):
     """Exact counts for n <= order: the full rank table of v(m,n), or with
-    a modulus c the table of v(a,c;n) reduced mod c.  An odd modulus, and
-    the full table, run the identity route; an even modulus runs the
-    outer-sum recurrence."""
+    a modulus c the table of v(a,c;n) reduced mod c.  Every modulus, odd
+    or even, and the full table run the partial theta route."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if modulus is not None:
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        expand = _expand_identity if modulus % 2 else _expand_mod
-        return RankTable(max_n=order, columns=dict(enumerate(expand(order, modulus))),
+        return RankTable(max_n=order,
+                         columns=dict(enumerate(_expand_partial_theta(order, modulus))),
                          modulus=modulus)
     # |m| never exceeds mmax, so with 2*mmax+1 columns nothing wraps and
     # column m mod c holds rank m exactly
     mmax = rank_support_bound(order)
     c = 2 * mmax + 1
-    cols = _expand_identity(order, c)
+    cols = _expand_partial_theta(order, c)
     return RankTable(max_n=order, columns={
         m: cols[m % c] for m in range(-mmax, mmax + 1) if any(cols[m % c])})
 
 
 def expand_v_totals(order):
     """Exact v(n) = coefficient of q^n in V(1;q), for n <= order."""
-    return _expand_identity(order, 1)[0]
+    return _expand_partial_theta(order, 1)[0]
 
 
 def evaluate_V(w, q, order=None):

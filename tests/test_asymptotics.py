@@ -154,6 +154,19 @@ def test_asym_report_c1():
     assert not report.equidistribution
 
 
+@pytest.mark.parametrize("dps", [30, 50])
+def test_asym_report_prints_only_correct_digits(totals_3600, dps):
+    # every printed digit agrees with the same quantity at twice the precision
+    checkpoints = [*range(1, 3600, 97), 3600]
+    report = asym_report(0, 1, checkpoints, totals=totals_3600, dps=dps)
+    with mp.workdps(2 * dps):
+        for row in report.rows:
+            main = mp.e ** (mp.pi * mp.sqrt(row.n)) / (16 * mp.mpf(row.n) ** mp.mpf(0.75))
+            printed = row.as_dict(dps)
+            assert printed["main_term"] == mp.nstr(main, dps), row.n
+            assert printed["ratio"] == mp.nstr(row.exact / main, dps), row.n
+
+
 def test_asym_report_residue_classes(rank_table_60):
     report = asym_report(1, 3, (30, 60), table=rank_table_60)
     assert [r.n for r in report.rows] == [30, 60]

@@ -34,11 +34,14 @@ def test_rank_symmetry(rank_table_60):
 
 
 def test_rank_support(rank_table_60):
-    assert rank_support_bound(60) == 10
+    assert rank_support_bound(60) == 9
     for n in range(20):
         for m in rank_table_60.columns:
-            if abs(m) > n + 1 or abs(m) * (abs(m) + 1) // 2 > n:
+            if abs(m) > n + 1 or abs(m) * (abs(m) + 3) // 2 > n:
                 assert rank_table_60.v(m, n) == 0
+    # the bound is attained: rank m first occurs at n = m(m+3)/2
+    for m in range(rank_support_bound(60) + 1):
+        assert rank_table_60.v(m, m * (m + 3) // 2) == 1
 
 
 def test_totals_consistency(rank_table_60):
@@ -188,65 +191,77 @@ def test_reduced_table_refuses_rank_queries_and_foreign_moduli():
 
 
 @pytest.mark.parametrize("order,c", [(600, 1), (600, 3), (600, 5), (600, 7), (600, 9),
-                                     (3600, 1)])
+                                     (600, 2), (600, 4), (400, 6), (600, 12), (3600, 1)])
 def test_identity_route_equals_recurrence(order, c):
-    # the two exact routes share no code: the three-term identity as
-    # q-series against the outer-sum recurrence
-    assert genfunc._expand_identity(order, c) == genfunc._expand_mod(order, c)
+    # the two exact routes share no code: the partial theta identity
+    # divided by phi(-q) against the outer-sum recurrence
+    assert genfunc._expand_partial_theta(order, c) == genfunc._expand_mod(order, c)
 
 
-@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 7])
 def test_identity_route_low_orders(c):
     for order in range(6):
-        assert genfunc._expand_identity(order, c) == genfunc._expand_mod(order, c)
+        assert genfunc._expand_partial_theta(order, c) == genfunc._expand_mod(order, c)
 
 
 @settings(max_examples=25, deadline=None)
-@given(c=st.integers(0, 7).map(lambda i: 2 * i + 1), order=st.integers(0, 120))
+@given(c=st.integers(1, 16), order=st.integers(0, 150))
 def test_identity_route_property(c, order):
-    assert genfunc._expand_identity(order, c) == genfunc._expand_mod(order, c)
+    assert genfunc._expand_partial_theta(order, c) == genfunc._expand_mod(order, c)
+
+
+def _full_recurrence_table(order):
+    mmax = rank_support_bound(order)
+    c = 2 * mmax + 1
+    cols = genfunc._expand_mod(order, c)
+    return {m: cols[m % c] for m in range(-mmax, mmax + 1) if any(cols[m % c])}
 
 
 def test_full_table_equals_recurrence():
     # the full table runs the identity at c = 2*mmax+1, where nothing wraps
     order = 150
-    mmax = rank_support_bound(order)
-    c = 2 * mmax + 1
-    cols = genfunc._expand_mod(order, c)
-    assert expand_V_rank(order).columns == {
-        m: cols[m % c] for m in range(-mmax, mmax + 1) if any(cols[m % c])}
+    assert expand_V_rank(order).columns == _full_recurrence_table(order)
 
 
-def test_identity_route_checks_its_exact_division(monkeypatch):
-    # a wrong piece must raise, never be floored into plausible counts
-    s_hat = genfunc._s_hat
+def _times_phi_minus_q(x):
+    """x * phi(-q) = x * sum_j (-1)^j q^(j^2), truncated to len(x)."""
+    out = list(x)
+    j = 1
+    while j * j < len(x):
+        for k in range(j * j, len(x)):
+            out[k] += 2 * (-1) ** j * x[k - j * j]
+        j += 1
+    return out
 
-    def perturbed(size, c, j):
-        cols = s_hat(size, c, j)
-        cols[0][5] += 1
-        return cols
 
-    monkeypatch.setattr(genfunc, "_s_hat", perturbed)
-    for c in (1, 3):
+def test_partial_theta_numerators():
+    # phi(-q) (V_m + V_{m+1}) = G_m = sum_{k>=0} (-1)^k q^(k^2 + 2k(m+1) + m(m+3)/2),
+    # checked on the recurrence's table, so the identity itself is tested
+    order = 300
+    cols = _full_recurrence_table(order)
+    zero = [0] * (order + 1)
+    for m in range(rank_support_bound(order) + 1):
+        g = list(zero)
+        k = 0
+        while k * k + 2 * k * (m + 1) + m * (m + 3) // 2 <= order:
+            g[k * k + 2 * k * (m + 1) + m * (m + 3) // 2] = (-1) ** k
+            k += 1
+        pair = [x + y for x, y in zip(cols.get(m, zero), cols.get(m + 1, zero))]
+        assert _times_phi_minus_q(pair) == g, m
+
+
+def test_identity_route_rejects_a_negative_count(monkeypatch):
+    # a wrong numerator must raise, never pass as counts
+    partial_theta = genfunc._partial_theta
+
+    def perturbed(t, limit):
+        plus, minus = partial_theta(t, limit)
+        return plus, (minus + [1] * 5 if t == 0 else minus)
+
+    monkeypatch.setattr(genfunc, "_partial_theta", perturbed)
+    for c in (1, 2, 3):
         with pytest.raises(ArithmeticError):
-            genfunc._expand_identity(20, c)
-
-
-def test_r_cubed_by_the_triple_product():
-    # R = sum (-1)^k q^(6k^2+10k+4) / sum (-1)^k q^(3k^2+5k+2); the identity
-    # route uses R^3 = (q^4;q^4)^3 / (q^2;q^2)^3 instead
-    size = 400
-    ks = range(-20, 21)
-    num = genfunc._sparse(((6 * k * k + 10 * k + 4, (-1) ** abs(k)) for k in ks), size)
-    den = genfunc._sparse(((3 * k * k + 5 * k + 2, (-1) ** abs(k)) for k in ks), size)
-    jac = {d: genfunc._sparse(((d * e, (-1) ** k * (2 * k + 1))
-                               for k, e in genfunc._triangular(size)), size)
-           for d in (2, 4)}
-    r3 = [1] + [0] * (size - 1)
-    for _ in range(3):
-        r3 = genfunc._div_sparse(genfunc._mul_sparse(r3, num), den)
-    unit = [1] + [0] * (size - 1)
-    assert r3 == genfunc._div_sparse(genfunc._mul_sparse(unit, jac[4]), jac[2])
+            genfunc._expand_partial_theta(20, c)
 
 
 def test_sparse_division_needs_a_unit_constant_term():
