@@ -358,8 +358,7 @@ def test_cli_import_loads_only_the_standard_library(tmp_path):
 
 
 _NUMERIC_ABSENT = {"genfunc", "enumerator", "json"}
-_CSV_ABSENT = {"json"}
-_EXACT_REPORT_ABSENT = {"modular", "json"}
+_EXACT_ABSENT = {"modular", "json"}
 
 
 @pytest.mark.parametrize("args, absent", [
@@ -367,10 +366,10 @@ _EXACT_REPORT_ABSENT = {"modular", "json"}
     (["verify-decomposition", "--grid", "default"], _NUMERIC_ABSENT),
     (["lemma-ratios", "--moduli", "3"], _NUMERIC_ABSENT),
     (["enumerate", "--n", "3"], {"modular", "genfunc", "json"}),
-    (["expand", "--n-max", "10"], _CSV_ABSENT),
-    (["asym-report", "--c", "3", "--checkpoints", "20,40"], _EXACT_REPORT_ABSENT),
-    (["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], _EXACT_REPORT_ABSENT),
-    (["logconcavity-scan", "--c", "3", "--n-max", "60"], _EXACT_REPORT_ABSENT),
+    (["expand", "--n-max", "10"], _EXACT_ABSENT),
+    (["asym-report", "--c", "3", "--checkpoints", "20,40"], _EXACT_ABSENT),
+    (["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], _EXACT_ABSENT),
+    (["logconcavity-scan", "--c", "3", "--n-max", "60"], _EXACT_ABSENT),
 ], ids=lambda v: v[0] if isinstance(v, list) else "")
 def test_each_command_loads_only_its_layers(tmp_path, args, absent):
     # run as `python -m oddbalanced.cli` runs it; the names are package
