@@ -79,7 +79,8 @@ def main_term_v_mod(a, c, n, dps=DEFAULT_DPS):
         raise EvenModulusError(f"modulus must be odd and > 1, got c={c}")
     if not 0 <= a < c:
         raise ValueError("residue must satisfy 0 <= a < c")
-    return main_term_v(n, dps) / c
+    with _workdps(dps):
+        return main_term_v(n, dps) / c
 
 
 def hardy_ramanujan_p(n, dps=DEFAULT_DPS):

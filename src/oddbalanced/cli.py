@@ -83,16 +83,17 @@ def _emit(text, config):
 def _write_rows(rows, header, config):
     """Emit rows (list of dicts) in the configured format."""
     if config.fmt == "json":
-        import json
+        from json.encoder import encode_basestring_ascii as quote
 
         # the layout of json.dumps(payload, indent=1), whose indented
-        # encoder is pure Python; json.dumps on one string is the C encoder
-        keys = [f"  {json.dumps(k)}: " for k in header]
-        objects = [",\n".join(k + json.dumps(_fmt(r.get(h)))
-                              for k, h in zip(keys, header))
+        # encoder is pure Python: one template per row, made from the
+        # header, and each cell quoted by the C function json.dumps calls
+        # for a str
+        template = " {\n" + ",\n".join(
+            "  " + quote(k).replace("%", "%%") + ": %s" for k in header) + "\n }"
+        objects = [template % tuple([quote(_fmt(r.get(h))) for h in header])
                    for r in rows]
-        text = ("[\n {\n" + "\n },\n {\n".join(objects) + "\n }\n]\n"
-                if rows else "[]\n")
+        text = "[\n" + ",\n".join(objects) + "\n]\n" if rows else "[]\n"
     else:
         lines = [",".join(header)]
         for r in rows:
@@ -129,13 +130,27 @@ def cmd_enumerate(config):
 
     if config.n < 0:
         raise UsageError(f"--n must be >= 0, got {config.n}")
-    # every field is an int, so this is compact json.dumps output; every
-    # part is at most the size, so their decimal strings are made once
-    line = '{"size":%d,"sequence":[%s],"peak":%d,"rank":%d}'
-    part = [str(k) for k in range(2 * config.n + 3)].__getitem__
-    lines = [line % (seq.size, ",".join(map(part, seq.flatten())), seq.peak, seq.rank)
-             for seq in enumerator.enumerate_sequences(config.n)]
-    _emit("\n".join(lines) + "\n", config)
+    # every field is an int, so this is compact json.dumps output.  Every
+    # sequence has size 2n+2 and every part is at most that, so the decimal
+    # strings are made once; each side is written from its components,
+    # once per distinct (evens, odds) pair, since many sequences share one
+    size = 2 * config.n + 2
+    part = [str(k) for k in range(size + 1)]
+    line = '{"size":%d,"sequence":[%%s%%d%%s],"peak":%%d,"rank":%%d}\n' % size
+    lefts, rights = {}, {}
+    lines = []
+    for peak, left, right, odds in enumerator.enumerate_sequences(config.n):
+        ascending = lefts.get((left, odds))
+        if ascending is None:
+            ascending = lefts[left, odds] = "".join(
+                [part[k] + "," for k in sorted(left + odds)])
+        descending = rights.get((right, odds))
+        if descending is None:
+            descending = rights[right, odds] = "".join(
+                ["," + part[k] for k in sorted(right + odds, reverse=True)])
+        lines.append(line % (ascending, peak, descending, peak,
+                             len(right) - len(left)))
+    _emit("".join(lines), config)
     return EXIT_OK
 
 

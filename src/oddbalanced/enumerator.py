@@ -7,9 +7,9 @@ counted by the rank generating function, so the enumeration here serves as
 the independent oracle for the series expansion.
 
 The number of sequences grows like e^(pi sqrt(n)) times a power of n;
-n = 24 (size 50, 32 769 sequences) takes about 0.07 s in process, and
-`enumerate --n 24`, with its JSON lines, about 0.36 s as a fresh process
-(pure Python, 2 vCPU).
+n = 24 (size 50, 32 769 sequences) takes about 0.04 s in process, and
+`enumerate --n 24`, with its 2.29 MB of JSON lines, about 0.20 s as a
+fresh process (pure Python, 2 vCPU, Python 3.11).
 """
 
 from __future__ import annotations
@@ -55,25 +55,11 @@ class OddBalancedSequence(namedtuple("OddBalancedSequence",
         right = tuple(sorted(self.right_evens + self.side_odds, reverse=True))
         return left + (self.peak,) + right
 
-    def is_unimodal_with_strict_evens(self):
-        """Check the defining chain on the flattened sequence: weakly
-        monotone to/from the peak, strict wherever two even parts (or an
-        even part and the peak) are adjacent."""
-        seq = self.flatten()
-        p = seq.index(max(seq))
-        for i in range(len(seq) - 1):
-            a, b = seq[i], seq[i + 1]
-            if i < p:
-                ok = a < b if (a % 2 == 0 and b % 2 == 0) else a <= b
-            else:
-                ok = a > b if (a % 2 == 0 and b % 2 == 0) else a >= b
-            if not ok:
-                return False
-        return True
-
 
 # The component checks are pure functions of an immutable tuple and the
-# peak, so each distinct (component, peak) pair is checked once per process.
+# peak, so each distinct (component, peak) pair is checked once per process:
+# enumerate_sequences makes them for every component it uses, and the
+# constructor finds them in the cache.
 
 @lru_cache(maxsize=None)
 def _increasing_evens(parts, peak):
@@ -89,16 +75,6 @@ def _decreasing_evens(parts, peak):
 @lru_cache(maxsize=None)
 def _odds_below(parts, peak):
     return all(o % 2 == 1 and 0 < o < peak for o in parts)
-
-
-def rank_of(seq):
-    """Rank statistic: parts after the peak minus parts before it."""
-    if isinstance(seq, OddBalancedSequence):
-        return seq.rank
-    # tuple form: the peak is the unique maximal element (even, strict
-    # against its even neighbours)
-    p = seq.index(max(seq))
-    return (len(seq) - 1 - p) - p
 
 
 def _subsets_bounded(values, bound):
@@ -133,6 +109,7 @@ def enumerate_sequences(n):
     if n < 0:
         raise ValueError("n must be >= 0")
     size = 2 * n + 2
+    make = tuple.__new__
     out = []
     for peak in range(2, size + 1, 2):
         budget = size - peak
@@ -141,6 +118,14 @@ def enumerate_sequences(n):
         # subset list for a smaller bound is this one filtered by sum, in
         # the same order
         descending = [(s[::-1], t) for s, t in subsets]
+        odds_by_half = [_odd_partitions(r, peak - 1) for r in range(budget // 2 + 1)]
+        # the constructor's checks, made once per component and peak
+        # rather than once per sequence, so that each sequence is built by
+        # tuple.__new__, past the constructor
+        assert peak % 2 == 0 and peak >= 2
+        assert all(_increasing_evens(s, peak) and _decreasing_evens(d, peak)
+                   for (s, _), (d, _) in zip(subsets, descending))
+        assert all(_odds_below(odds, peak) for parts in odds_by_half for odds in parts)
         for left, lsum in subsets:
             room = budget - lsum
             for right, rsum in descending:
@@ -148,8 +133,8 @@ def enumerate_sequences(n):
                     continue
                 rem = room - rsum
                 assert rem % 2 == 0
-                for odds in _odd_partitions(rem // 2, peak - 1):
-                    out.append(OddBalancedSequence(peak, left, right, odds))
+                out += [make(OddBalancedSequence, (peak, left, right, odds))
+                        for odds in odds_by_half[rem // 2]]
     return out
 
 

@@ -9,6 +9,8 @@ from oddbalanced.asymptotics import (
     GAP_POLYNOMIALS,
     GAP_POLYNOMIALS_MEASURED,
     CRITICAL_EXPONENT,
+    DEFAULT_DPS,
+    GUARD_DIGITS,
     EvenModulusError,
     asym_report,
     equidistribution_stat,
@@ -55,7 +57,10 @@ def test_tauberian_validation():
 
 
 def test_main_term_v_mod():
-    assert abs(main_term_v_mod(0, 3, 50) - main_term_v(50) / 3) == 0
+    # the quotient is taken at the working precision, as main_term_v's is
+    with mp.workdps(DEFAULT_DPS + GUARD_DIGITS):
+        reference = main_term_v(50) / 3
+    assert abs(main_term_v_mod(0, 3, 50) - reference) == 0
     assert main_term_v_mod(1, 5, 50) == main_term_v_mod(4, 5, 50)
     with pytest.raises(EvenModulusError):
         main_term_v_mod(0, 2, 50)
@@ -63,6 +68,15 @@ def test_main_term_v_mod():
         main_term_v_mod(0, 1, 50)
     with pytest.raises(ValueError):
         main_term_v_mod(7, 5, 50)
+
+
+def test_main_term_v_mod_keeps_every_digit():
+    # called at mpmath's default 53 bits, it still returns every digit of
+    # e^(pi sqrt 600) / (16 * 3 * 600^(3/4)) = 452276648384950938093786961120.78...
+    got = main_term_v_mod(0, 3, 600)
+    with mp.workdps(60):
+        want = mp.e ** (mp.pi * mp.sqrt(600)) / (48 * mp.mpf(600) ** mp.mpf(0.75))
+        assert abs(got / want - 1) < mp.mpf(10) ** -DEFAULT_DPS
 
 
 def test_main_term_identities():

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from oddbalanced.asymptotics import LemmaRatioRow
 from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
 from oddbalanced.modular import EvalResult
+from test_enumerator import is_unimodal_with_strict_evens, rank_of
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -234,13 +236,40 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, args, target):
     assert captured.out == ""
 
 
-def test_enumerate_lines_are_compact_json(capsys):
-    code, captured = run_cli(["enumerate", "--n", "7"], capsys)
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 12])
+def test_enumerate_lines_are_compact_json(capsys, n):
+    code, captured = run_cli(["enumerate", "--n", str(n)], capsys)
     assert code == 0
     assert captured.out == "".join(
         json.dumps({"size": s.size, "sequence": list(s.flatten()), "peak": s.peak,
                     "rank": s.rank}, separators=(",", ":")) + "\n"
-        for s in enumerate_sequences(7))
+        for s in enumerate_sequences(n))
+
+
+def test_enumerate_lines_are_odd_balanced_sequences(capsys):
+    # read back from the printed lines alone, without flatten
+    code, captured = run_cli(["enumerate", "--n", "12"], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(records) == sum(expand_V_rank(12).rank_polynomial(12).values())
+    for record in records:
+        seq = record["sequence"]
+        assert record["size"] == sum(seq) == 26
+        assert record["peak"] == max(seq)
+        assert is_unimodal_with_strict_evens(seq)
+        assert record["rank"] == rank_of(seq)
+        p = seq.index(max(seq))
+        # the odd parts are the same multiset on both sides
+        assert (sorted(k for k in seq[:p] if k % 2)
+                == sorted(k for k in seq[p + 1:] if k % 2))
+    assert len({tuple(r["sequence"]) for r in records}) == len(records)
+
+
+def test_enumerate_lines_per_rank_match_the_expansion(capsys):
+    code, captured = run_cli(["enumerate", "--n", "24"], capsys)
+    assert code == 0
+    by_rank = Counter(json.loads(line)["rank"] for line in captured.out.splitlines())
+    assert by_rank == expand_V_rank(24).rank_polynomial(24)
 
 
 def test_json_rows_match_json_dumps(capsys):

@@ -7,8 +7,33 @@ from oddbalanced.enumerator import (
     OddBalancedSequence,
     count_rank_table,
     enumerate_sequences,
-    rank_of,
 )
+
+
+def rank_of(seq):
+    """Rank statistic: parts after the peak minus parts before it."""
+    if isinstance(seq, OddBalancedSequence):
+        return seq.rank
+    # tuple form: the peak is the unique maximal element (even, strict
+    # against its even neighbours)
+    p = seq.index(max(seq))
+    return (len(seq) - 1 - p) - p
+
+
+def is_unimodal_with_strict_evens(seq):
+    """Check the defining chain on a flattened sequence: weakly monotone
+    to/from the peak, strict wherever two even parts (or an even part and
+    the peak) are adjacent."""
+    p = seq.index(max(seq))
+    for i in range(len(seq) - 1):
+        a, b = seq[i], seq[i + 1]
+        if i < p:
+            ok = a < b if (a % 2 == 0 and b % 2 == 0) else a <= b
+        else:
+            ok = a > b if (a % 2 == 0 and b % 2 == 0) else a >= b
+        if not ok:
+            return False
+    return True
 
 
 def flattened(n):
@@ -39,7 +64,7 @@ def test_all_sequences_distinct_and_valid():
         assert len(set(flats)) == len(flats)
         for s in seqs:
             assert s.size == 2 * n + 2
-            assert s.is_unimodal_with_strict_evens()
+            assert is_unimodal_with_strict_evens(s.flatten())
 
 
 def test_rank_examples():
@@ -70,7 +95,7 @@ def test_adding_ones_injects_into_next_size():
             )
             assert bigger.size == s.size + 2
             assert bigger.rank == s.rank
-            assert bigger.is_unimodal_with_strict_evens()
+            assert is_unimodal_with_strict_evens(bigger.flatten())
 
 
 def test_residue_counts_weakly_increase():
@@ -108,6 +133,20 @@ def test_invalid_sequences_rejected():
             valid._replace(**fields)
     with pytest.raises(ValueError):
         enumerate_sequences(-1)
+
+
+def test_enumeration_checks_its_components(monkeypatch):
+    # enumerate_sequences builds its tuples without the constructor, so it
+    # must make the constructor's checks itself
+    odd_partitions = enumerator._odd_partitions
+
+    def with_even_part(total, max_part):
+        parts = odd_partitions(total, max_part)
+        return parts + ((2,),) if total == 2 else parts
+
+    monkeypatch.setattr(enumerator, "_odd_partitions", with_even_part)
+    with pytest.raises(AssertionError):
+        enumerate_sequences(4)
 
 
 def clear_check_caches():
