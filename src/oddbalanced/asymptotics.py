@@ -1,15 +1,14 @@
 """Main-term formulas, exponent bookkeeping, and convergence reports.
 
-High-precision arithmetic (mpmath, default 50 digits) keeps e^(pi*sqrt(n))
-exact-enough for ratio columns up to n ~ 10^4; exact integers from the
-expansion modules are only ever floated inside a ratio.  Main terms are
-evaluated with GUARD_DIGITS digits beyond the requested precision, so
-every printed digit is correct.  mpmath is imported inside the functions
-that evaluate a main term, so only asym_report and the main-term functions
-load it: the other reports, and every CLI command but asym-report, run on
-the standard library alone.  modular is imported inside the lemma
-functions and where a DomainError is raised, so the exact reports
-(asym-report, equidistribution, logconcavity-scan) never load it.
+Main terms are evaluated in the standard library's decimal arithmetic, in
+a local context of max(dps, 30) + GUARD_DIGITS significant digits (default
+dps 50), so every one of the dps printed digits is correct; they are
+printed in mpmath.nstr's format.  Exact integers from the expansion modules
+enter only the ratio, as one correctly rounded division.  No third-party
+package is needed: decimal is already loaded by fractions.  modular
+is imported inside the lemma functions and where a DomainError is raised,
+so the exact reports (asym-report, equidistribution, logconcavity-scan)
+never load it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
+from functools import cache
 
 DEFAULT_DPS = 50
 
@@ -30,44 +31,50 @@ class EvenModulusError(ValueError):
     """The residue main term is only established for odd moduli."""
 
 
-def _workdps(dps):
-    import mpmath as mp
+def _context(dps):
+    """The decimal context main terms and ratios are rounded to."""
+    return Context(prec=max(dps, 30) + GUARD_DIGITS, Emax=MAX_EMAX)
 
-    return mp.workdps(max(dps, 30) + GUARD_DIGITS)
+
+@cache
+def _pi(prec):
+    """pi to prec digits by Machin's formula 16 atan(1/5) - 4 atan(1/239),
+    summed in integers fixed at prec + 10 digits; each of the terms is
+    truncated by less than one unit there."""
+    one = 10 ** (prec + 10)
+
+    def atan_inv(x):
+        total, power, sign, k = 0, one // x, 1, 1
+        while power:
+            total += sign * (power // k)
+            power //= x * x
+            sign, k = -sign, k + 2
+        return total
+
+    fixed = 16 * atan_inv(5) - 4 * atan_inv(239)
+    return Context(prec=prec).scaleb(Decimal(fixed), -(prec + 10))
 
 
 # ---------------------------------------------------------------------------
-# Tauberian main term and its specialisations
+# Main terms
 # ---------------------------------------------------------------------------
-
-def tauberian_apply(lam, alpha, A, n, dps=DEFAULT_DPS):
-    """Coefficient main term lam * A^(alpha/2+1/4) / (2 sqrt(pi) n^(alpha/2+3/4))
-    * e^(2 sqrt(A n)) transferred from C(e^-t) ~ lam * t^alpha * e^(A/t)."""
-    import mpmath as mp
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with _workdps(dps):
-        A = mp.mpf(A)
-        if A <= 0:
-            raise ValueError("growth constant A must be positive")
-        lam = mp.mpf(lam)
-        alpha = mp.mpf(alpha)
-        nn = mp.mpf(n)
-        return (lam * A ** (alpha / 2 + mp.mpf(1) / 4)
-                / (2 * mp.sqrt(mp.pi) * nn ** (alpha / 2 + mp.mpf(3) / 4))
-                * mp.e ** (2 * mp.sqrt(A * nn)))
-
 
 def main_term_v(n, dps=DEFAULT_DPS):
-    """e^(pi sqrt n) / (16 n^(3/4)); equals tauberian_apply(sqrt(2)/8, 0, pi^2/4, n)."""
-    import mpmath as mp
-
+    """e^(pi sqrt n) / (16 n^(3/4)), a Decimal of max(dps, 30) + GUARD_DIGITS
+    digits; the Tauberian transfer of C(e^-t) ~ (sqrt2/8) e^(pi^2/(4t))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _workdps(dps):
-        nn = mp.mpf(n)
-        return mp.e ** (mp.pi * mp.sqrt(nn)) / (16 * nn ** (mp.mpf(3) / 4))
+    ctx = _context(dps)
+    # e^x is e^(x/2^k) squared k times: libmpdec's exp slows sharply with
+    # the argument at thousands of digits.  The squarings multiply the
+    # relative error by about 2^(k+1), which the extra digits absorb.
+    k = 2 * math.isqrt(ctx.prec)
+    work = Context(prec=ctx.prec + math.ceil(k * math.log10(2)) + 2, Emax=MAX_EMAX)
+    root = work.sqrt(n)
+    power = work.exp(work.divide(work.multiply(_pi(work.prec), root), 2 ** k))
+    for _ in range(k):
+        power = work.multiply(power, power)
+    return ctx.divide(power, work.multiply(16, work.sqrt(work.multiply(n, root))))
 
 
 def main_term_v_mod(a, c, n, dps=DEFAULT_DPS):
@@ -79,30 +86,41 @@ def main_term_v_mod(a, c, n, dps=DEFAULT_DPS):
         raise EvenModulusError(f"modulus must be odd and > 1, got c={c}")
     if not 0 <= a < c:
         raise ValueError("residue must satisfy 0 <= a < c")
-    with _workdps(dps):
-        return main_term_v(n, dps) / c
+    return _context(dps).divide(main_term_v(n, dps), c)
 
 
-def hardy_ramanujan_p(n, dps=DEFAULT_DPS):
-    """Partition main term e^(pi sqrt(2n/3)) / (4 sqrt(3) n)."""
-    import mpmath as mp
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with _workdps(dps):
-        nn = mp.mpf(n)
-        return mp.e ** (mp.pi * mp.sqrt(2 * nn / 3)) / (4 * mp.sqrt(3) * nn)
-
-
-def overpartition_asym(n, dps=DEFAULT_DPS):
-    """Overpartition main term e^(pi sqrt n) / (8 n)."""
-    import mpmath as mp
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with _workdps(dps):
-        nn = mp.mpf(n)
-        return mp.e ** (mp.pi * mp.sqrt(nn)) / (8 * nn)
+def _nstr(x, digits):
+    """A Decimal x >= 0 to `digits` significant digits, as mpmath.nstr
+    prints it: rounded half up on the first dropped digit alone; fixed
+    notation iff the leading digit's exponent is strictly between
+    min(-(digits//3), -5) and digits; trailing zeros stripped but a ".0"
+    kept.  mpmath reads its digits from a binary value truncated a few
+    places past the cut, so where the dropped digits are 5 then four zeros
+    it may round down where this rounds up."""
+    if not x:
+        return "0.0"
+    mantissa = "".join(map(str, x.as_tuple().digits))
+    exponent = x.adjusted()
+    head = mantissa[:digits]
+    if len(mantissa) > digits and mantissa[digits] >= "5":
+        kept = head.rstrip("9")
+        if kept:
+            head = kept[:-1] + str(int(kept[-1]) + 1)
+        else:
+            head, exponent = "1", exponent + 1
+    head = head.ljust(digits, "0")
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            text = "0." + "0" * (-exponent - 1) + head
+        else:
+            text = head[:exponent + 1] + "." + head[exponent + 1:]
+        exponent = 0
+    else:
+        text = head[0] + "." + head[1:]
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return f"{text}e{exponent:+d}" if exponent else text
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +235,17 @@ def lemma_main_term(z, tau):
 # ---------------------------------------------------------------------------
 
 class ReportRow(namedtuple("ReportRow", "n exact main_term ratio")):
-    """One checkpoint: main_term and ratio are mpf, or None when no main
-    term applies (even modulus)."""
+    """One checkpoint: main_term and ratio are Decimals, or None when no
+    main term applies (even modulus)."""
 
     __slots__ = ()
 
     def as_dict(self, digits=DEFAULT_DPS):
-        import mpmath as mp
-
         return {
             "n": self.n,
             "exact": str(self.exact),
-            "main_term": mp.nstr(self.main_term, digits) if self.main_term is not None else None,
-            "ratio": mp.nstr(self.ratio, digits) if self.ratio is not None else None,
+            "main_term": _nstr(self.main_term, digits) if self.main_term is not None else None,
+            "ratio": _nstr(self.ratio, digits) if self.ratio is not None else None,
         }
 
 
@@ -252,8 +268,6 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
     full table or one reduced mod a multiple of c.  Even c > 1
     is allowed only with allow_even=True, which suppresses the main-term
     column (exact counts stay available)."""
-    import mpmath as mp
-
     checkpoints = sorted(checkpoints)
     if c == 1:
         seq = totals if totals is not None else table.totals()
@@ -270,17 +284,17 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
 
     report = AsymptoticReport(residue=a, modulus=c,
                               formula="exp(pi*sqrt(n))/(16*c*n^(3/4))" if not even else "none")
-    with _workdps(dps):
-        for n in checkpoints:
-            exact = seq[n]
-            if even:
-                main, ratio = None, None
-            else:
-                main = main_term_v(n, dps) / c
-                ratio = mp.mpf(exact) / main
-            report.rows.append(ReportRow(n=n, exact=exact, main_term=main, ratio=ratio))
-            if c > 1:
-                report.equidistribution.append((n, equidistribution_stat(table, c, n)))
+    ctx = _context(dps)
+    for n in checkpoints:
+        exact = seq[n]
+        if even:
+            main, ratio = None, None
+        else:
+            main = main_term_v(n, dps) if c == 1 else main_term_v_mod(a, c, n, dps)
+            ratio = ctx.divide(exact, main)
+        report.rows.append(ReportRow(n=n, exact=exact, main_term=main, ratio=ratio))
+        if c > 1:
+            report.equidistribution.append((n, equidistribution_stat(table, c, n)))
     return report
 
 

@@ -12,8 +12,9 @@ kernel lane (kernels); each handler imports the layers it runs.  The exact
 commands load genfunc (the reports also asymptotics, never modular),
 enumerate loads enumerator, and the numeric commands load modular
 with transforms, decomposition or asymptotics, never the exact engine.
-mpmath loads only when asym-report evaluates its main terms, and json
-only for --format json, a --grid file or a failure record.
+json loads only for --format json, a --grid file or a failure record, and
+no command loads a third-party package: asym-report's main terms are
+standard-library decimal arithmetic.
 """
 
 from __future__ import annotations

@@ -39,21 +39,9 @@ class OddBalancedSequence(namedtuple("OddBalancedSequence",
         return cls(*iterable)
 
     @property
-    def size(self):
-        return (self.peak + sum(self.left_evens) + sum(self.right_evens)
-                + 2 * sum(self.side_odds))
-
-    @property
     def rank(self):
         # odd parts appear on both sides, so only the even parts count
         return len(self.right_evens) - len(self.left_evens)
-
-    def flatten(self):
-        """The sequence as actually written: ascending left side, peak,
-        descending right side."""
-        left = tuple(sorted(self.left_evens + self.side_odds))
-        right = tuple(sorted(self.right_evens + self.side_odds, reverse=True))
-        return left + (self.peak,) + right
 
 
 # The component checks are pure functions of an immutable tuple and the

@@ -1,8 +1,12 @@
 import math
+import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oddbalanced import genfunc
 from oddbalanced.asymptotics import (
@@ -14,25 +18,24 @@ from oddbalanced.asymptotics import (
     EvenModulusError,
     asym_report,
     equidistribution_stat,
+    _nstr,
     exponent_gap,
-    hardy_ramanujan_p,
     interval_exponent,
     lemma_main_term,
     lemma_ratio_report,
     logconcavity_scan,
     main_term_v,
     main_term_v_mod,
-    overpartition_asym,
-    tauberian_apply,
 )
 from oddbalanced.modular import DomainError
+from mpmath_references import hardy_ramanujan_p, overpartition_asym, tauberian_apply
 
 
 def test_tauberian_prefactor_collapses_to_sixteenth():
     with mp.workdps(60):
         for n in (1, 10, 1000):
             via_tauberian = tauberian_apply(mp.sqrt(2) / 8, 0, mp.pi ** 2 / 4, n, dps=60)
-            direct = main_term_v(n, dps=60)
+            direct = mp.mpf(str(main_term_v(n, dps=60)))
             assert abs(via_tauberian / direct - 1) < mp.mpf(10) ** -40
 
 
@@ -58,8 +61,7 @@ def test_tauberian_validation():
 
 def test_main_term_v_mod():
     # the quotient is taken at the working precision, as main_term_v's is
-    with mp.workdps(DEFAULT_DPS + GUARD_DIGITS):
-        reference = main_term_v(50) / 3
+    reference = Context(prec=DEFAULT_DPS + GUARD_DIGITS).divide(main_term_v(50), 3)
     assert abs(main_term_v_mod(0, 3, 50) - reference) == 0
     assert main_term_v_mod(1, 5, 50) == main_term_v_mod(4, 5, 50)
     with pytest.raises(EvenModulusError):
@@ -71,10 +73,10 @@ def test_main_term_v_mod():
 
 
 def test_main_term_v_mod_keeps_every_digit():
-    # called at mpmath's default 53 bits, it still returns every digit of
+    # it returns every digit of
     # e^(pi sqrt 600) / (16 * 3 * 600^(3/4)) = 452276648384950938093786961120.78...
-    got = main_term_v_mod(0, 3, 600)
     with mp.workdps(60):
+        got = mp.mpf(str(main_term_v_mod(0, 3, 600)))
         want = mp.e ** (mp.pi * mp.sqrt(600)) / (48 * mp.mpf(600) ** mp.mpf(0.75))
         assert abs(got / want - 1) < mp.mpf(10) ** -DEFAULT_DPS
 
@@ -82,7 +84,7 @@ def test_main_term_v_mod_keeps_every_digit():
 def test_main_term_identities():
     with mp.workdps(50):
         for n in (1, 7, 100, 4096):
-            lhs = main_term_v(n)
+            lhs = mp.mpf(str(main_term_v(n)))
             rhs = mp.mpf(n) ** mp.mpf("0.25") / 2 * overpartition_asym(n)
             assert abs(lhs / rhs - 1) < mp.mpf(10) ** -45
         # spot values of the other two main terms
@@ -166,6 +168,80 @@ def test_asym_report_c1():
     assert report.rows[0].ratio is not None
     assert report.rows[1].exact == totals[10]
     assert not report.equidistribution
+
+
+@pytest.mark.parametrize("dps", [200, 1000])
+def test_main_term_v_at_high_precision(dps):
+    # e^x through k squarings of e^(x/2^k) still gives every working digit
+    with mp.workdps(dps + 2 * GUARD_DIGITS):
+        for n in (1, 600, 40000):
+            want = mp.e ** (mp.pi * mp.sqrt(n)) / (16 * mp.mpf(n) ** mp.mpf(0.75))
+            got = mp.mpf(str(main_term_v(n, dps)))
+            assert abs(got / want - 1) < mp.mpf(10) ** -(dps + GUARD_DIGITS - 1), n
+
+
+def _mp_nstr(x, digits):
+    with mp.workdps(len(x.as_tuple().digits) + 10):
+        return mp.nstr(mp.mpf(str(x)), digits)
+
+
+@st.composite
+def _decimals_and_digits(draw):
+    # at least digits + 10 significant digits, the last one nonzero, so no
+    # draw is an exact tie at the rounding position; runs of nines carry,
+    # and the leading exponent spans both edges of fixed notation and far
+    # beyond them
+    digits = draw(st.integers(30, 120))
+    alphabet = draw(st.sampled_from(["0123456789", "9", "09", "459"]))
+    coefficient = (draw(st.sampled_from("123456789"))
+                   + draw(st.text(alphabet, min_size=digits + 8, max_size=digits + 40))
+                   + draw(st.sampled_from("123456789")))
+    exponent = draw(st.integers(-(digits // 3) - 3, digits + 3) | st.integers(-400, 400))
+    return Decimal(f"{coefficient[0]}.{coefficient[1:]}e{exponent}"), digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decimals_and_digits())
+def test_nstr_matches_mpmath(case):
+    x, digits = case
+    # mpmath takes its digits from the binary value truncated about four
+    # places past the cut (2e-5 of the last printed unit at most), so it may
+    # round down a 5 followed by four zeros there
+    assume(not "".join(map(str, x.as_tuple().digits))[digits:].startswith("50000"))
+    assert _nstr(x, digits) == _mp_nstr(x, digits)
+
+
+@pytest.mark.parametrize("text, digits, printed", [
+    # the carry through a string of nines reaches the exponent
+    ("9." + "9" * 35 + "6", 30, "10.0"),
+    ("9." + "9" * 35 + "6e29", 30, "1.0e+30"),
+    ("0.00" + "9" * 38 + "7", 30, "0.01"),
+    # the leading digit's exponent at the edges of fixed notation
+    ("1." + "2345678901" * 4 + "e29", 30, "123456789012345678901234567890.0"),
+    ("1." + "2345678901" * 4 + "e30", 30, "1.2345678901234567890123456789e+30"),
+    ("1." + "2345678901" * 4 + "e-9", 30, "0.0000000012345678901234567890123456789"),
+    ("1." + "2345678901" * 4 + "e-10", 30, "1.2345678901234567890123456789e-10"),
+    ("1.23456789012345678901234567e-4", 15, "0.000123456789012346"),
+    ("1.23456789012345678901234567e-5", 15, "1.23456789012346e-5"),
+    ("1.23456789012345678901234567e-5", 12, "1.23456789012e-5"),
+    ("0", 30, "0.0"),
+])
+def test_nstr_hand_cases(text, digits, printed):
+    x = Decimal(text)
+    assert _nstr(x, digits) == printed == _mp_nstr(x, digits)
+
+
+def test_nstr_at_5000_digits():
+    # _nstr never converts the mantissa to an int, so it stays within
+    # Python's 4300-digit int/str limit; mpmath's parser does not
+    x = main_term_v(600, 5000)
+    printed = _nstr(x, 5000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == _mp_nstr(x, 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("dps", [30, 50])

@@ -15,7 +15,7 @@ from oddbalanced.asymptotics import LemmaRatioRow
 from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
 from oddbalanced.modular import EvalResult
-from test_enumerator import is_unimodal_with_strict_evens, rank_of
+from test_enumerator import flatten, is_unimodal_with_strict_evens, rank_of, size
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -241,7 +241,7 @@ def test_enumerate_lines_are_compact_json(capsys, n):
     code, captured = run_cli(["enumerate", "--n", str(n)], capsys)
     assert code == 0
     assert captured.out == "".join(
-        json.dumps({"size": s.size, "sequence": list(s.flatten()), "peak": s.peak,
+        json.dumps({"size": size(s), "sequence": list(flatten(s)), "peak": s.peak,
                     "rank": s.rank}, separators=(",", ":")) + "\n"
         for s in enumerate_sequences(n))
 
@@ -396,7 +396,7 @@ _EXACT_ABSENT = {"modular", "json"}
     (["lemma-ratios", "--moduli", "3"], _NUMERIC_ABSENT),
     (["enumerate", "--n", "3"], {"modular", "genfunc", "json"}),
     (["expand", "--n-max", "10"], _EXACT_ABSENT),
-    (["asym-report", "--c", "3", "--checkpoints", "20,40"], _EXACT_ABSENT),
+    (["asym-report", "--c", "3", "--checkpoints", "20,40"], _EXACT_ABSENT | {"mpmath"}),
     (["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], _EXACT_ABSENT),
     (["logconcavity-scan", "--c", "3", "--n-max", "60"], _EXACT_ABSENT),
 ], ids=lambda v: v[0] if isinstance(v, list) else "")
@@ -441,8 +441,13 @@ def test_numeric_commands_run_without_numpy(tmp_path, args):
     ["equidistribution", "--moduli", "3", "--checkpoints", "20,60"],
     ["logconcavity-scan", "--c", "3", "--n-max", "60"],
     ["lemma-ratios", "--moduli", "3"],
-], ids=lambda args: args[0])
-def test_commands_but_asym_report_run_without_mpmath(tmp_path, args):
+    ["asym-report", "--c", "1"],
+    ["asym-report", "--c", "3"],
+    ["asym-report", "--c", "4", "--allow-even"],
+    ["asym-report", "--c", "3", "--format", "json"],
+], ids=lambda args: " ".join(args) if args[0] == "asym-report" else args[0])
+def test_every_command_runs_without_mpmath(tmp_path, args):
+    # a None entry in sys.modules makes every `import mpmath` raise ImportError
     proc = _child("import sys; sys.modules['mpmath'] = None; "
                   "from oddbalanced.cli import main; "
                   f"sys.exit(main({[*args, '--output', 'out.csv']!r}))", tmp_path)
