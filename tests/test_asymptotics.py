@@ -73,8 +73,8 @@ def test_main_term_v_mod():
 
 
 def test_main_term_v_mod_keeps_every_digit():
-    # it returns every digit of
-    # e^(pi sqrt 600) / (16 * 3 * 600^(3/4)) = 452276648384950938093786961120.78...
+    # every digit of e^(pi sqrt 600) / (16 * 3 * 600^(3/4))
+    # = 452276648384950938093786961120.78...
     with mp.workdps(60):
         got = mp.mpf(str(main_term_v_mod(0, 3, 600)))
         want = mp.e ** (mp.pi * mp.sqrt(600)) / (48 * mp.mpf(600) ** mp.mpf(0.75))
