@@ -1,14 +1,14 @@
-"""Main-term formulas, exponent bookkeeping, and convergence reports.
+"""Main-term formulas and convergence reports.
 
 Main terms are evaluated in the standard library's decimal arithmetic, in
 a local context of max(dps, 30) + GUARD_DIGITS significant digits (default
 dps 50), so every one of the dps printed digits is correct; they are
 printed in mpmath.nstr's format.  Exact integers from the expansion modules
 enter only the ratio, as one correctly rounded division.  No third-party
-package is needed: decimal is already loaded by fractions.  modular
-is imported inside the lemma functions and where a DomainError is raised,
-so the exact reports (asym-report, equidistribution, logconcavity-scan)
-never load it.
+package is needed, and decimal is imported inside the functions that
+evaluate a main term, so only asym-report loads it.  modular is imported
+inside the lemma functions, so the exact reports (asym-report,
+equidistribution, logconcavity-scan) never load it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from decimal import MAX_EMAX, Context, Decimal
-from fractions import Fraction
 from functools import cache
 
 DEFAULT_DPS = 50
@@ -33,6 +31,8 @@ class EvenModulusError(ValueError):
 
 def _context(dps):
     """The decimal context main terms and ratios are rounded to."""
+    from decimal import MAX_EMAX, Context
+
     return Context(prec=max(dps, 30) + GUARD_DIGITS, Emax=MAX_EMAX)
 
 
@@ -41,6 +41,8 @@ def _pi(prec):
     """pi to prec digits by Machin's formula 16 atan(1/5) - 4 atan(1/239),
     summed in integers fixed at prec + 10 digits; each of the terms is
     truncated by less than one unit there."""
+    from decimal import Context, Decimal
+
     one = 10 ** (prec + 10)
 
     def atan_inv(x):
@@ -62,6 +64,8 @@ def _pi(prec):
 def main_term_v(n, dps=DEFAULT_DPS):
     """e^(pi sqrt n) / (16 n^(3/4)), a Decimal of max(dps, 30) + GUARD_DIGITS
     digits; the Tauberian transfer of C(e^-t) ~ (sqrt2/8) e^(pi^2/(4t))."""
+    from decimal import MAX_EMAX, Context
+
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = _context(dps)
@@ -121,70 +125,6 @@ def _nstr(x, digits):
     if text.endswith("."):
         text += "0"
     return f"{text}e{exponent:+d}" if exponent else text
-
-
-# ---------------------------------------------------------------------------
-# Exponent polynomials on (0,1)
-# ---------------------------------------------------------------------------
-
-class ExponentPolynomial(namedtuple("ExponentPolynomial", "a b c lo hi")):
-    """Quadratic a*z^2 + b*z + c with an interval of validity (lo, hi) in
-    (0,1); every field a Fraction."""
-
-    __slots__ = ()
-
-    def __call__(self, z):
-        z = Fraction(z)
-        if not self.lo < z < self.hi:
-            from .modular import DomainError
-
-            raise DomainError(f"z={z} outside ({self.lo}, {self.hi})")
-        return self.a * z * z + self.b * z + self.c
-
-
-# dual-nome growth exponents of the dominant piece, interval by interval
-GAP_POLYNOMIALS = (
-    ExponentPolynomial(Fraction(1, 2), Fraction(0), Fraction(-1, 16),
-                       Fraction(0), Fraction(1, 2)),
-    ExponentPolynomial(Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 8),
-                       Fraction(1, 2), Fraction(3, 4)),
-    ExponentPolynomial(Fraction(1, 2), Fraction(-1), Fraction(7, 16),
-                       Fraction(3, 4), Fraction(1)),
-)
-
-# same list with (1/4,1/2) carrying the theta-quotient exponent that the
-# ratio measurements show actually dominates there; kept alongside so the
-# positivity sweep can cover both readings
-GAP_POLYNOMIALS_MEASURED = (
-    ExponentPolynomial(Fraction(1, 2), Fraction(0), Fraction(-1, 16),
-                       Fraction(0), Fraction(1, 4)),
-    ExponentPolynomial(Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 8),
-                       Fraction(1, 4), Fraction(3, 4)),
-    ExponentPolynomial(Fraction(1, 2), Fraction(-1), Fraction(7, 16),
-                       Fraction(3, 4), Fraction(1)),
-)
-
-CRITICAL_EXPONENT = Fraction(-1, 16)
-
-
-def interval_exponent(z, polynomials=GAP_POLYNOMIALS):
-    """Value of the interval polynomial at z in (0,1) (z != boundary points)."""
-    z = Fraction(z)
-    for poly in polynomials:
-        if poly.lo < z < poly.hi:
-            return poly(z)
-    from .modular import DomainError
-
-    raise DomainError(f"z={z} hits an interval boundary")
-
-
-def exponent_gap(c, polynomials=GAP_POLYNOMIALS):
-    """min_j interval_exponent(j/c) + 1/16 over j=1..c-1; positivity is what
-    makes the uniform residue-class main term e^(pi sqrt n)/(16 c n^(3/4)) win."""
-    if c <= 1 or c % 2 == 0:
-        raise EvenModulusError(f"modulus must be odd and > 1, got c={c}")
-    gap = min(interval_exponent(Fraction(j, c), polynomials) for j in range(1, c))
-    return gap - CRITICAL_EXPONENT
 
 
 # ---------------------------------------------------------------------------

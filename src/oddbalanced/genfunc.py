@@ -44,10 +44,10 @@ _expand_mod runs the outer sum as a recurrence,
     P_0 = 1/(1-q),   P_n = P_{n-1} * q * (1+w q^n)(1+w^-1 q^n) / (1-q^{2n+1}),
 
 one kernel pass per factor, O(c N^2).  No command calls it: it is the
-independent reference route the tests hold the identity route equal to.
+independent reference route the tests hold the identity route equal to,
+and the only user of the kernel lane, which it imports when it runs.
 
-Overpartitions and partitions are one sparse division each, by phi(-q) and
-by the pentagonal series.  This module is exact only: numeric values of V
+Overpartitions are one sparse division, by phi(-q).  This module is exact only: numeric values of V
 come from modular.evaluate_V_bounded, the outer sum taken at a point in
 O(terms) complex operations with a ratio tail bound; evaluate_V here is a
 thin caller of it.
@@ -56,8 +56,6 @@ thin caller of it.
 from __future__ import annotations
 
 from math import isqrt
-
-from . import kernels
 
 
 def rank_support_bound(order):
@@ -156,7 +154,10 @@ def _expand_mod(order, c):
     Multiplying by w moves column i to column i+1 mod c.  The table
     kernels shift between neighbouring columns, so the column that wraps
     round is handed to them as a saved copy placed beyond the far end.
+    The kernel lane is imported here, its only user.
     """
+    from . import kernels
+
     prod = [[0] * (order + 1) for _ in range(c)]
     prod[0] = [1] * (order + 1)  # 1/(1-q)
     acc = [list(col) for col in prod]
@@ -326,16 +327,3 @@ def expand_overpartition(order):
         raise ValueError("order must be >= 0")
     return _div_sparse([int(n == 0) for n in range(order + 1)], _phi_minus_q(order + 1))
 
-
-def expand_partition(order):
-    """Partition counts: coefficients of prod 1/(1-q^k), the reciprocal of
-    the pentagonal series sum_k (-1)^k q^{k(3k-1)/2}, one sparse division."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    pentagonal = []
-    k = 0
-    while k * (3 * k - 1) // 2 <= order:
-        pentagonal += [(k * (3 * k - 1) // 2, _sign(k)), (k * (3 * k + 1) // 2, _sign(k))]
-        k += 1
-    return _div_sparse([int(n == 0) for n in range(order + 1)],
-                       _sparse(pentagonal[1:], order + 1))

@@ -1,7 +1,8 @@
 """Kernel selection: compiled extension when present, pure Python otherwise.
 
-Set ODDBALANCED_PURE=1 to force the pure-Python kernels (used by the
-benchmark and as an escape hatch on platforms without a C compiler).
+The kernels serve only genfunc._expand_mod, the tests' reference route,
+so no command loads this module.  Set ODDBALANCED_PURE=1 to force the
+pure-Python kernels (an escape hatch where the extension misbehaves).
 """
 
 import os

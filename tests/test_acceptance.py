@@ -24,7 +24,6 @@ import pytest
 
 from oddbalanced import cli, transforms
 from oddbalanced.asymptotics import (
-    exponent_gap,
     lemma_ratio_report,
     logconcavity_scan,
     main_term_v,
@@ -34,6 +33,7 @@ from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import expand_V_rank
 
 from conftest import BUILD_TIMES
+from exponents import exponent_gap
 from mpmath_references import overpartition_asym, tauberian_apply
 
 

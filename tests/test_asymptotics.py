@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 
 from oddbalanced import genfunc
 from oddbalanced.asymptotics import (
-    GAP_POLYNOMIALS,
-    GAP_POLYNOMIALS_MEASURED,
-    CRITICAL_EXPONENT,
     DEFAULT_DPS,
     GUARD_DIGITS,
     EvenModulusError,
     asym_report,
     equidistribution_stat,
     _nstr,
-    exponent_gap,
-    interval_exponent,
     lemma_main_term,
     lemma_ratio_report,
     logconcavity_scan,
@@ -28,6 +23,13 @@ from oddbalanced.asymptotics import (
     main_term_v_mod,
 )
 from oddbalanced.modular import DomainError
+from exponents import (
+    CRITICAL_EXPONENT,
+    GAP_POLYNOMIALS,
+    GAP_POLYNOMIALS_MEASURED,
+    exponent_gap,
+    interval_exponent,
+)
 from mpmath_references import hardy_ramanujan_p, overpartition_asym, tauberian_apply
 
 

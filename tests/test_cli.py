@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddbalanced import cli
@@ -15,6 +15,7 @@ from oddbalanced.asymptotics import LemmaRatioRow
 from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
 from oddbalanced.modular import EvalResult
+from reference_parser import build_parser
 from test_enumerator import flatten, is_unimodal_with_strict_evens, rank_of, size
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -199,6 +200,16 @@ def test_asym_report_precision_floor(capsys):
     assert_one_line_usage_error(captured.err)
 
 
+@pytest.mark.parametrize("precision", ["10001", "100000000000000000000"])
+def test_asym_report_precision_ceiling(capsys, precision):
+    # 10**20 digits once overflowed decimal.Context with a traceback
+    code, captured = run_cli(["asym-report", "--c", "3", "--checkpoints", "20",
+                              "--precision", precision], capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["expand", "--n-max", "-1"],
     ["enumerate", "--n", "-1"],
@@ -374,31 +385,35 @@ def _child(code, tmp_path):
 
 def test_cli_import_loads_only_the_standard_library(tmp_path):
     # each command is a fresh process, so what the import loads is paid by
-    # every command; of the package it loads only the kernel lane, and each
-    # handler imports the layers it runs
+    # every command: no other module of the package, and none of the
+    # standard library modules the parser or a main term would pull in
     proc = _child("import sys; before = set(sys.modules); import oddbalanced.cli; "
                   "new = set(sys.modules) - before; "
-                  "loaded = {'mpmath', 'dataclasses', 'numpy', 'json'} & new; "
+                  "loaded = {'mpmath', 'dataclasses', 'numpy', 'json', 'argparse', "
+                  "'gettext', 'locale', 'fractions', 'decimal'} & new; "
                   "loaded |= {m for m in new if m.startswith('oddbalanced.')} - "
-                  "{'oddbalanced.cli', 'oddbalanced.kernels', 'oddbalanced._kernels_py', "
-                  "'oddbalanced._speedups'}; "
+                  "{'oddbalanced.cli'}; "
                   "assert not loaded, f'{sorted(loaded)} imported'", tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
-_NUMERIC_ABSENT = {"genfunc", "enumerator", "json"}
-_EXACT_ABSENT = {"modular", "json"}
+# no command loads the kernel lane, argparse or fractions, and only
+# asym-report loads decimal
+_NEVER = {"kernels", "_kernels_py", "argparse", "fractions"}
+_NUMERIC_ABSENT = {"genfunc", "enumerator", "json", "decimal"} | _NEVER
+_EXACT_ABSENT = {"modular", "json"} | _NEVER
 
 
 @pytest.mark.parametrize("args, absent", [
     (["verify-transforms"], _NUMERIC_ABSENT),
     (["verify-decomposition", "--grid", "default"], _NUMERIC_ABSENT),
     (["lemma-ratios", "--moduli", "3"], _NUMERIC_ABSENT),
-    (["enumerate", "--n", "3"], {"modular", "genfunc", "json"}),
-    (["expand", "--n-max", "10"], _EXACT_ABSENT),
+    (["enumerate", "--n", "3"], {"modular", "genfunc", "json", "decimal"} | _NEVER),
+    (["expand", "--n-max", "10"], _EXACT_ABSENT | {"decimal"}),
     (["asym-report", "--c", "3", "--checkpoints", "20,40"], _EXACT_ABSENT | {"mpmath"}),
-    (["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], _EXACT_ABSENT),
-    (["logconcavity-scan", "--c", "3", "--n-max", "60"], _EXACT_ABSENT),
+    (["equidistribution", "--moduli", "3", "--checkpoints", "20,60"],
+     _EXACT_ABSENT | {"decimal"}),
+    (["logconcavity-scan", "--c", "3", "--n-max", "60"], _EXACT_ABSENT | {"decimal"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else "")
 def test_each_command_loads_only_its_layers(tmp_path, args, absent):
     # run as `python -m oddbalanced.cli` runs it; the names are package
@@ -484,7 +499,8 @@ _COMMON = {
     "--format": st.sampled_from(["csv", "json", "xml", ""]),
     # unwritable only, so that no example leaves a file behind
     "--output": st.sampled_from([".", "missing-dir/out.txt"]),
-    "--precision": st.sampled_from(["30", "50", "100", "10", "0", "-1", "abc"]),
+    "--precision": st.sampled_from(["30", "50", "100", "10", "0", "-1", "abc", "10001",
+                                    "100000000000000000000"]),
 }
 _FLAGS = {
     "expand": {"--n-max": st.sampled_from(_INTS + ["40"] + _JUNK)},
@@ -546,3 +562,64 @@ def test_exit_code_contract(argv):
         assert_one_line_usage_error(err.getvalue())
     elif code == 1:
         assert json.loads(err.getvalue())["status"] == "fail"
+
+
+def _parsed(parse, argv):
+    """(the settings, None) where parse accepts argv, (None, its stderr)
+    where it exits 2.  Floats are compared by repr, so that nan equals nan."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            config = parse(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return None, err.getvalue()
+    return {k: repr(v) for k, v in vars(config).items()}, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+# argv the strategy reaches rarely: a value that starts with '-' (a flag
+# unless it is a negative number or '-' alone), a repeated flag, a bare
+# flag given a value, a stray word, no command
+@example(argv=["asym-report", "--checkpoints", "-1,3"])
+@example(argv=["verify-transforms", "--max-residual", "-inf"])
+@example(argv=["lemma-ratios", "--t-values", "-.5"])
+@example(argv=["expand", "--output", "-"])
+@example(argv=["expand", "--n-max", "3", "--n-max=4"])
+@example(argv=["asym-report", "--allow-even=1"])
+@example(argv=["expand", "extra"])
+@example(argv=["expand", "--n-max"])
+@example(argv=[])
+def test_table_parser_agrees_with_argparse(argv):
+    # the strategy draws only full flag names, so argparse's prefix
+    # matching, the one documented difference, never comes up
+    expected, _ = _parsed(build_parser().parse_args, argv)
+    got, err = _parsed(cli.parse_args, argv)
+    if expected is None:
+        assert got is None, argv
+        assert_one_line_usage_error(err)
+    else:
+        assert got == expected, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([c, "--help"] for c in sorted(_FLAGS))],
+                         ids=" ".join)
+def test_help_lists_every_command_and_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    names = sorted(_FLAGS) if len(argv) == 1 else [*_FLAGS[argv[0]], *_COMMON]
+    for name in names:
+        assert name in out, name
+    if argv[0] == "verify-transforms":
+        assert "20260810" in out  # each option is listed with its default
+
+
+def test_abbreviated_flags_are_usage_errors(capsys):
+    # argparse took an unambiguous prefix of a flag; the table does not
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["asym-report", "--check", "20"])
+    assert exc.value.code == 2
+    assert_one_line_usage_error(capsys.readouterr().err)

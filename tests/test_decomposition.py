@@ -10,15 +10,28 @@ from oddbalanced.decomposition import (
     DEFAULT_GRID,
     T1,
     T2,
-    T2_limit_w1,
     T_mid,
     run_grid,
     series_lhs,
     verify_decomposition,
 )
-from oddbalanced.modular import PoleError, q0pow
+from oddbalanced.modular import PoleError, eta, q0pow, qpow, theta
 
 SQRT2_OVER_4 = math.sqrt(2) / 4
+
+
+def T2_limit_w1(tau):
+    """Closed form of lim_{z->0} T2(z,tau), via d/dz theta(z;tau)|_0 = -2*pi*eta(tau)^3:
+
+        (i/4) q^(11/8) theta(4tau;12tau)^3/theta(2tau;6tau)^3
+              * eta(tau)^3 theta(tau;2tau) / eta(4tau)^3.
+
+    The 1/4 comes from the theta(4z;4tau) denominator differentiating to
+    4 * theta'(0;4tau); the two-point Richardson test pins it down.
+    """
+    ratio = (theta(4 * tau, 12 * tau).value / theta(2 * tau, 6 * tau).value) ** 3
+    return (0.25j * qpow(tau, 11.0 / 8.0) * ratio
+            * eta(tau).value ** 3 * theta(tau, 2 * tau).value / eta(4 * tau).value ** 3)
 
 
 def test_T1_finite_and_periodic():

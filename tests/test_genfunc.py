@@ -12,12 +12,13 @@ from oddbalanced.genfunc import (
     RankTable,
     evaluate_V,
     expand_overpartition,
-    expand_partition,
     expand_V_rank,
     expand_v_totals,
     rank_support_bound,
 )
 from oddbalanced.modular import DomainError
+
+from conftest import expand_partition
 
 
 def test_known_small_coefficients():
