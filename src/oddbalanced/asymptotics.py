@@ -11,8 +11,6 @@ inside the lemma functions, so the exact reports (asym-report,
 equidistribution, logconcavity-scan) never load it.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections import namedtuple

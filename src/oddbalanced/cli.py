@@ -28,6 +28,7 @@ prints the commands, or after a command its options with their defaults.
 
 import math
 import sys
+from itertools import chain
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,24 +90,25 @@ def _emit(text, config):
 
 
 def _write_rows(rows, header, config):
-    """Emit rows (list of dicts) in the configured format."""
+    """Emit rows, tuples of cells in header order, in the configured
+    format.  A cell is written as its str (for a float or complex its
+    shortest round-trip repr), all of them by one C-level format of a
+    template made from the header."""
+    rows = list(rows)
+    cells = chain.from_iterable(rows)
     if config.fmt == "json":
         from json.encoder import encode_basestring_ascii as quote
 
         # the layout of json.dumps(payload, indent=1), whose indented
-        # encoder is pure Python: one template per row, made from the
-        # header, and each cell quoted by the C function json.dumps calls
-        # for a str
+        # encoder is pure Python, each cell quoted by the C function
+        # json.dumps calls for a str
         template = " {\n" + ",\n".join(
             "  " + quote(k).replace("%", "%%") + ": %s" for k in header) + "\n }"
-        objects = [template % tuple([quote(_fmt(r.get(h))) for h in header])
-                   for r in rows]
-        text = "[\n" + ",\n".join(objects) + "\n]\n" if rows else "[]\n"
+        text = ("[\n" + ",\n".join([template] * len(rows)) + "\n]\n"
+                ) % tuple(map(quote, map(str, cells))) if rows else "[]\n"
     else:
-        lines = [",".join(header)]
-        for r in rows:
-            lines.append(",".join(_fmt(r.get(k)) for k in header))
-        text = "\n".join(lines) + "\n"
+        line = ",".join(["%s"] * len(header)) + "\n"
+        text = ",".join(header) + "\n" + (line * len(rows)) % tuple(cells)
     _emit(text, config)
 
 
@@ -128,8 +130,7 @@ def cmd_expand(config):
     if config.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {config.n_max}")
     table = genfunc.expand_V_rank(config.n_max)
-    rows = [{"n": n, "m": m, "count": cnt} for n, m, cnt in table.nonzero_items()]
-    _write_rows(rows, ["n", "m", "count"], config)
+    _write_rows(table.nonzero_items(), ["n", "m", "count"], config)
     return EXIT_OK
 
 
@@ -138,27 +139,7 @@ def cmd_enumerate(config):
 
     if config.n < 0:
         raise UsageError(f"--n must be >= 0, got {config.n}")
-    # every field is an int, so this is compact json.dumps output.  Every
-    # sequence has size 2n+2 and every part is at most that, so the decimal
-    # strings are made once; each side is written from its components,
-    # once per distinct (evens, odds) pair, since many sequences share one
-    size = 2 * config.n + 2
-    part = [str(k) for k in range(size + 1)]
-    line = '{"size":%d,"sequence":[%%s%%d%%s],"peak":%%d,"rank":%%d}\n' % size
-    lefts, rights = {}, {}
-    lines = []
-    for peak, left, right, odds in enumerator.enumerate_sequences(config.n):
-        ascending = lefts.get((left, odds))
-        if ascending is None:
-            ascending = lefts[left, odds] = "".join(
-                [part[k] + "," for k in sorted(left + odds)])
-        descending = rights.get((right, odds))
-        if descending is None:
-            descending = rights[right, odds] = "".join(
-                ["," + part[k] for k in sorted(right + odds, reverse=True)])
-        lines.append(line % (ascending, peak, descending, peak,
-                             len(right) - len(left)))
-    _emit("".join(lines), config)
+    _emit(enumerator.json_lines(config.n), config)
     return EXIT_OK
 
 
@@ -186,8 +167,8 @@ def cmd_verify_transforms(config):
 
     _check_max_residual(config)
     rows = transforms.all_rows(seed=config.seed)
-    out = [{"law": r.law, "point": r.point, "residual": r.residual} for r in rows]
-    _write_rows(out, ["law", "point", "residual"], config)
+    _write_rows([(r.law, r.point, r.residual) for r in rows],
+                ["law", "point", "residual"], config)
     failures = []
     for r in rows:
         limit = (TRANSFORM_THRESHOLDS[r.law] if config.max_residual is None
@@ -241,11 +222,7 @@ def cmd_verify_decomposition(config):
     _check_max_residual(config)
     grid = _load_grid(config.grid)
     samples = _numeric_domain(decomposition.run_grid, grid)
-    rows = [{
-        "z": s.z, "tau": s.tau, "order": s.order,
-        "lhs": s.lhs, "rhs": s.rhs, "residual": s.residual,
-        "series_tail_bound": s.lhs_tail,
-    } for s in samples]
+    rows = [(s.z, s.tau, s.order, s.lhs, s.rhs, s.residual, s.lhs_tail) for s in samples]
     _write_rows(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
                        "series_tail_bound"], config)
     limit = config.max_residual
@@ -296,12 +273,11 @@ def cmd_asym_report(config):
                                          checkpoints, table=table,
                                          dps=config.precision,
                                          allow_even=config.allow_even)
-    rows = [r.as_dict(config.precision) for r in report.rows]
-    for row, (_, stat) in zip(rows, report.equidistribution):
-        row["equidistribution_stat"] = stat
+    rows = [tuple(map(_fmt, r.as_dict(config.precision).values())) for r in report.rows]
     header = ["n", "exact", "main_term", "ratio"]
     if report.equidistribution:
         header.append("equidistribution_stat")
+        rows = [row + (stat,) for row, (_, stat) in zip(rows, report.equidistribution)]
     _write_rows(rows, header, config)
     return EXIT_OK
 
@@ -323,8 +299,7 @@ def cmd_equidistribution(config):
         table = genfunc.expand_V_rank(max(checkpoints), c)
         stats = [(n, asymptotics.equidistribution_stat(table, c, n))
                  for n in sorted(checkpoints)]
-        for n, stat in stats:
-            rows.append({"c": c, "n": n, "stat": stat})
+        rows += [(c, n, stat) for n, stat in stats]
         if stats[-1][1] >= stats[0][1]:
             decreasing = False
     _write_rows(rows, ["c", "n", "stat"], config)
@@ -344,7 +319,7 @@ def cmd_logconcavity_scan(config):
     pbar = genfunc.expand_overpartition(n_max + 1)
     report = asymptotics.logconcavity_scan(config.residue, config.modulus,
                                            n_max, table, pbar)
-    rows = [{
+    row = {
         "residue": report.residue,
         "modulus": report.modulus,
         "n_max": report.n_max,
@@ -356,8 +331,8 @@ def cmd_logconcavity_scan(config):
         "double_violation_count": len(report.double_violations),
         "bound_threshold": report.bound_threshold,
         "bound_violation_count": len(report.bound_violations),
-    }]
-    _write_rows(rows, list(rows[0].keys()), config)
+    }
+    _write_rows([tuple(map(_fmt, row.values()))], list(row), config)
     # The squared reading failing all the way to the top is an expected
     # finding (the counts grow log-concavely): it is reported in the
     # square_fails_to_end column, loudly, but does not fail the run.  The
@@ -388,11 +363,8 @@ def cmd_lemma_ratios(config):
         raise UsageError("the ratio test needs at least two distinct t-values")
     rows_raw = _numeric_domain(asymptotics.lemma_ratio_report,
                                config.moduli, config.t_values)
-    rows = [{
-        "c": r.modulus, "j": r.j, "t": r.t,
-        "series_value": r.series_value, "main_term": r.main_term,
-        "deviation": r.deviation, "series_tail_bound": r.series_tail_bound,
-    } for r in rows_raw]
+    rows = [(r.modulus, r.j, r.t, r.series_value, r.main_term, r.deviation,
+             r.series_tail_bound) for r in rows_raw]
     _write_rows(rows, ["c", "j", "t", "series_value", "main_term", "deviation",
                        "series_tail_bound"], config)
     failures = []

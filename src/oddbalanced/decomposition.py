@@ -22,8 +22,6 @@ complex z too) and the right side from the modular evaluators, and reports
 the normalised residual.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections import namedtuple

@@ -6,16 +6,22 @@ peak) repeated identically on both sides.  These are the exact objects
 counted by the rank generating function, so the enumeration here serves as
 the independent oracle for the series expansion.
 
+One engine (_peak_groups) generates the sequences in groups that share
+the peak and both sides' even parts.  enumerate_sequences flattens the
+groups into records; json_lines writes the `enumerate` command's text
+from the same groups, one join per group.
+
 The number of sequences grows like e^(pi sqrt(n)) times a power of n;
 n = 24 (size 50, 32 769 sequences) takes about 0.04 s in process, and
-`enumerate --n 24`, with its 2.29 MB of JSON lines, about 0.20 s as a
-fresh process (pure Python, 2 vCPU, Python 3.11).
+`enumerate --n 24`, with its 2.29 MB of JSON lines, about 0.115 s as a
+fresh process, 0.06 s above a bare interpreter (was 0.157 s when the
+lines were formatted one record at a time; medians of 21, pure Python,
+2 vCPU, Python 3.11).
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import add
 
 
 class OddBalancedSequence(namedtuple("OddBalancedSequence",
@@ -92,38 +98,106 @@ def _odd_partitions(total, max_part):
     return tuple(out)
 
 
-def enumerate_sequences(n):
-    """All odd-balanced unimodal sequences of size 2n+2, each exactly once."""
+def _peak_groups(n):
+    """The sequences of size 2n+2 peak by peak, in groups that share the
+    peak and both sides' even parts.  For each peak, ascending, it yields
+    (peak, lefts, rights, odds, groups): the left sides' even parts
+    (increasing), the right sides' (decreasing, lefts reversed), odds[r]
+    the odd multisets of one side with sum r (descending), and the
+    (i, j, r) of every group, whose sequences are
+    (peak, lefts[i], rights[j], o) for o in odds[r].  The groups come
+    left side first, then right side, with the odd multiset innermost in
+    its group: the order of enumerate_sequences."""
     if n < 0:
         raise ValueError("n must be >= 0")
     size = 2 * n + 2
-    make = tuple.__new__
-    out = []
     for peak in range(2, size + 1, 2):
         budget = size - peak
         subsets = _subsets_bounded(range(2, peak, 2), budget)
-        # the right side runs through the same subsets, descending; a
-        # subset list for a smaller bound is this one filtered by sum, in
-        # the same order
-        descending = [(s[::-1], t) for s, t in subsets]
-        odds_by_half = [_odd_partitions(r, peak - 1) for r in range(budget // 2 + 1)]
+        lefts = [s for s, _ in subsets]
+        rights = [s[::-1] for s in lefts]
+        # no part of an odd multiset exceeds its sum, so a cap of r gives
+        # the same partitions as peak - 1 and one cached tuple for every
+        # peak above r
+        odds = [_odd_partitions(r, min(peak - 1, r)) for r in range(budget // 2 + 1)]
         # the constructor's checks, made once per component and peak
         # rather than once per sequence, so that each sequence is built by
         # tuple.__new__, past the constructor
         assert peak % 2 == 0 and peak >= 2
         assert all(_increasing_evens(s, peak) and _decreasing_evens(d, peak)
-                   for (s, _), (d, _) in zip(subsets, descending))
-        assert all(_odds_below(odds, peak) for parts in odds_by_half for odds in parts)
-        for left, lsum in subsets:
-            room = budget - lsum
-            for right, rsum in descending:
-                if rsum > room:
-                    continue
-                rem = room - rsum
-                assert rem % 2 == 0
-                out += [make(OddBalancedSequence, (peak, left, right, odds))
-                        for odds in odds_by_half[rem // 2]]
+                   for s, d in zip(lefts, rights))
+        assert all(_odds_below(o, peak) for parts in odds for o in parts)
+        # a subset list for a smaller bound is this one filtered by sum, in
+        # the same order, so the right side runs through lefts too; what
+        # the two sides leave is even, twice the odd parts' sum r
+        sums = [t for _, t in subsets]
+        assert budget % 2 == 0 and all(t % 2 == 0 for t in sums)
+        yield peak, lefts, rights, odds, [
+            (i, j, (budget - lsum - rsum) // 2) for i, lsum in enumerate(sums)
+            for j, rsum in enumerate(sums) if rsum <= budget - lsum]
+
+
+def enumerate_sequences(n):
+    """All odd-balanced unimodal sequences of size 2n+2, each exactly once."""
+    make = tuple.__new__
+    out = []
+    for peak, lefts, rights, odds, groups in _peak_groups(n):
+        out += [make(OddBalancedSequence, (peak, lefts[i], rights[j], o))
+                for i, j, r in groups for o in odds[r]]
     return out
+
+
+def _sides(cache, evens, odds, text, reverse):
+    """Every side with these even parts, as text, by the sum r of its odd
+    parts: entry r holds evens merged with each multiset of odds[r],
+    sorted (descending if reverse), each part written as text[part].
+
+    The entries are cached per evens and built for the first odds[r]
+    asked for.  The peaks run from the top down, so that is the largest
+    cap on the odd parts, and a smaller cap keeps a suffix of the
+    multisets (they come largest part first): entry r ends with the
+    len(odds[r]) sides asked for."""
+    row = cache.setdefault(evens, [])
+    row += [["".join([text[k] for k in sorted(evens + o, reverse=reverse)]) for o in parts]
+            for parts in odds[len(row):]]
+    return row
+
+
+def json_lines(n):
+    """The sequences of size 2n+2 as JSON lines, in the order of
+    enumerate_sequences: one compact json.dumps of {"size", "sequence",
+    "peak", "rank"} per sequence, "sequence" the parts as written.
+
+    A line is a head, the ascending side, the peak, the descending side
+    and a tail that holds the peak and the rank.  The sides are built
+    once per even parts and odd multiset and shared by every peak (see
+    _sides); per peak the ascending sides gain the peak, and each group's
+    lines are one join of its sides, paired in order."""
+    size = 2 * n + 2
+    before = [str(k) + "," for k in range(size + 1)]
+    after = ["," + str(k) for k in range(size + 1)]
+    head = '{"size":%d,"sequence":[' % size
+    ascending, descending = {}, {}
+    texts = [head]
+    for peak, lefts, rights, odds, groups in reversed(list(_peak_groups(n))):
+        top = str(peak)
+        budget = size - peak
+        # this peak's sides by the position of the even parts and by r;
+        # each list ends with "", so that a group's join ends with a tail
+        asc = [[[s + top for s in side[-len(parts):]] + [""] for side, parts in zip(
+            _sides(ascending, left, odds[:(budget - sum(left)) // 2 + 1], before, False),
+            odds)] for left in lefts]
+        desc = [[side[-len(parts):] + [""] for side, parts in zip(
+            _sides(descending, right, odds[:(budget - sum(right)) // 2 + 1], after, True),
+            odds)] for right in rights]
+        sizes = [len(left) for left in lefts]
+        tails = {rank: '],"peak":%d,"rank":%d}\n%s' % (peak, rank, head)
+                 for rank in range(-max(sizes), max(sizes) + 1)}
+        texts.append("".join([tails[sizes[j] - sizes[i]].join(map(add, asc[i][r], desc[j][r]))
+                              for i, j, r in groups]))
+    # the top peak's text comes last, and its last tail starts no line
+    texts[1] = texts[1][:-len(head)]
+    return "".join([texts[0], *reversed(texts[1:])])
 
 
 class EnumeratedTable:

@@ -24,8 +24,6 @@ quadrature are computed on first use, so importing this module costs
 nothing beyond the standard library.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import math

@@ -5,8 +5,6 @@ deterministic pseudo-random grid (fixed seed, so CLI output is byte-stable).
 The residual thresholds live with the callers; this module only produces the
 rows."""
 
-from __future__ import annotations
-
 import cmath
 import math
 import random

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -247,7 +248,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, args, target):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 12])
+@pytest.mark.parametrize("n", range(15))
 def test_enumerate_lines_are_compact_json(capsys, n):
     code, captured = run_cli(["enumerate", "--n", str(n)], capsys)
     assert code == 0
@@ -255,6 +256,21 @@ def test_enumerate_lines_are_compact_json(capsys, n):
         json.dumps({"size": size(s), "sequence": list(flatten(s)), "peak": s.peak,
                     "rank": s.rank}, separators=(",", ":")) + "\n"
         for s in enumerate_sequences(n))
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["enumerate", "--n", "24"],
+     "2413f6c4b844ff4b05088b050cafdf3573b6456efc7ac8bf06b07ca80859b657"),
+    (["expand", "--n-max", "300"],
+     "4446cc3ab0a343bef68b2b0374ce4a502d86f202a559f24149fbaab56f9e0569"),
+    (["expand", "--n-max", "300", "--format", "json"],
+     "7e2e3f181a16cb0dc8848061a1926e31d422697eb1420ed790629bdfe048991d"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_large_outputs_are_pinned(capsys, args, digest):
+    # the sha256 of the output as the line-at-a-time writers printed it
+    code, captured = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_enumerate_lines_are_odd_balanced_sequences(capsys):
@@ -297,7 +313,10 @@ def test_json_rows_match_json_dumps(capsys):
 ], ids=["no rows", "escaped strings"])
 def test_json_writer_matches_json_dumps(capsys, rows):
     header = ["text", "n"]
-    cli._write_rows(rows, header, cli.RunConfig(command="expand", fmt="json"))
+    # the writer takes tuples in header order; None and bool cells are
+    # converted by the handler that builds the row
+    cli._write_rows([tuple(cli._fmt(r.get(k)) for k in header) for r in rows], header,
+                    cli.RunConfig(command="expand", fmt="json"))
     payload = [{k: cli._fmt(r.get(k)) for k in header} for r in rows]
     assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
 
@@ -380,7 +399,8 @@ def test_parser_errors_are_one_line(capsys, args):
 
 def _child(code, tmp_path):
     return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
-                          env={"PYTHONPATH": SRC}, capture_output=True, text=True)
+                          env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True)
 
 
 def test_cli_import_loads_only_the_standard_library(tmp_path):

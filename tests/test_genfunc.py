@@ -224,6 +224,81 @@ def test_full_table_equals_recurrence():
     assert expand_V_rank(order).columns == _full_recurrence_table(order)
 
 
+def test_full_table_equals_recurrence_at_200():
+    assert expand_V_rank(200).columns == _full_recurrence_table(200)
+
+
+def test_packed_width_bounds_every_count():
+    # the packed division puts each class in a field of _field_bits(N)
+    # bits on the strength of v(n) <= (1 + 2 sqrt(n)/pi) e^(pi sqrt(n)).
+    # The totals are one field wide (c = 1), so they are read without the
+    # width, and they agree with the recurrence to N = 3600 (above).
+    from mpmath import iv
+
+    iv.prec = 80
+    totals = expand_v_totals(10_000)
+    slack = []
+    for n in range(1, len(totals)):
+        root = iv.sqrt(n)
+        bound = (1 + 2 * root / iv.pi) * iv.exp(iv.pi * root)
+        # the interval's lower end, so the comparison is exact
+        assert totals[n] <= bound.a, n
+        slack.append(math.log2(float(bound.a)) - math.log2(totals[n]))
+    assert totals[0] == 1  # the bound at n = 0
+    assert 4 < min(slack) == slack[0] < 4.3
+    assert 19.9 < slack[-1] < 20
+    widest = 0
+    for order, count in enumerate(totals):
+        widest = max(widest, count.bit_length())
+        assert genfunc._field_bits(order) > widest + 1, order
+        assert genfunc._field_bits(order) % 8 == 0
+
+
+@pytest.mark.parametrize("order, modulus", [(300, None), (600, 7), (3600, 1), (600, 4)])
+def test_one_division_per_expansion(monkeypatch, order, modulus):
+    # every class of one expansion is divided by phi(-q) in one pass, and
+    # no other division (of the totals, say) sets the packing
+    divide = genfunc._div_sparse
+    calls = []
+
+    def counted(x, sparse):
+        calls.append(len(x))
+        return divide(x, sparse)
+
+    monkeypatch.setattr(genfunc, "_div_sparse", counted)
+    expand_V_rank(order, modulus)
+    assert calls == [order + 1]
+
+
+def test_packed_division_rejects_a_negative_middle_class(monkeypatch):
+    # 48 extra -1 terms at q^9 in both G_0 and G_1 change only class 1 mod
+    # 7: kappa_0 = e_0 and kappa_1 = e_1 - e_0 on the classes 0..3, so the
+    # numerator of class 1 drops by 48 q^9.  v(1,7;9) = 47, so class 1
+    # turns negative at n = 9, where classes 2 and 3 are positive: the
+    # packed quotients stay positive and only the borrow into class 2
+    # shows it
+    partial_theta = genfunc._partial_theta
+    divide = genfunc._div_sparse
+    quotients = []
+
+    def perturbed(t, limit):
+        plus, minus = partial_theta(t, limit)
+        return plus, (minus + [9] * 48 if t < 2 else minus)
+
+    def kept(x, sparse):
+        quotients.extend(divide(x, sparse))
+        return quotients[-len(x):]
+
+    assert genfunc._expand_partial_theta(20, 7)[1][9] == 47
+    assert min(col[9] for col in genfunc._expand_partial_theta(20, 7)[2:4]) > 0
+    monkeypatch.setattr(genfunc, "_partial_theta", perturbed)
+    monkeypatch.setattr(genfunc, "_div_sparse", kept)
+    with pytest.raises(ArithmeticError):
+        genfunc._expand_partial_theta(20, 7)
+    # a guard on the sign alone would have let these through
+    assert len(quotients) == 21 and min(quotients) >= 0
+
+
 def _times_phi_minus_q(x):
     """x * phi(-q) = x * sum_j (-1)^j q^(j^2), truncated to len(x)."""
     out = list(x)
