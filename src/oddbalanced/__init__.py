@@ -16,21 +16,14 @@ The package has three layers, each imported from its own module:
   e^(pi*sqrt(n))/(16*c*n^(3/4)) main term and its relatives.
 
 Importing the package loads no layer, nor anything else, so each CLI
-command pays only for the layers it runs.  The reference recurrence's
-kernels run from a compiled extension when built, with a pure-Python
-fallback; USING_COMPILED says which, and resolves on first access, so
-that only a caller that reads it loads the kernel lane.
+command pays only for the layers it runs.  Everything runs in pure
+Python.
 """
 
 __version__ = "0.1.0"
 
+# There is one kernel lane, pure Python.  The benchmark's record and its
+# lane probe still read this flag.
+USING_COMPILED = False
+
 __all__ = ["USING_COMPILED", "__version__"]
-
-
-def __getattr__(name):
-    # PEP 562: called only for a name the module does not have yet
-    if name == "USING_COMPILED":
-        from .kernels import USING_COMPILED
-
-        return USING_COMPILED
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -188,10 +188,9 @@ class ReportRow(namedtuple("ReportRow", "n exact main_term ratio")):
 
 
 class AsymptoticReport:
-    def __init__(self, residue, modulus, formula):
+    def __init__(self, residue, modulus):
         self.residue = residue
         self.modulus = modulus
-        self.formula = formula
         self.rows = []
         self.equidistribution = []  # (n, max_a |c v(a,c;n)/v(n) - 1|)
 
@@ -220,8 +219,7 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
     if even and not allow_even:
         raise EvenModulusError(f"c={c} is even; pass allow_even to tabulate exact counts only")
 
-    report = AsymptoticReport(residue=a, modulus=c,
-                              formula="exp(pi*sqrt(n))/(16*c*n^(3/4))" if not even else "none")
+    report = AsymptoticReport(residue=a, modulus=c)
     ctx = _context(dps)
     for n in checkpoints:
         exact = seq[n]

@@ -15,7 +15,7 @@ modular), enumerate loads enumerator, and the numeric commands load
 modular with transforms, decomposition or asymptotics, never the exact
 engine.  json loads only for --format json, a --grid file or a failure
 record, decimal only for asym-report's main terms, and no command loads
-a third-party package or the kernel lane.
+a third-party package or the kernels.
 
 The argv grammar: a command, then its options in any order, each written
 --flag value or --flag=value; --allow-even alone takes no value.  A value

@@ -28,7 +28,6 @@ from collections import namedtuple
 
 from .modular import (
     DomainError,
-    HalfPlanePoint,
     PoleError,
     eta,
     evaluate_V_bounded,
@@ -93,10 +92,6 @@ def series_lhs(z, tau, order):
 class DecompositionSample(namedtuple("DecompositionSample",
                                      "z tau order lhs t1 t t2 lhs_tail")):
     __slots__ = ()
-
-    @property
-    def point(self):
-        return HalfPlanePoint(tau=self.tau, z=self.z)
 
     @property
     def rhs(self):

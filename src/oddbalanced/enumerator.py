@@ -21,6 +21,7 @@ lines were formatted one record at a time; medians of 21, pure Python,
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 from operator import add
 
 
@@ -34,9 +35,9 @@ class OddBalancedSequence(namedtuple("OddBalancedSequence",
 
     def __new__(cls, peak, left_evens, right_evens, side_odds):
         assert peak % 2 == 0 and peak >= 2
-        assert _increasing_evens(left_evens, peak)
-        assert _decreasing_evens(right_evens, peak)
-        assert _odds_below(side_odds, peak)
+        assert _increasing_evens(left_evens) and _decreasing_evens(right_evens)
+        assert _odd_parts(side_odds)
+        assert max(left_evens + right_evens + side_odds, default=0) < peak
         return super().__new__(cls, peak, left_evens, right_evens, side_odds)
 
     @classmethod
@@ -50,25 +51,25 @@ class OddBalancedSequence(namedtuple("OddBalancedSequence",
         return len(self.right_evens) - len(self.left_evens)
 
 
-# The component checks are pure functions of an immutable tuple and the
-# peak, so each distinct (component, peak) pair is checked once per process:
-# enumerate_sequences makes them for every component it uses, and the
-# constructor finds them in the cache.
+# The component checks leave out the peak, so each distinct component is
+# checked once per process, whatever the peak: enumerate_sequences makes
+# them for every component it uses, and the constructor finds them in the
+# cache.  The bound by the peak is one max over the parts.
 
 @lru_cache(maxsize=None)
-def _increasing_evens(parts, peak):
-    return (all(e % 2 == 0 and 0 < e < peak for e in parts)
+def _increasing_evens(parts):
+    return (all(e % 2 == 0 and e > 0 for e in parts)
             and tuple(sorted(parts)) == parts and len(set(parts)) == len(parts))
 
 
 @lru_cache(maxsize=None)
-def _decreasing_evens(parts, peak):
-    return _increasing_evens(parts[::-1], peak)
+def _decreasing_evens(parts):
+    return _increasing_evens(parts[::-1])
 
 
 @lru_cache(maxsize=None)
-def _odds_below(parts, peak):
-    return all(o % 2 == 1 and 0 < o < peak for o in parts)
+def _odd_parts(parts):
+    return all(o % 2 == 1 and o > 0 for o in parts)
 
 
 def _subsets_bounded(values, bound):
@@ -120,13 +121,14 @@ def _peak_groups(n):
         # the same partitions as peak - 1 and one cached tuple for every
         # peak above r
         odds = [_odd_partitions(r, min(peak - 1, r)) for r in range(budget // 2 + 1)]
-        # the constructor's checks, made once per component and peak
-        # rather than once per sequence, so that each sequence is built by
+        # the constructor's checks, made once per component and, for the
+        # bound by the peak, once per peak on the largest part, rather than
+        # once per sequence, so that each sequence is built by
         # tuple.__new__, past the constructor
         assert peak % 2 == 0 and peak >= 2
-        assert all(_increasing_evens(s, peak) and _decreasing_evens(d, peak)
-                   for s, d in zip(lefts, rights))
-        assert all(_odds_below(o, peak) for parts in odds for o in parts)
+        assert all(_increasing_evens(s) and _decreasing_evens(d) for s, d in zip(lefts, rights))
+        assert all(_odd_parts(o) for parts in odds for o in parts)
+        assert max(chain.from_iterable(chain(lefts, rights, *odds)), default=0) < peak
         # a subset list for a smaller bound is this one filtered by sum, in
         # the same order, so the right side runs through lefts too; what
         # the two sides leave is even, twice the odd parts' sum r

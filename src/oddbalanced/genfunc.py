@@ -47,12 +47,14 @@ _expand_mod runs the outer sum as a recurrence,
 
 one kernel pass per factor, O(c N^2).  No command calls it: it is the
 independent reference route the tests hold the identity route equal to,
-and the only user of the kernel lane, which it imports when it runs.
+and the program's only user of the kernels, which it imports when it
+runs.
 
-Overpartitions are one sparse division, by phi(-q).  This module is exact only: numeric values of V
-come from modular.evaluate_V_bounded, the outer sum taken at a point in
-O(terms) complex operations with a ratio tail bound; evaluate_V here is a
-thin caller of it.
+Overpartitions are 1/phi(-q), one division by phi(-q), the module's
+only divisor (_div_phi_minus_q).  This module is exact only: numeric
+values of V come from modular.evaluate_V_bounded, the outer sum taken at
+a point in O(terms) complex operations with a ratio tail bound;
+evaluate_V here is a thin caller of it.
 """
 
 from functools import reduce
@@ -156,7 +158,7 @@ def _expand_mod(order, c):
     Multiplying by w moves column i to column i+1 mod c.  The table
     kernels shift between neighbouring columns, so the column that wraps
     round is handed to them as a saved copy placed beyond the far end.
-    The kernel lane is imported here, its only user.
+    The kernels are imported here, their only program user.
     """
     from . import kernels
 
@@ -173,73 +175,20 @@ def _expand_mod(order, c):
     return acc
 
 
-def _sign(k):
-    """(-1)^k as an int, also for negative k."""
-    return -1 if k & 1 else 1
+def _div_phi_minus_q(x):
+    """The q-series x divided by phi(-q) = 1 + 2 sum_{j>=1} (-1)^j q^{j^2},
+    truncated to len(x):
 
-
-def _sparse(pairs, limit):
-    """The series sum s*q^e over the (e, s) pairs with e < limit, as
-    {coefficient: sorted exponents}, so that a pass can sum all the terms
-    that share a coefficient before multiplying by it."""
-    merged = {}
-    for e, s in pairs:
-        if e < limit:
-            merged[e] = merged.get(e, 0) + s
-    out = {}
-    for e in sorted(merged):
-        if merged[e]:
-            out.setdefault(merged[e], []).append(e)
-    return out
-
-
-def _div_sparse(x, sparse):
-    """The q-series x divided by a sparse series whose constant term is
-    +-1, truncated to len(x): y[k] = (x[k] - sum_{e>0} d_e y[k-e]) / d_0.
-    Terms that share a coefficient are summed first; the rest go through
-    one sum of products."""
-    unit = None
-    shared, single = {}, []
-    for s, exps in sparse.items():
-        if exps[0] == 0:
-            unit, exps = s, exps[1:]
-        if len(exps) > 1:
-            shared[s] = exps
-        elif exps:
-            single.append((exps[0], s))
-    if unit not in (1, -1):
-        raise ValueError("the divisor's constant term must be 1 or -1")
-    size = len(x)
-    y = [0] * size
-    # between consecutive exponents of the divisor the set of terms that
-    # reach back inside the series is fixed
-    exps = {e for group in shared.values() for e in group} | {e for e, _ in single}
-    start = 0
-    for stop in sorted({e for e in exps if e < size} | {size}):
-        groups = [(s, [e for e in group if e <= start]) for s, group in shared.items()]
-        groups = [(s, group) for s, group in groups if group]
-        rest = [(e, s) for e, s in single if e <= start]
-        for k in range(start, stop):
-            acc = x[k]
-            for s, group in groups:
-                t = sum([y[k - e] for e in group])
-                if s == 1:
-                    acc -= t
-                elif s == -1:
-                    acc += t
-                else:
-                    acc -= s * t
-            if rest:
-                acc -= sum([s * y[k - e] for e, s in rest])
-            y[k] = acc if unit == 1 else -acc
-        start = stop
+        y[k] = x[k] + 2 (sum_{j odd} y[k-j^2] - sum_{j even >= 2} y[k-j^2])."""
+    y = [0] * len(x)
+    odd, even = [], []  # the squares j^2 <= k, by the parity of j
+    j = 1
+    for k, xk in enumerate(x):
+        if k == j * j:
+            (odd if j & 1 else even).append(k)
+            j += 1
+        y[k] = xk + 2 * (sum([y[k - e] for e in odd]) - sum([y[k - e] for e in even]))
     return y
-
-
-def _phi_minus_q(limit):
-    """phi(-q) = sum_{j in Z} (-1)^j q^{j^2} below q^limit, sparse."""
-    return _sparse([(0, 1)] + [(j * j, 2 * _sign(j)) for j in range(1, isqrt(limit) + 1)],
-                   limit)
 
 
 def _partial_theta(t, limit):
@@ -316,7 +265,7 @@ def _expand_partial_theta(order, c):
         for e in minus:
             num[e] -= kappa
         t += 1
-    quot = _div_sparse(num, _phi_minus_q(size))
+    quot = _div_phi_minus_q(num)
     tops = sum(1 << (width * a - 1) for a in range(1, fields + 1))
     if reduce(or_, quot, 0) & (tops | -(1 << (width * fields))):
         raise ArithmeticError("a count of V came out negative or beyond its bound")
@@ -364,8 +313,8 @@ def evaluate_V(w, q, order=None):
 
 def expand_overpartition(order):
     """Overpartition counts: coefficients of prod (1+q^k)/(1-q^k) = 1/phi(-q),
-    one sparse division."""
+    one division."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return _div_sparse([int(n == 0) for n in range(order + 1)], _phi_minus_q(order + 1))
+    return _div_phi_minus_q([1] + [0] * order)
 

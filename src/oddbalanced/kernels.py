@@ -1,31 +1,17 @@
-"""Kernel selection: compiled extension when present, pure Python otherwise.
+"""Hot inner loops for truncated q-series arithmetic, in pure Python.
 
-The kernels serve only genfunc._expand_mod, the tests' reference route,
-so no command loads this module.  Set ODDBALANCED_PURE=1 to force the
-pure-Python kernels (an escape hatch where the extension misbehaves).
+They serve genfunc._expand_mod, the outer-sum recurrence that is the
+tests' reference route, and the benchmark's per-layer probes, which time
+them by name.  No command loads this module.
+
+Every function here mutates its list arguments in place and is generic
+over the coefficient type: plain int, Fraction, complex, or any object
+with ``+``, ``*`` and truthiness.
+
+Conventions: a series is a list ``c`` with ``c[k]`` the coefficient of q^k,
+and ``lo`` is a lower bound on the support of ``c`` (coefficients below
+``lo`` are known to be zero, so work there can be skipped).
 """
-
-import os
-
-if os.environ.get("ODDBALANCED_PURE"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
-
-USING_COMPILED = _impl.__name__.endswith("_speedups")
-
-shifted_add = _impl.shifted_add
-shifted_add_one = _impl.shifted_add_one
-geometric_add = _impl.geometric_add
-acc_add = _impl.acc_add
-cauchy_mul = _impl.cauchy_mul
-table_mul_w = _impl.table_mul_w
-table_mul_winv = _impl.table_mul_winv
-table_geometric = _impl.table_geometric
-table_acc = _impl.table_acc
 
 
 def shift_up(c, by, zero):
@@ -36,3 +22,75 @@ def shift_up(c, by, zero):
         return
     c[by:] = c[: len(c) - by]
     c[:by] = [zero] * by
+
+
+def shifted_add(c, a, s, lo=0):
+    """In place, multiply the series by (1 + s*q^a)."""
+    for k in range(len(c) - 1, lo + a - 1, -1):
+        v = c[k - a]
+        if v:
+            c[k] = c[k] + s * v
+
+
+def shifted_add_one(c, a, lo=0):
+    """In place, multiply the series by (1 + q^a)."""
+    for k in range(len(c) - 1, lo + a - 1, -1):
+        v = c[k - a]
+        if v:
+            c[k] = c[k] + v
+
+
+def geometric_add(c, a, lo=0):
+    """In place, divide the series by (1 - q^a)."""
+    for k in range(lo + a, len(c)):
+        v = c[k - a]
+        if v:
+            c[k] = c[k] + v
+
+
+def acc_add(dst, src, lo=0):
+    """dst[k] += src[k] for k >= lo."""
+    for k in range(lo, len(dst)):
+        v = src[k]
+        if v:
+            dst[k] = dst[k] + v
+
+
+# ---------------------------------------------------------------------------
+# Rank-tracking variants.  A table is a list of columns; column i holds the
+# q-series coefficients of w^(i - offset).  Multiplying by a power of w is a
+# shift between adjacent columns, so the same three passes as above suffice.
+# ---------------------------------------------------------------------------
+
+def table_mul_w(cols, a, lo=0):
+    """In place, multiply the table by (1 + w*q^a); top column first."""
+    for i in range(len(cols) - 1, 0, -1):
+        dst = cols[i]
+        src = cols[i - 1]
+        for k in range(len(dst) - 1, lo + a - 1, -1):
+            v = src[k - a]
+            if v:
+                dst[k] = dst[k] + v
+
+
+def table_mul_winv(cols, a, lo=0):
+    """In place, multiply the table by (1 + w^-1*q^a); bottom column first."""
+    for i in range(len(cols) - 1):
+        dst = cols[i]
+        src = cols[i + 1]
+        for k in range(len(dst) - 1, lo + a - 1, -1):
+            v = src[k - a]
+            if v:
+                dst[k] = dst[k] + v
+
+
+def table_geometric(cols, a, lo=0):
+    """In place, divide every column by (1 - q^a)."""
+    for col in cols:
+        geometric_add(col, a, lo)
+
+
+def table_acc(dst_cols, src_cols, lo=0):
+    """Accumulate src table into dst table."""
+    for dst, src in zip(dst_cols, src_cols):
+        acc_add(dst, src, lo)

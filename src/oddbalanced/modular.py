@@ -42,42 +42,7 @@ class PoleError(ArithmeticError):
     """Evaluation point sits on (or within tolerance of) a pole."""
 
 
-class EvalResult(namedtuple("EvalResult", "value truncation_bound")):
-    __slots__ = ()
-
-    def __complex__(self):
-        return self.value
-
-
-class HalfPlanePoint(namedtuple("HalfPlanePoint", "tau z")):
-    """A point tau in the upper half-plane with an elliptic variable z.
-
-    The nome q = e^(2*pi*i*tau) and the dual nome q0 = e^(-2*pi*i/tau) are
-    derived; both lie strictly inside the unit disc."""
-
-    __slots__ = ()
-
-    def __new__(cls, tau, z=0j):
-        if complex(tau).imag <= 0:
-            raise DomainError(f"tau={tau} is not in the upper half-plane")
-        return super().__new__(cls, tau, z)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so it checks the domain too
-        return cls(*iterable)
-
-    @property
-    def q(self):
-        return qpow(self.tau, 1)
-
-    @property
-    def q0(self):
-        return q0pow(self.tau, 1)
-
-    @property
-    def w(self):
-        return cmath.exp(2j * math.pi * self.z)
+EvalResult = namedtuple("EvalResult", "value truncation_bound")
 
 
 def qpow(tau, exponent):

@@ -14,20 +14,24 @@ ACCEPTANCE_RESULTS = []
 
 
 def expand_partition(order):
-    """Partition counts: coefficients of prod 1/(1-q^k), the reciprocal of
-    the pentagonal series sum_k (-1)^k q^{k(3k-1)/2}, one sparse division
-    by genfunc's routine.  No command needs p(n): it is the acceptance
-    suite's comparison for the overpartition growth."""
+    """Partition counts p(n) for n <= order, the coefficients of
+    prod 1/(1-q^k), by Euler's pentagonal recurrence
+    p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+    No command needs p(n): it is the acceptance suite's comparison for the
+    overpartition growth."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    pentagonal = []
-    k = 0
-    while k * (3 * k - 1) // 2 <= order:
-        sign = genfunc._sign(k)
-        pentagonal += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
-        k += 1
-    return genfunc._div_sparse([int(n == 0) for n in range(order + 1)],
-                               genfunc._sparse(pentagonal[1:], order + 1))
+    p = [1] + [0] * order
+    for n in range(1, order + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            term = p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                term += p[n - k * (3 * k + 1) // 2]
+            total += term if k & 1 else -term
+            k += 1
+        p[n] = total
+    return p
 
 
 def _timed(name, builder):

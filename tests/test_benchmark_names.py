@@ -1,0 +1,27 @@
+"""The per-layer names the benchmark reads from the program.
+
+perfbench's probes time the program through public names (the kernels,
+the genfunc expansions, the enumerator, the evaluators).  A probe whose
+name is gone leaves its metrics out, and the benchmark run then reports
+them as null, so this test runs the probes and requires every probed
+metric that BENCHMARK.json declares.
+"""
+
+import json
+import math
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_probed_metric_is_a_finite_number(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import probes
+
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    probed = [name for name in declared
+              if not name.startswith(("trace.", "cli.")) and name != "fail_ratio"]
+    values, _ = probes.run_probes(1)
+    bad = {name: values.get(name) for name in probed
+           if not isinstance(values.get(name), (int, float)) or not math.isfinite(values[name])}
+    assert probed and not bad

@@ -417,9 +417,9 @@ def test_cli_import_loads_only_the_standard_library(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# no command loads the kernel lane, argparse or fractions, and only
+# no command loads the kernels, argparse or fractions, and only
 # asym-report loads decimal
-_NEVER = {"kernels", "_kernels_py", "argparse", "fractions"}
+_NEVER = {"kernels", "argparse", "fractions"}
 _NUMERIC_ABSENT = {"genfunc", "enumerator", "json", "decimal"} | _NEVER
 _EXACT_ABSENT = {"modular", "json"} | _NEVER
 

@@ -190,13 +190,6 @@ def test_tail_bound_property(z_re, z_im, tau_re, tau_im, order):
     assert_tail_bound_holds(complex(z_re, z_im), complex(tau_re, tau_im), order)
 
 
-def test_sample_exposes_half_plane_point():
-    sample = verify_decomposition(0.2, 0.9j, 200)
-    pt = sample.point
-    assert abs(pt.q) < 1 and abs(pt.q0) < 1
-    assert pt.z == sample.z
-
-
 def test_grid_avoids_known_poles():
     for z, tau, order in DEFAULT_GRID:
         assert min(abs(z - b) for b in (0.0, 0.25, 0.5, 0.75, 1.0)) > 0.04

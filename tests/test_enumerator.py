@@ -155,17 +155,32 @@ def test_enumeration_checks_its_components(monkeypatch):
     odd_partitions = enumerator._odd_partitions
 
     def with_even_part(total, max_part):
+        # an even part below the peak: only the parity check can see it
         parts = odd_partitions(total, max_part)
-        return parts + ((2,),) if total == 2 else parts
+        return parts + ((2,),) if total == 2 and max_part >= 2 else parts
 
     monkeypatch.setattr(enumerator, "_odd_partitions", with_even_part)
     with pytest.raises(AssertionError):
         enumerate_sequences(4)
 
 
+def test_enumeration_checks_the_peak_bound(monkeypatch):
+    # an odd part past the cap min(peak - 1, r) is at least the peak, so
+    # only the bound by the peak can see it
+    odd_partitions = enumerator._odd_partitions
+
+    def with_large_part(total, max_part):
+        parts = odd_partitions(total, max_part)
+        return parts + ((total,),) if total % 2 and max_part < total else parts
+
+    monkeypatch.setattr(enumerator, "_odd_partitions", with_large_part)
+    with pytest.raises(AssertionError):
+        enumerate_sequences(4)
+
+
 def clear_check_caches():
     for check in (enumerator._increasing_evens, enumerator._decreasing_evens,
-                  enumerator._odds_below):
+                  enumerator._odd_parts):
         check.cache_clear()
 
 
@@ -188,8 +203,9 @@ def test_cached_checks_reject_after_warm_up():
                                        dict(right_evens=(4, 2)),
                                        dict(side_odds=(5,))])
 def test_cached_checks_depend_on_the_peak(component, accepted_first):
-    # (component, peak) is the cache key: a part below peak 6 is not below
-    # peak 4, whichever of the two is checked first
+    # the component alone is the cache key, so the bound by the peak must
+    # be checked apart: a part below peak 6 is not below peak 4, whichever
+    # of the two is checked first
     fields = {"left_evens": (), "right_evens": (), "side_odds": (), **component}
 
     def accept():

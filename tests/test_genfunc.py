@@ -1,12 +1,13 @@
 import cmath
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import _kernels_py, cli, genfunc
+from oddbalanced import cli, genfunc, kernels
 from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import (
     RankTable,
@@ -258,14 +259,14 @@ def test_packed_width_bounds_every_count():
 def test_one_division_per_expansion(monkeypatch, order, modulus):
     # every class of one expansion is divided by phi(-q) in one pass, and
     # no other division (of the totals, say) sets the packing
-    divide = genfunc._div_sparse
+    divide = genfunc._div_phi_minus_q
     calls = []
 
-    def counted(x, sparse):
+    def counted(x):
         calls.append(len(x))
-        return divide(x, sparse)
+        return divide(x)
 
-    monkeypatch.setattr(genfunc, "_div_sparse", counted)
+    monkeypatch.setattr(genfunc, "_div_phi_minus_q", counted)
     expand_V_rank(order, modulus)
     assert calls == [order + 1]
 
@@ -278,21 +279,21 @@ def test_packed_division_rejects_a_negative_middle_class(monkeypatch):
     # packed quotients stay positive and only the borrow into class 2
     # shows it
     partial_theta = genfunc._partial_theta
-    divide = genfunc._div_sparse
+    divide = genfunc._div_phi_minus_q
     quotients = []
 
     def perturbed(t, limit):
         plus, minus = partial_theta(t, limit)
         return plus, (minus + [9] * 48 if t < 2 else minus)
 
-    def kept(x, sparse):
-        quotients.extend(divide(x, sparse))
+    def kept(x):
+        quotients.extend(divide(x))
         return quotients[-len(x):]
 
     assert genfunc._expand_partial_theta(20, 7)[1][9] == 47
     assert min(col[9] for col in genfunc._expand_partial_theta(20, 7)[2:4]) > 0
     monkeypatch.setattr(genfunc, "_partial_theta", perturbed)
-    monkeypatch.setattr(genfunc, "_div_sparse", kept)
+    monkeypatch.setattr(genfunc, "_div_phi_minus_q", kept)
     with pytest.raises(ArithmeticError):
         genfunc._expand_partial_theta(20, 7)
     # a guard on the sign alone would have let these through
@@ -308,6 +309,17 @@ def _times_phi_minus_q(x):
             out[k] += 2 * (-1) ** j * x[k - j * j]
         j += 1
     return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_division_by_phi_minus_q_round_trips(seed):
+    # signed entries of every size up to the packed width of an expansion
+    rng = random.Random(seed)
+    width = genfunc._field_bits(600) * 4
+    for size in (0, 1, 2, 4, 5, 9, 10, 17, 50, 200):
+        x = [rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, width))
+             for _ in range(size)]
+        assert _times_phi_minus_q(genfunc._div_phi_minus_q(x)) == x
 
 
 def test_partial_theta_numerators():
@@ -338,11 +350,6 @@ def test_identity_route_rejects_a_negative_count(monkeypatch):
     for c in (1, 2, 3):
         with pytest.raises(ArithmeticError):
             genfunc._expand_partial_theta(20, c)
-
-
-def test_sparse_division_needs_a_unit_constant_term():
-    with pytest.raises(ValueError):
-        genfunc._div_sparse([1, 0, 0], {2: [0], 1: [1]})
 
 
 def test_range_checks_residue_class():
@@ -376,8 +383,8 @@ def _overpartitions_by_product(order):
     out = [0] * (order + 1)
     out[0] = 1
     for k in range(1, order + 1):
-        _kernels_py.shifted_add_one(out, k)
-        _kernels_py.geometric_add(out, k)
+        kernels.shifted_add_one(out, k)
+        kernels.geometric_add(out, k)
     return out
 
 
@@ -385,7 +392,7 @@ def _partitions_by_product(order):
     out = [0] * (order + 1)
     out[0] = 1
     for k in range(1, order + 1):
-        _kernels_py.geometric_add(out, k)
+        kernels.geometric_add(out, k)
     return out
 
 

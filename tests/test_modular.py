@@ -375,17 +375,6 @@ def test_nome_helpers():
     assert abs(qpow(tau, 0.5) ** 2 - qpow(tau, 1)) < 1e-15
 
 
-def test_half_plane_point():
-    from oddbalanced.modular import HalfPlanePoint
-    pt = HalfPlanePoint(tau=0.3 + 0.7j, z=0.2)
-    assert abs(pt.q) < 1 and abs(pt.q0) < 1
-    assert abs(pt.w - cmath.exp(2j * math.pi * 0.2)) < 1e-15
-    with pytest.raises(DomainError):
-        HalfPlanePoint(tau=0.3 - 0.7j)
-    with pytest.raises(DomainError):
-        pt._replace(tau=0.3 - 0.7j)
-
-
 # ---------------------------------------------------------------------------
 # V(w;q) at a point
 # ---------------------------------------------------------------------------
