@@ -2,9 +2,11 @@
 
 Main terms are evaluated in the standard library's decimal arithmetic, in
 a local context of max(dps, 30) + GUARD_DIGITS significant digits (default
-dps 50), so every one of the dps printed digits is correct; they are
-printed in mpmath.nstr's format.  Exact integers from the expansion modules
-enter only the ratio, as one correctly rounded division.  No third-party
+dps 50), so every one of the dps printed digits is correct; nstr prints
+them in mpmath.nstr's format.  Exact integers from the expansion modules
+enter only the ratio, as one correctly rounded division.  Each exact
+report is one function from the counts to its rows: asym_report returns a
+list of ReportRow, logconcavity_scan one LogConcavityReport.  No third-party
 package is needed, and decimal is imported inside the functions that
 evaluate a main term, so only asym-report loads it.  modular is imported
 inside the lemma functions, so the exact reports (asym-report,
@@ -91,14 +93,16 @@ def main_term_v_mod(a, c, n, dps=DEFAULT_DPS):
     return _context(dps).divide(main_term_v(n, dps), c)
 
 
-def _nstr(x, digits):
-    """A Decimal x >= 0 to `digits` significant digits, as mpmath.nstr
-    prints it: rounded half up on the first dropped digit alone; fixed
-    notation iff the leading digit's exponent is strictly between
-    min(-(digits//3), -5) and digits; trailing zeros stripped but a ".0"
-    kept.  mpmath reads its digits from a binary value truncated a few
+def nstr(x, digits):
+    """A Decimal x >= 0 to `digits` significant digits as mpmath.nstr
+    prints it (None for None): rounded half up on the first dropped digit
+    alone; fixed notation iff the leading digit's exponent is strictly
+    between min(-(digits//3), -5) and digits; trailing zeros stripped but
+    a ".0" kept.  mpmath reads its digits from a binary value truncated a few
     places past the cut, so where the dropped digits are 5 then four zeros
     it may round down where this rounds up."""
+    if x is None:
+        return None
     if not x:
         return "0.0"
     mantissa = "".join(map(str, x.as_tuple().digits))
@@ -169,69 +173,40 @@ def lemma_main_term(z, tau):
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Exact reports: functions from the counts to rows
 # ---------------------------------------------------------------------------
 
-class ReportRow(namedtuple("ReportRow", "n exact main_term ratio")):
-    """One checkpoint: main_term and ratio are Decimals, or None when no
-    main term applies (even modulus)."""
-
-    __slots__ = ()
-
-    def as_dict(self, digits=DEFAULT_DPS):
-        return {
-            "n": self.n,
-            "exact": str(self.exact),
-            "main_term": _nstr(self.main_term, digits) if self.main_term is not None else None,
-            "ratio": _nstr(self.ratio, digits) if self.ratio is not None else None,
-        }
+# One checkpoint of asym_report.  main_term and ratio are Decimals, or
+# None for an even c > 1, where no main term applies;
+# equidistribution_stat is None at c = 1.
+ReportRow = namedtuple("ReportRow", "n exact main_term ratio equidistribution_stat")
 
 
-class AsymptoticReport:
-    def __init__(self, residue, modulus):
-        self.residue = residue
-        self.modulus = modulus
-        self.rows = []
-        self.equidistribution = []  # (n, max_a |c v(a,c;n)/v(n) - 1|)
+def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS):
+    """One ReportRow per checkpoint, in increasing n: the exact v(a,c;n),
+    the main term, their ratio and, for c > 1, the equidistribution
+    statistic.
 
-
-def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS,
-                allow_even=False):
-    """Rows (n, exact v(a,c;n), main term, ratio) at the given checkpoints,
-    plus the equidistribution statistic for c > 1.
-
-    For c == 1 exact totals may be passed directly (cheap scalar expansion);
-    otherwise a RankTable covering max(checkpoints) is required, either the
-    full table or one reduced mod a multiple of c.  Even c > 1
-    is allowed only with allow_even=True, which suppresses the main-term
-    column (exact counts stay available)."""
+    The counts are `totals` at c == 1 when they are given (the cheap
+    scalar expansion), else table.residue_sequence(a, c), from a RankTable
+    covering max(checkpoints): the full table or one reduced mod a
+    multiple of c."""
     checkpoints = sorted(checkpoints)
-    if c == 1:
-        seq = totals if totals is not None else table.totals()
-    else:
-        if table is None:
-            raise ValueError("residue classes need the rank table")
-        seq = table.residue_sequence(a, c)
+    seq = totals if c == 1 and totals is not None else table.residue_sequence(a, c)
     if checkpoints and not 0 <= checkpoints[0] <= checkpoints[-1] < len(seq):
         raise IndexError(f"checkpoints {checkpoints[0]}..{checkpoints[-1]} "
                          f"outside 0..{len(seq) - 1}")
-    even = c > 1 and c % 2 == 0
-    if even and not allow_even:
-        raise EvenModulusError(f"c={c} is even; pass allow_even to tabulate exact counts only")
-
-    report = AsymptoticReport(residue=a, modulus=c)
     ctx = _context(dps)
+    rows = []
     for n in checkpoints:
-        exact = seq[n]
-        if even:
-            main, ratio = None, None
+        if c % 2 == 0:
+            main = ratio = None
         else:
             main = main_term_v(n, dps) if c == 1 else main_term_v_mod(a, c, n, dps)
-            ratio = ctx.divide(exact, main)
-        report.rows.append(ReportRow(n=n, exact=exact, main_term=main, ratio=ratio))
-        if c > 1:
-            report.equidistribution.append((n, equidistribution_stat(table, c, n)))
-    return report
+            ratio = ctx.divide(seq[n], main)
+        stat = None if c == 1 else equidistribution_stat(table, c, n)
+        rows.append(ReportRow(n, seq[n], main, ratio, stat))
+    return rows
 
 
 def equidistribution_stat(table, c, n):
@@ -241,50 +216,21 @@ def equidistribution_stat(table, c, n):
     once: in floats, c * v(a,c;n) / v(n) - 1 cancels to rounding noise
     (2.2e-16 or 0.0) once the statistic drops below ~1e-16, which it does
     by n = 600 at c = 3."""
-    total = table.total(n)
+    total = table.residue_class(0, 1, n)
     return max(abs(c * table.residue_class(a, c, n) - total) for a in range(c)) / total
 
 
-# ---------------------------------------------------------------------------
-# Log-concavity style scan
-# ---------------------------------------------------------------------------
-
-class LogConcavityReport:
-    def __init__(self, residue, modulus, n_max):
-        self.residue = residue
-        self.modulus = modulus
-        self.n_max = n_max
-        # reading (i): v(a,c;n)^2 <= v(a,c;n-1) v(a,c;n+1)
-        self.square_threshold = None
-        self.square_violations = []
-        # reading (ii): v(a,c;2n) <= v(a,c;n-1) v(a,c;n+1), where 2n is in range
-        self.double_threshold = None
-        self.double_scan_max = 0
-        self.double_violations = []
-        # upper bound: v(a,c;n-1) v(a,c;n+1) < sqrt(n) pbar(n-1) pbar(n+1)
-        self.bound_threshold = None
-        self.bound_violations = []
-
-    @property
-    def square_fails_to_end(self):
-        """Reading (i) violated at the top of the scanned range: the scan
-        found no tail on which it holds.  Reported as a finding, since the
-        exact counts grow log-concavely and the squared reading is then
-        false for every large n."""
-        return self.square_threshold >= self.n_max
-
-    @property
-    def double_fails_to_end(self):
-        return self.double_threshold >= self.double_scan_max
-
-    @property
-    def bound_fails_to_end(self):
-        return self.bound_threshold >= self.n_max
-
-
-def _least_threshold(violations):
-    """Least N0 with the property holding for every scanned n > N0."""
-    return max(violations, default=0)
+# logconcavity_scan's report.  Per reading: the scanned n where it fails, the least N0 past which it
+# holds for every scanned n, and whether it fails to the top of the range.
+#   square: v(a,c;n)^2 <= v(a,c;n-1) v(a,c;n+1); failing to the end is a
+#     finding, since the exact counts grow log-concavely;
+#   double: v(a,c;2n) <= v(a,c;n-1) v(a,c;n+1), scanned where 2n is in range;
+#   bound: v(a,c;n-1) v(a,c;n+1) < sqrt(n) pbar(n-1) pbar(n+1).
+LogConcavityReport = namedtuple("LogConcavityReport", (
+    "residue modulus n_max "
+    "square_threshold square_violations square_fails_to_end "
+    "double_threshold double_scan_max double_violations double_fails_to_end "
+    "bound_threshold bound_violations bound_fails_to_end"))
 
 
 def logconcavity_scan(a, c, n_max, table, overpartitions):
@@ -296,21 +242,29 @@ def logconcavity_scan(a, c, n_max, table, overpartitions):
     if len(overpartitions) < n_max + 2:
         raise IndexError("need overpartition counts up to n_max+1")
     seq = table.residue_sequence(a, c)
-    report = LogConcavityReport(residue=a, modulus=c, n_max=n_max)
-    report.double_scan_max = min(n_max, table.max_n // 2)
+    double_scan_max = min(n_max, table.max_n // 2)
+    square, double, bound = [], [], []
     for n in range(1, n_max + 1):
         prod = seq[n - 1] * seq[n + 1]
         if seq[n] ** 2 > prod:
-            report.square_violations.append(n)
-        if n <= report.double_scan_max and seq[2 * n] > prod:
-            report.double_violations.append(n)
+            square.append(n)
+        if n <= double_scan_max and seq[2 * n] > prod:
+            double.append(n)
         pbar_prod = overpartitions[n - 1] * overpartitions[n + 1]
         if prod * prod >= n * pbar_prod * pbar_prod:
-            report.bound_violations.append(n)
-    report.square_threshold = _least_threshold(report.square_violations)
-    report.double_threshold = _least_threshold(report.double_violations)
-    report.bound_threshold = _least_threshold(report.bound_violations)
-    return report
+            bound.append(n)
+    square_threshold = max(square, default=0)
+    double_threshold = max(double, default=0)
+    bound_threshold = max(bound, default=0)
+    return LogConcavityReport(
+        residue=a, modulus=c, n_max=n_max,
+        square_threshold=square_threshold, square_violations=square,
+        square_fails_to_end=square_threshold >= n_max,
+        double_threshold=double_threshold, double_scan_max=double_scan_max,
+        double_violations=double,
+        double_fails_to_end=double_threshold >= double_scan_max,
+        bound_threshold=bound_threshold, bound_violations=bound,
+        bound_fails_to_end=bound_threshold >= n_max)
 
 
 # ---------------------------------------------------------------------------

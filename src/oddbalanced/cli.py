@@ -18,7 +18,9 @@ record, decimal only for asym-report's main terms, and no command loads
 a third-party package or the kernels.
 
 The argv grammar: a command, then its options in any order, each written
---flag value or --flag=value; --allow-even alone takes no value.  A value
+--flag value or --flag=value; --allow-even alone takes no value.  Every
+command takes --format and --output; any other option belongs to the
+commands that read it (--precision only to asym-report).  A value
 given as a separate word may not start with '-' unless it is a negative
 number (write --checkpoints=-5,600).  Flags are spelled in full: no
 abbreviation is accepted.  A flag given twice keeps its last value, and a
@@ -262,23 +264,15 @@ def cmd_asym_report(config):
     checkpoints = config.checkpoints or ((100, 400, 1600) if config.modulus == 1
                                          else (150, 600))
     _check_checkpoints(checkpoints)
-    top = max(checkpoints)
-    if config.modulus == 1:
-        totals = genfunc.expand_v_totals(top)
-        report = asymptotics.asym_report(0, 1, checkpoints, totals=totals,
-                                         dps=config.precision)
-    else:
-        table = genfunc.expand_V_rank(top, config.modulus)
-        report = asymptotics.asym_report(config.residue, config.modulus,
-                                         checkpoints, table=table,
-                                         dps=config.precision,
-                                         allow_even=config.allow_even)
-    rows = [tuple(map(_fmt, r.as_dict(config.precision).values())) for r in report.rows]
-    header = ["n", "exact", "main_term", "ratio"]
-    if report.equidistribution:
-        header.append("equidistribution_stat")
-        rows = [row + (stat,) for row, (_, stat) in zip(rows, report.equidistribution)]
-    _write_rows(rows, header, config)
+    top, c = max(checkpoints), config.modulus
+    rows = asymptotics.asym_report(
+        config.residue, c, checkpoints, dps=config.precision,
+        totals=genfunc.expand_v_totals(top) if c == 1 else None,
+        table=genfunc.expand_V_rank(top, c) if c > 1 else None)
+    header = asymptotics.ReportRow._fields[:4 if c == 1 else 5]  # one class: no statistic
+    nstr, digits = asymptotics.nstr, config.precision
+    _write_rows([(r.n, r.exact, _fmt(nstr(r.main_term, digits)), _fmt(nstr(r.ratio, digits)),
+                  r.equidistribution_stat)[:len(header)] for r in rows], header, config)
     return EXIT_OK
 
 
@@ -416,7 +410,6 @@ _float_list = _number_list(float)
 _COMMON = {
     "--format": ("fmt", _format, "csv"),
     "--output": ("output", str, None),
-    "--precision": ("precision", int, 50),
 }
 COMMANDS = {
     "expand": ("dump the exact rank table v(m,n)",
@@ -434,12 +427,13 @@ COMMANDS = {
             "--grid": ("grid", str, "default"),
             "--max-residual": ("max_residual", float, 1e-7)}),
     "asym-report": (
-        "exact counts vs main term at checkpoints "
-        "(--allow-even tabulates an even c without the main term)", {
+        "exact counts vs main term at checkpoints (--allow-even tabulates an "
+        "even c without the main term; --precision DIGITS is 30..10000)", {
             "--a": ("residue", int, 0),
             "--c": ("modulus", int, 1),
             "--checkpoints": ("checkpoints", _int_list, ()),
-            "--allow-even": ("allow_even", None, False)}),
+            "--allow-even": ("allow_even", None, False),
+            "--precision": ("precision", int, 50)}),
     "equidistribution": ("max_a |c v(a,c;n)/v(n) - 1| at checkpoints", {
         "--moduli": ("moduli", _int_list, (3, 5, 7)),
         "--checkpoints": ("checkpoints", _int_list, ())}),
@@ -469,8 +463,8 @@ def _help(command=None):
     if command is None:
         lines = [usage, "commands:"]
         lines += [f"  {name:22}{text}" for name, (text, _) in COMMANDS.items()]
-        lines.append("every command takes --format csv|json, --output FILE (default "
-                     "stdout) and --precision DIGITS (30..10000)")
+        lines.append("every command takes --format csv|json and --output FILE "
+                     "(default stdout)")
     else:
         lines = [usage, COMMANDS[command][0], "options and their defaults:"]
         lines += [f"  {flag:16}{'(a bare flag)' if parse is None else default}"

@@ -75,9 +75,11 @@ def rank_support_bound(order):
 class RankTable:
     """Exact counts for n <= max_n, one integer column per rank m, or, when
     the ranks were reduced mod `modulus`, one column per residue class
-    a = 0..modulus-1.  A reduced table answers totals and residue classes
-    mod divisors of its modulus, and raises ValueError on anything else.
-    Immutable once built; safe to share."""
+    a = 0..modulus-1.  One view per question: rank_polynomial(n) for the
+    ranks, residue_class(a, c, n) and residue_sequence(a, c) for the
+    classes, whose c = 1 is the totals v(n).  A reduced table answers
+    residue classes mod divisors of its modulus, and raises ValueError on
+    anything else.  Immutable once built; safe to share."""
 
     def __init__(self, max_n, columns, modulus=None):
         self.max_n = max_n
@@ -99,24 +101,6 @@ class RankTable:
     def _check_n(self, n):
         if not 0 <= n <= self.max_n:
             raise IndexError(f"n={n} outside 0..{self.max_n}")
-
-    def v(self, m, n):
-        self._require_ranks()
-        self._check_n(n)
-        col = self.columns.get(m)
-        return col[n] if col is not None else 0
-
-    def total(self, n):
-        """v(n) = sum over all ranks."""
-        self._check_n(n)
-        return sum(col[n] for col in self.columns.values())
-
-    def totals(self):
-        out = [0] * (self.max_n + 1)
-        for col in self.columns.values():
-            for n, c in enumerate(col):
-                out[n] += c
-        return out
 
     def residue_class(self, a, c, n):
         """v(a,c;n): ranks congruent to a mod c."""
@@ -143,6 +127,7 @@ class RankTable:
     def rank_polynomial(self, n):
         """{m: v(m,n)} for one n, nonzero entries only."""
         self._require_ranks()
+        self._check_n(n)
         return {m: col[n] for m, col in sorted(self.columns.items()) if col[n]}
 
 

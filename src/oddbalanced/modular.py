@@ -287,28 +287,20 @@ def appell(ell, u, v, tau):
     u, v = complex(u), complex(v)
     total = 0j
     scale = 1.0
-    last = 0.0
-    for n in range(_APPELL_MAX_TERMS):
-        term = _appell_term(ell, n, u, v, tau)
-        total += term
-        scale = max(scale, abs(total))
-        last = abs(term)
-        if n > 2 and last < 1e-18 * scale:
-            break
-    else:
-        raise DomainError("Appell sum did not converge (positive side)")
-    last_neg = 0.0
-    for n in range(-1, -_APPELL_MAX_TERMS, -1):
-        term = _appell_term(ell, n, u, v, tau)
-        total += term
-        scale = max(scale, abs(total))
-        last_neg = abs(term)
-        if n < -3 and last_neg < 1e-18 * scale:
-            break
-    else:
-        raise DomainError("Appell sum did not converge (negative side)")
+    last = 0.0  # the sum of the last term of each side
+    for side, terms in (("positive", range(_APPELL_MAX_TERMS)),
+                        ("negative", range(-1, -_APPELL_MAX_TERMS, -1))):
+        for i, n in enumerate(terms):
+            term = _appell_term(ell, n, u, v, tau)
+            total += term
+            scale = max(scale, abs(total))
+            if i > 2 and abs(term) < 1e-18 * scale:
+                last += abs(term)
+                break
+        else:
+            raise DomainError(f"Appell sum did not converge ({side} side)")
     value = cmath.exp(1j * math.pi * ell * u) * total
-    return EvalResult(value, (last + last_neg) * 10.0)
+    return EvalResult(value, last * 10.0)
 
 
 def mu(u, v, tau):

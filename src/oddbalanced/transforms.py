@@ -66,7 +66,7 @@ def appell_grid(npoints=10, seed=20260810):
     """Appell inversion law on points kept away from the torsion poles."""
     rng = random.Random(seed)
     rows = []
-    while len(rows) < npoints:
+    for _ in range(npoints):
         u = complex(rng.uniform(0.08, 0.42), rng.uniform(0.02, 0.25))
         v = rng.uniform(0.1, 0.45)
         tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.5))

@@ -41,8 +41,6 @@ def build_parser():
     def common(sp):
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="file path (default stdout)")
-        sp.add_argument("--precision", type=int, default=50,
-                        help="significant digits for high-precision columns")
 
     sp = sub.add_parser("expand", help="dump the exact rank table v(m,n)")
     sp.add_argument("--n-max", type=int, default=10)
@@ -72,6 +70,8 @@ def build_parser():
     sp.add_argument("--checkpoints", type=_int_list, default=())
     sp.add_argument("--allow-even", action="store_true",
                     help="tabulate exact counts for even c (no main-term column)")
+    sp.add_argument("--precision", type=int, default=50,
+                    help="significant digits for high-precision columns")
     common(sp)
 
     sp = sub.add_parser("equidistribution",

@@ -15,12 +15,12 @@ from oddbalanced.asymptotics import (
     EvenModulusError,
     asym_report,
     equidistribution_stat,
-    _nstr,
     lemma_main_term,
     lemma_ratio_report,
     logconcavity_scan,
     main_term_v,
     main_term_v_mod,
+    nstr,
 )
 from oddbalanced.modular import DomainError
 from exponents import (
@@ -165,11 +165,14 @@ def test_lemma_ratio_quick():
 
 def test_asym_report_c1():
     totals = genfunc.expand_v_totals(10)
-    report = asym_report(0, 1, (2, 10), totals=totals)
-    assert report.rows[0].exact == 5
-    assert report.rows[0].ratio is not None
-    assert report.rows[1].exact == totals[10]
-    assert not report.equidistribution
+    rows = asym_report(0, 1, (2, 10), totals=totals)
+    assert rows[0].exact == 5
+    assert rows[0].ratio is not None
+    assert rows[1].exact == totals[10]
+    assert [r.equidistribution_stat for r in rows] == [None, None]
+    # without totals the report reads the table's one class mod 1
+    assert asym_report(0, 1, (2, 10), table=genfunc.expand_V_rank(10)) == rows
+    assert asym_report(0, 1, (2, 10), table=genfunc.expand_V_rank(10, 3)) == rows
 
 
 @pytest.mark.parametrize("dps", [200, 1000])
@@ -210,7 +213,7 @@ def test_nstr_matches_mpmath(case):
     # places past the cut (2e-5 of the last printed unit at most), so it may
     # round down a 5 followed by four zeros there
     assume(not "".join(map(str, x.as_tuple().digits))[digits:].startswith("50000"))
-    assert _nstr(x, digits) == _mp_nstr(x, digits)
+    assert nstr(x, digits) == _mp_nstr(x, digits)
 
 
 @pytest.mark.parametrize("text, digits, printed", [
@@ -230,14 +233,14 @@ def test_nstr_matches_mpmath(case):
 ])
 def test_nstr_hand_cases(text, digits, printed):
     x = Decimal(text)
-    assert _nstr(x, digits) == printed == _mp_nstr(x, digits)
+    assert nstr(x, digits) == printed == _mp_nstr(x, digits)
 
 
 def test_nstr_at_5000_digits():
-    # _nstr never converts the mantissa to an int, so it stays within
+    # nstr never converts the mantissa to an int, so it stays within
     # Python's 4300-digit int/str limit; mpmath's parser does not
     x = main_term_v(600, 5000)
-    printed = _nstr(x, 5000)
+    printed = nstr(x, 5000)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -250,24 +253,22 @@ def test_nstr_at_5000_digits():
 def test_asym_report_prints_only_correct_digits(totals_3600, dps):
     # every printed digit agrees with the same quantity at twice the precision
     checkpoints = [*range(1, 3600, 97), 3600]
-    report = asym_report(0, 1, checkpoints, totals=totals_3600, dps=dps)
+    rows = asym_report(0, 1, checkpoints, totals=totals_3600, dps=dps)
     with mp.workdps(2 * dps):
-        for row in report.rows:
+        for row in rows:
             main = mp.e ** (mp.pi * mp.sqrt(row.n)) / (16 * mp.mpf(row.n) ** mp.mpf(0.75))
-            printed = row.as_dict(dps)
-            assert printed["main_term"] == mp.nstr(main, dps), row.n
-            assert printed["ratio"] == mp.nstr(row.exact / main, dps), row.n
+            assert nstr(row.main_term, dps) == mp.nstr(main, dps), row.n
+            assert nstr(row.ratio, dps) == mp.nstr(row.exact / main, dps), row.n
 
 
 def test_asym_report_residue_classes(rank_table_60):
-    report = asym_report(1, 3, (30, 60), table=rank_table_60)
-    assert [r.n for r in report.rows] == [30, 60]
-    assert report.rows[0].exact == rank_table_60.residue_class(1, 3, 30)
-    assert len(report.equidistribution) == 2
+    rows = asym_report(1, 3, (60, 30), table=rank_table_60)
+    assert [r.n for r in rows] == [30, 60]
+    assert rows[0].exact == rank_table_60.residue_class(1, 3, 30)
     stat = equidistribution_stat(rank_table_60, 3, 60)
     assert 0 <= stat < 1
-    assert report.equidistribution == [(n, equidistribution_stat(rank_table_60, 3, n))
-                                       for n in (30, 60)]
+    assert [r.equidistribution_stat for r in rows] == [
+        equidistribution_stat(rank_table_60, 3, n) for n in (30, 60)]
 
 
 @pytest.mark.parametrize("c", [3, 5, 7])
@@ -276,7 +277,7 @@ def test_equidistribution_stat_is_correctly_rounded(c):
     # difference c * v(a,c;n) / v(n) - 1 would read 2.2e-16 or 0.0
     table = genfunc.expand_V_rank(1200, c)
     for n in (150, 600, 1200):
-        total = table.total(n)
+        total = sum(table.residue_class(a, c, n) for a in range(c))
         exact = float(max(abs(Fraction(c * table.residue_class(a, c, n), total) - 1)
                           for a in range(c)))
         assert exact > 0
@@ -284,11 +285,13 @@ def test_equidistribution_stat_is_correctly_rounded(c):
 
 
 def test_asym_report_even_modulus(rank_table_60):
-    with pytest.raises(EvenModulusError):
-        asym_report(0, 2, (30,), table=rank_table_60)
-    report = asym_report(0, 2, (30,), table=rank_table_60, allow_even=True)
-    assert report.rows[0].main_term is None
-    assert report.rows[0].exact > 0
+    # no main term applies, so none is printed; the cli refuses an even c
+    # unless --allow-even is given (test_cli)
+    [row] = asym_report(0, 2, (30,), table=rank_table_60)
+    assert row.main_term is None and row.ratio is None
+    assert row.exact == rank_table_60.residue_class(0, 2, 30) > 0
+    assert row.equidistribution_stat == equidistribution_stat(rank_table_60, 2, 30)
+    assert nstr(row.main_term, DEFAULT_DPS) is None
 
 
 def test_asym_report_checkpoint_bounds(rank_table_60):
@@ -312,3 +315,4 @@ def test_logconcavity_scan_small(rank_table_60):
     # the overpartition bound fails only in the degenerate n=1 window
     assert report.bound_violations == [1]
     assert report.bound_threshold == 1
+    assert not report.bound_fails_to_end

@@ -3,12 +3,15 @@
 perfbench's probes time the program through public names (the kernels,
 the genfunc expansions, the enumerator, the evaluators).  A probe whose
 name is gone leaves its metrics out, and the benchmark run then reports
-them as null, so this test runs the probes and requires every probed
-metric that BENCHMARK.json declares.
+them as null, so one test runs the probes and requires every probed
+metric that BENCHMARK.json declares.  The reference values the benchmark
+checks outputs against come from the program too, so another test
+regenerates them and requires the checked-in file byte for byte.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,3 +28,15 @@ def test_every_probed_metric_is_a_finite_number(monkeypatch):
     bad = {name: values.get(name) for name in probed
            if not isinstance(values.get(name), (int, float)) or not math.isfinite(values[name])}
     assert probed and not bad
+
+
+def test_make_reference_regenerates_the_reference(monkeypatch, tmp_path):
+    # make_reference reads the report fields by name (square_threshold,
+    # double_scan_max, bound_violations, ...), so a renamed field fails here
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    import make_reference
+
+    monkeypatch.setattr(make_reference, "HERE", tmp_path)
+    make_reference.main()
+    assert ((tmp_path / "reference.json").read_bytes()
+            == (ROOT / "perfbench" / "reference.json").read_bytes())

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddbalanced import cli
-from oddbalanced.asymptotics import LemmaRatioRow
+from oddbalanced.asymptotics import LemmaRatioRow, LogConcavityReport, ReportRow
 from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
 from oddbalanced.modular import EvalResult
@@ -265,6 +265,16 @@ def test_enumerate_lines_are_compact_json(capsys, n):
      "4446cc3ab0a343bef68b2b0374ce4a502d86f202a559f24149fbaab56f9e0569"),
     (["expand", "--n-max", "300", "--format", "json"],
      "7e2e3f181a16cb0dc8848061a1926e31d422697eb1420ed790629bdfe048991d"),
+    (["asym-report", "--c", "3", "--a", "1"],
+     "12f3d3d15fc5bd1fac31eecbcb0e8e13bad0043d9bd9cf150cc691ca19ffe64a"),
+    (["asym-report", "--c", "1", "--checkpoints", "900,1800,3600"],
+     "179d360fbad8d0570757f8f136133624a3fb5e83bee27a8a56fd1e508b506dca"),
+    (["asym-report", "--c", "4", "--allow-even", "--format", "json"],
+     "abf2f99184d36f861bc4cadc693b742cd41a974b35fea6341df0abb0aa8f7916"),
+    (["equidistribution", "--moduli", "3,5,7"],
+     "7ff251e176f025ca780cc2436079e05640ea6856abde5b4259f58adbf1d597d3"),
+    (["logconcavity-scan", "--c", "5", "--a", "2", "--n-max", "600"],
+     "408f0dd9aa2bea7105d259f416010b72599c5c865bfeb4bbfa46ac605ab2f933"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_large_outputs_are_pinned(capsys, args, digest):
     # the sha256 of the output as the line-at-a-time writers printed it
@@ -389,6 +399,9 @@ def test_usage_errors_exit_2():
     ["expand", "--format", "xml"],
     ["expand", "--bogus-flag"],
     ["no-such-command"],
+    # --precision is asym-report's option only
+    *([command, "--precision", "40"] for command in sorted(cli.COMMANDS)
+      if command != "asym-report"),
 ], ids=lambda args: " ".join(args))
 def test_parser_errors_are_one_line(capsys, args):
     with pytest.raises(SystemExit) as exc:
@@ -494,7 +507,10 @@ def test_every_command_runs_without_mpmath(tmp_path, args):
     (EvalResult(1j, 0.0), "value"),
     (LemmaRatioRow(3, 1, 0.1, 1j, 1j, 0.0), "t"),
     (OddBalancedSequence(4, (2,), (), (1,)), "peak"),
-], ids=["EvalResult", "LemmaRatioRow", "OddBalancedSequence"])
+    (ReportRow(2, 5, None, None, None), "exact"),
+    (LogConcavityReport(*range(13)), "square_threshold"),
+], ids=["EvalResult", "LemmaRatioRow", "OddBalancedSequence", "ReportRow",
+        "LogConcavityReport"])
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
@@ -519,8 +535,6 @@ _COMMON = {
     "--format": st.sampled_from(["csv", "json", "xml", ""]),
     # unwritable only, so that no example leaves a file behind
     "--output": st.sampled_from([".", "missing-dir/out.txt"]),
-    "--precision": st.sampled_from(["30", "50", "100", "10", "0", "-1", "abc", "10001",
-                                    "100000000000000000000"]),
 }
 _FLAGS = {
     "expand": {"--n-max": st.sampled_from(_INTS + ["40"] + _JUNK)},
@@ -538,6 +552,8 @@ _FLAGS = {
         "--c": st.sampled_from(_INTS + _JUNK),
         "--checkpoints": _CHECKPOINTS,
         "--allow-even": None,
+        "--precision": st.sampled_from(["30", "50", "100", "10", "0", "-1", "abc", "10001",
+                                        "100000000000000000000"]),
     },
     "equidistribution": {"--moduli": _MODULI, "--checkpoints": _CHECKPOINTS},
     "logconcavity-scan": {
@@ -608,6 +624,7 @@ def _parsed(parse, argv):
 @example(argv=["expand", "--output", "-"])
 @example(argv=["expand", "--n-max", "3", "--n-max=4"])
 @example(argv=["asym-report", "--allow-even=1"])
+@example(argv=["expand", "--precision", "40"])
 @example(argv=["expand", "extra"])
 @example(argv=["expand", "--n-max"])
 @example(argv=[])

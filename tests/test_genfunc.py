@@ -27,7 +27,7 @@ def test_known_small_coefficients():
     assert table.rank_polynomial(0) == {0: 1}
     assert table.rank_polynomial(1) == {0: 2}
     assert table.rank_polynomial(2) == {-1: 1, 0: 3, 1: 1}
-    assert table.totals() == [1, 2, 5]
+    assert table.residue_sequence(0, 1) == [1, 2, 5]
 
 
 def test_rank_symmetry(rank_table_60):
@@ -40,14 +40,14 @@ def test_rank_support(rank_table_60):
     for n in range(20):
         for m in rank_table_60.columns:
             if abs(m) > n + 1 or abs(m) * (abs(m) + 3) // 2 > n:
-                assert rank_table_60.v(m, n) == 0
+                assert rank_table_60.rank_polynomial(n).get(m, 0) == 0
     # the bound is attained: rank m first occurs at n = m(m+3)/2
     for m in range(rank_support_bound(60) + 1):
-        assert rank_table_60.v(m, m * (m + 3) // 2) == 1
+        assert rank_table_60.rank_polynomial(m * (m + 3) // 2).get(m, 0) == 1
 
 
 def test_totals_consistency(rank_table_60):
-    assert rank_table_60.totals() == expand_v_totals(60)
+    assert rank_table_60.residue_sequence(0, 1) == expand_v_totals(60)
 
 
 def test_matches_enumeration():
@@ -55,17 +55,18 @@ def test_matches_enumeration():
     enum = count_rank_table(8)
     for n in range(9):
         for m in range(-(n + 2), n + 3):
-            assert table.v(m, n) == enum.v(m, n)
+            assert table.rank_polynomial(n).get(m, 0) == enum.v(m, n)
 
 
 def test_residue_class_examples(rank_table_60):
-    assert rank_table_60.residue_sequence(0, 1) == rank_table_60.totals()
+    assert rank_table_60.residue_sequence(0, 1) == [
+        sum(rank_table_60.rank_polynomial(n).values()) for n in range(61)]
     assert rank_table_60.residue_class(0, 3, 2) == 3
     assert rank_table_60.residue_class(1, 3, 2) == 1
     assert rank_table_60.residue_class(2, 3, 2) == 1  # m=-1 lands in class 2
     for n in (2, 10, 40):
         assert sum(rank_table_60.residue_class(a, 3, n) for a in range(3)) \
-            == rank_table_60.total(n)
+            == rank_table_60.residue_class(0, 1, n)
     assert expand_V_rank(2, 3).columns == {0: [1, 2, 3], 1: [0, 0, 1], 2: [0, 0, 1]}
 
 
@@ -117,7 +118,7 @@ def test_root_expansion_is_substitution_hom():
 
 def test_root_expansion_c1_equals_totals():
     assert expand_V_rank(12, 1).columns[0] == expand_v_totals(12) \
-        == expand_V_rank(12).totals()
+        == expand_V_rank(12).residue_sequence(0, 1)
 
 
 def test_root_expansion_known_value():
@@ -165,7 +166,7 @@ def test_reduced_table_pinned_values():
 @given(c=st.integers(1, 12), order=st.integers(0, 80))
 def test_residue_classes_sum_to_totals_and_mirror(c, order):
     reduced = expand_V_rank(order, c)
-    assert reduced.totals() == expand_v_totals(order)
+    assert reduced.residue_sequence(0, 1) == expand_v_totals(order)
     for a in range(c):
         # w <-> 1/w symmetry: v(a,c;n) = v(-a mod c,c;n)
         assert reduced.columns[a] == reduced.columns[-a % c]
@@ -183,8 +184,8 @@ def test_reduced_table_refuses_rank_queries_and_foreign_moduli():
     full = expand_V_rank(8)
     for d in (1, 2, 3, 6):
         assert reduced.residue_sequence(1, d) == full.residue_sequence(1, d)
-    assert reduced.totals() == full.totals()
-    for query in (lambda: reduced.v(0, 2), lambda: reduced.rank_polynomial(2),
+    assert reduced.residue_sequence(0, 1) == full.residue_sequence(0, 1)
+    for query in (lambda: reduced.rank_polynomial(2),
                   reduced.nonzero_items,
                   lambda: reduced.residue_class(0, 4, 2),
                   lambda: reduced.residue_sequence(0, 5)):
@@ -362,10 +363,18 @@ def test_range_checks_residue_class():
 
 def test_range_checks_total():
     for table in (expand_V_rank(20, 3), expand_V_rank(20)):
-        assert table.total(20) == expand_v_totals(20)[20]
+        assert table.residue_class(0, 1, 20) == expand_v_totals(20)[20]
         for n in (-1, 21):
             with pytest.raises(IndexError):
-                table.total(n)
+                table.residue_class(0, 1, n)
+
+
+def test_range_checks_rank_polynomial():
+    table = expand_V_rank(20)
+    assert sum(table.rank_polynomial(20).values()) == expand_v_totals(20)[20]
+    for n in (-1, 21):
+        with pytest.raises(IndexError):
+            table.rank_polynomial(n)
 
 
 def test_range_checks_residue_sequence_callers():
