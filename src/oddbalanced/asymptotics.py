@@ -1,12 +1,17 @@
 """Main-term formulas and convergence reports.
 
-Main terms are evaluated in the standard library's decimal arithmetic, in
-a local context of max(dps, 30) + GUARD_DIGITS significant digits (default
-dps 50), so every one of the dps printed digits is correct; nstr prints
-them in mpmath.nstr's format.  Exact integers from the expansion modules
-enter only the ratio, as one correctly rounded division.  Each exact
-report is one function from the counts to its rows: asym_report returns a
-list of ReportRow, logconcavity_scan one LogConcavityReport.  No third-party
+One main term serves every report: main_term_v(n, dps) is
+e^(pi sqrt n)/(16 n^(3/4)), and asym_report divides it by c for the
+residue classes of an odd c.  Main terms are evaluated in the standard
+library's decimal arithmetic, in a local context of max(dps, 30) +
+GUARD_DIGITS significant digits, so every one of the dps printed digits is
+correct; nstr prints them in mpmath.nstr's format.  Exact integers from
+the expansion modules enter only the ratio, as one correctly rounded
+division.  Each exact report is one function from a RankTable to its rows:
+asym_report returns a list of ReportRow (at c = 1 from the table reduced
+mod 1, the totals), logconcavity_scan one LogConcavityReport.  The
+settings of each report come from its caller (cli.COMMANDS); only
+asym_report's dps has a default, DEFAULT_DPS.  No third-party
 package is needed, and decimal is imported inside the functions that
 evaluate a main term, so only asym-report loads it.  modular is imported
 inside the lemma functions, so the exact reports (asym-report,
@@ -23,10 +28,6 @@ DEFAULT_DPS = 50
 # digits carried beyond the requested precision, so that the last printed
 # digit of a main term or ratio is not rounding noise
 GUARD_DIGITS = 10
-
-
-class EvenModulusError(ValueError):
-    """The residue main term is only established for odd moduli."""
 
 
 def _context(dps):
@@ -61,7 +62,7 @@ def _pi(prec):
 # Main terms
 # ---------------------------------------------------------------------------
 
-def main_term_v(n, dps=DEFAULT_DPS):
+def main_term_v(n, dps):
     """e^(pi sqrt n) / (16 n^(3/4)), a Decimal of max(dps, 30) + GUARD_DIGITS
     digits; the Tauberian transfer of C(e^-t) ~ (sqrt2/8) e^(pi^2/(4t))."""
     from decimal import MAX_EMAX, Context
@@ -79,18 +80,6 @@ def main_term_v(n, dps=DEFAULT_DPS):
     for _ in range(k):
         power = work.multiply(power, power)
     return ctx.divide(power, work.multiply(16, work.sqrt(work.multiply(n, root))))
-
-
-def main_term_v_mod(a, c, n, dps=DEFAULT_DPS):
-    """Residue-class main term e^(pi sqrt n)/(16 c n^(3/4)); independent of a.
-
-    Only valid for odd c > 1 (the generating function stops being a sum of
-    modular-times-mock pieces at w = -1, which every even modulus needs)."""
-    if c <= 1 or c % 2 == 0:
-        raise EvenModulusError(f"modulus must be odd and > 1, got c={c}")
-    if not 0 <= a < c:
-        raise ValueError("residue must satisfy 0 <= a < c")
-    return _context(dps).divide(main_term_v(n, dps), c)
 
 
 def nstr(x, digits):
@@ -182,17 +171,16 @@ def lemma_main_term(z, tau):
 ReportRow = namedtuple("ReportRow", "n exact main_term ratio equidistribution_stat")
 
 
-def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS):
+def asym_report(a, c, checkpoints, table, dps=DEFAULT_DPS):
     """One ReportRow per checkpoint, in increasing n: the exact v(a,c;n),
-    the main term, their ratio and, for c > 1, the equidistribution
-    statistic.
+    the main term e^(pi sqrt n)/(16 c n^(3/4)) for odd c, their ratio and,
+    for c > 1, the equidistribution statistic.
 
-    The counts are `totals` at c == 1 when they are given (the cheap
-    scalar expansion), else table.residue_sequence(a, c), from a RankTable
-    covering max(checkpoints): the full table or one reduced mod a
-    multiple of c."""
+    The counts are table.residue_sequence(a, c), from a RankTable covering
+    max(checkpoints): the full table or one reduced mod a multiple of c
+    (at c = 1, the totals)."""
     checkpoints = sorted(checkpoints)
-    seq = totals if c == 1 and totals is not None else table.residue_sequence(a, c)
+    seq = table.residue_sequence(a, c)
     if checkpoints and not 0 <= checkpoints[0] <= checkpoints[-1] < len(seq):
         raise IndexError(f"checkpoints {checkpoints[0]}..{checkpoints[-1]} "
                          f"outside 0..{len(seq) - 1}")
@@ -202,7 +190,7 @@ def asym_report(a, c, checkpoints, table=None, totals=None, dps=DEFAULT_DPS):
         if c % 2 == 0:
             main = ratio = None
         else:
-            main = main_term_v(n, dps) if c == 1 else main_term_v_mod(a, c, n, dps)
+            main = ctx.divide(main_term_v(n, dps), c)
             ratio = ctx.divide(seq[n], main)
         stat = None if c == 1 else equidistribution_stat(table, c, n)
         rows.append(ReportRow(n, seq[n], main, ratio, stat))
@@ -280,7 +268,7 @@ class LemmaRatioRow(namedtuple("LemmaRatioRow", "modulus j t series_value main_t
         return abs(self.series_value / self.main_term - 1.0)
 
 
-def lemma_ratio_report(moduli=(3, 5), t_values=(0.1, 0.05, 0.025)):
+def lemma_ratio_report(moduli, t_values):
     """For every z=j/c, compare the series value V(e^(2*pi*i*z); e^(-2*pi*t))
     with the interval main term along the vertical ray tau = i*t.  The series
     is summed to convergence and its truncation bound kept in each row."""

@@ -25,7 +25,8 @@ given as a separate word may not start with '-' unless it is a negative
 number (write --checkpoints=-5,600).  Flags are spelled in full: no
 abbreviation is accepted.  A flag given twice keeps its last value, and a
 list value keeps a repeated entry once, at its first place.  -h or --help
-prints the commands, or after a command its options with their defaults.
+prints the commands, or after a command its options with their defaults,
+each written as it would be typed.
 """
 
 import math
@@ -209,7 +210,7 @@ def _load_grid(source):
         raise UsageError(f"grid {source} must be a non-empty JSON list of objects")
     grid = []
     for p in raw:
-        order = _grid_number(p, "order", 400)
+        order = _grid_number(p, "order", decomposition.DEFAULT_ORDER)
         if order != int(order) or order < 1:
             raise UsageError(f"grid point {p}: 'order' must be a positive integer")
         grid.append((complex(_grid_number(p, "z_re"), _grid_number(p, "z_im", 0.0)),
@@ -249,6 +250,11 @@ def _check_residue(config):
 # 20 000 (2 vCPU, Python 3.11): the main terms cost what the digits do
 MAX_PRECISION = 10_000
 
+# the checkpoints of a report given none: the residue classes of
+# equidistribution and asym-report, and asym-report's totals (--c 1)
+RESIDUE_CHECKPOINTS = (150, 600)
+TOTAL_CHECKPOINTS = (100, 400, 1600)
+
 
 def cmd_asym_report(config):
     from . import asymptotics, genfunc
@@ -261,14 +267,14 @@ def cmd_asym_report(config):
     if config.modulus % 2 == 0 and not config.allow_even:
         raise UsageError(f"c={config.modulus} is even, so no main term applies; "
                          "pass --allow-even to tabulate the exact counts only")
-    checkpoints = config.checkpoints or ((100, 400, 1600) if config.modulus == 1
-                                         else (150, 600))
+    c = config.modulus
+    checkpoints = config.checkpoints or (TOTAL_CHECKPOINTS if c == 1
+                                         else RESIDUE_CHECKPOINTS)
     _check_checkpoints(checkpoints)
-    top, c = max(checkpoints), config.modulus
-    rows = asymptotics.asym_report(
-        config.residue, c, checkpoints, dps=config.precision,
-        totals=genfunc.expand_v_totals(top) if c == 1 else None,
-        table=genfunc.expand_V_rank(top, c) if c > 1 else None)
+    # the table reduced mod c; at c = 1 its one column is the totals v(n)
+    table = genfunc.expand_V_rank(max(checkpoints), c)
+    rows = asymptotics.asym_report(config.residue, c, checkpoints, table,
+                                   dps=config.precision)
     header = asymptotics.ReportRow._fields[:4 if c == 1 else 5]  # one class: no statistic
     nstr, digits = asymptotics.nstr, config.precision
     _write_rows([(r.n, r.exact, _fmt(nstr(r.main_term, digits)), _fmt(nstr(r.ratio, digits)),
@@ -282,7 +288,7 @@ def cmd_equidistribution(config):
     if not config.moduli or min(config.moduli) < 2:
         raise UsageError("moduli must be >= 2, so that the residue classes "
                          "can differ")
-    checkpoints = config.checkpoints or (150, 600)
+    checkpoints = config.checkpoints or RESIDUE_CHECKPOINTS
     _check_checkpoints(checkpoints)
     if len(checkpoints) < 2:
         raise UsageError("the statistic must shrink between checkpoints, "
@@ -456,6 +462,30 @@ def _usage_exit(prog, message):
     raise SystemExit(EXIT_USAGE)
 
 
+def _typed(value):
+    """A value as it is typed on the command line."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+# --help's words for an option whose default is no value
+_NO_VALUE = {"--output": "(stdout)", "--max-residual": "(the per-law thresholds)"}
+
+
+def _default_text(command, flag, parse, default):
+    """An option's default for --help: as it is typed, or in words where
+    the default is no value."""
+    if parse is None:
+        return "(a bare flag)"
+    if default is None:
+        return _NO_VALUE[flag]
+    if flag == "--checkpoints":  # none given: the command's own checkpoints
+        text = _typed(RESIDUE_CHECKPOINTS)
+        if command == "asym-report":
+            text = f"{_typed(TOTAL_CHECKPOINTS)} at --c 1, else {text}"
+        return text
+    return _typed(default)
+
+
 def _help(command=None):
     """Print the commands, or one command's options with their defaults,
     and exit 0."""
@@ -467,7 +497,7 @@ def _help(command=None):
                      "(default stdout)")
     else:
         lines = [usage, COMMANDS[command][0], "options and their defaults:"]
-        lines += [f"  {flag:16}{'(a bare flag)' if parse is None else default}"
+        lines += [f"  {flag:16}{_default_text(command, flag, parse, default)}"
                   for flag, (_, parse, default) in _options(command).items()]
     print(*lines, sep="\n")
     raise SystemExit(EXIT_OK)

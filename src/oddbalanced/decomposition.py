@@ -39,6 +39,10 @@ from .modular import (
 
 TWO_PI_I = 2j * math.pi
 
+# terms of the outer series summed on the default grid and, where a --grid
+# file gives no order, at each of its points
+DEFAULT_ORDER = 400
+
 
 def w_half_power(z, half_units):
     """w^(half_units/2) with the branch w^(1/2) = e^(pi*i*z)."""
@@ -103,7 +107,7 @@ class DecompositionSample(namedtuple("DecompositionSample",
         return abs(self.rhs - self.lhs) / max(1.0, abs(self.lhs))
 
 
-def verify_decomposition(z, tau, order=400):
+def verify_decomposition(z, tau, order):
     """Evaluate both sides at one point and package the residual."""
     lhs, tail = series_lhs(z, tau, order)
     if tail > 1e-10 * max(1.0, abs(lhs)):
@@ -116,12 +120,12 @@ def verify_decomposition(z, tau, order=400):
 
 # z values avoid 0, 1/4, 1/2, 3/4 (T2 theta zeros / mu poles)
 DEFAULT_GRID = tuple(
-    (z, tau, 400)
+    (z, tau, DEFAULT_ORDER)
     for z in (0.1, 0.2, 1.0 / 3.0, 0.45, 0.6, 0.85)
     for tau in (0.9j, 0.5 + 0.8j)
 )
 
 
-def run_grid(grid=DEFAULT_GRID):
+def run_grid(grid):
     """Evaluate the decomposition residual on a grid of (z, tau, order)."""
     return [verify_decomposition(*p) for p in grid]

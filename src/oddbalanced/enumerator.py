@@ -209,12 +209,6 @@ class EnumeratedTable:
         self.max_n = max_n
         self.counts = {}  # (m, n) -> count
 
-    def v(self, m, n):
-        return self.counts.get((m, n), 0)
-
-    def total(self, n):
-        return sum(c for (m, nn), c in self.counts.items() if nn == n)
-
 
 def count_rank_table(n_max):
     """Exact v(m,n) for all n <= n_max via enumeration."""

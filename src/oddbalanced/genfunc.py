@@ -274,12 +274,12 @@ def expand_V_rank(order, modulus=None):
                          columns=dict(enumerate(_expand_partial_theta(order, modulus))),
                          modulus=modulus)
     # |m| never exceeds mmax, so with 2*mmax+1 columns nothing wraps and
-    # column m mod c holds rank m exactly
+    # column m mod c holds rank m exactly; every rank |m| <= mmax occurs,
+    # first at n = |m|(|m|+3)/2 <= order, so no column is all zeros
     mmax = rank_support_bound(order)
     c = 2 * mmax + 1
     cols = _expand_partial_theta(order, c)
-    return RankTable(max_n=order, columns={
-        m: cols[m % c] for m in range(-mmax, mmax + 1) if any(cols[m % c])})
+    return RankTable(max_n=order, columns={m: cols[m % c] for m in range(-mmax, mmax + 1)})
 
 
 def expand_v_totals(order):

@@ -72,9 +72,9 @@ def _require_upper_half(tau):
 # Jacobi theta
 # ---------------------------------------------------------------------------
 
-def theta_cutoff(z, tau):
-    """Smallest half-integer window [-J, J) making the Gaussian tail of the
-    theta sum fall below exp(LOG_EPS)."""
+def theta_window(z, tau):
+    """J of the smallest half-integer window [-J, J) making the Gaussian
+    tail of the theta sum fall below exp(LOG_EPS)."""
     t = tau.imag
     b = abs(complex(z).imag)
     # solve pi*t*n^2 - 2*pi*b*n + LOG_EPS = 0 for the positive root
@@ -83,11 +83,12 @@ def theta_cutoff(z, tau):
     return int(j) + 4
 
 
-def theta(z, tau, cutoff=None):
-    """Jacobi theta with half-integer characteristics; odd in z."""
+def theta(z, tau):
+    """Jacobi theta with half-integer characteristics; odd in z.  Sums the
+    half-integer window [-J, J) of theta_window, with its tail bound."""
     tau = _require_upper_half(tau)
     z = complex(z)
-    J = cutoff if cutoff is not None else theta_cutoff(z, tau)
+    J = theta_window(z, tau)
     a = 1j * math.pi * tau
     b = 2j * math.pi * (z + 0.5)
     exp = cmath.exp
@@ -134,44 +135,46 @@ GL_POINTS = 40  # nodes of the Gauss-Legendre rule on each panel
 
 
 @functools.cache
-def gauss_legendre(npoints):
-    """Nodes (ascending) and weights of the npoints-point Gauss-Legendre rule
-    on [-1, 1], by Newton's method on the three-term recurrence
+def gauss_legendre():
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], n = GL_POINTS, by Newton's method on the three-term recurrence
     k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2}.  The rule is symmetric, so only
-    the nodes in (0, 1) (and 0 for odd npoints) are solved for."""
+    the nodes in (0, 1) (and 0 for odd n) are solved for."""
+    n = GL_POINTS
     upper = []
-    for i in range(npoints // 2 + npoints % 2):
-        x = math.cos(math.pi * (i + 0.75) / (npoints + 0.5))
+    for i in range(n // 2 + n % 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
         for _ in range(100):
             p_prev, p = 1.0, x
-            for k in range(2, npoints + 1):
+            for k in range(2, n + 1):
                 p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            dp = npoints * (x * p - p_prev) / (x * x - 1.0)
+            dp = n * (x * p - p_prev) / (x * x - 1.0)
             step = p / dp
             x -= step
             if abs(step) <= 1e-16:
                 break
         upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    if npoints % 2:
+    if n % 2:
         upper[-1] = (0.0, upper[-1][1])
-    lower = [(-x, w) for x, w in upper[:npoints // 2]]
+    lower = [(-x, w) for x, w in upper[:n // 2]]
     rule = lower + upper[::-1]
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
 @functools.cache
-def _legendre_top(npoints):
-    """Row vectors that map the values of f at the npoints Gauss-Legendre
-    nodes to the coefficients of P_(npoints-2) and P_(npoints-1) in the
+def _legendre_top():
+    """Row vectors that map the values of f at the n = GL_POINTS
+    Gauss-Legendre nodes to the coefficients of P_(n-2) and P_(n-1) in the
     Legendre expansion of f's interpolant: (2k+1)/2 * w_j * P_k(x_j)."""
-    nodes, weights = gauss_legendre(npoints)
+    n = GL_POINTS
+    nodes, weights = gauss_legendre()
     lower, upper = [], []
     for x, w in zip(nodes, weights):
         p_prev, p = 1.0, x
-        for k in range(2, npoints):
+        for k in range(2, n):
             p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        lower.append((npoints - 1.5) * w * p_prev)
-        upper.append((npoints - 0.5) * w * p)
+        lower.append((n - 1.5) * w * p_prev)
+        upper.append((n - 0.5) * w * p)
     return tuple(lower), tuple(upper)
 
 
@@ -202,8 +205,8 @@ def _mordell_pass(a, b, X, npanels):
     of each panel's interpolant, summed over the panels, which for an
     integrand analytic around the panel is far above the error of the
     rule; l1 is the same rule applied to |integrand|."""
-    nodes, weights = gauss_legendre(GL_POINTS)
-    lower, upper = _legendre_top(GL_POINTS)
+    nodes, weights = gauss_legendre()
+    lower, upper = _legendre_top()
     half = X / (2 * npanels)
     pi, exp, cexp = math.pi, math.exp, cmath.exp
     value = estimate = l1 = 0.0

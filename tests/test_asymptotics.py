@@ -12,21 +12,19 @@ from oddbalanced import genfunc
 from oddbalanced.asymptotics import (
     DEFAULT_DPS,
     GUARD_DIGITS,
-    EvenModulusError,
     asym_report,
     equidistribution_stat,
     lemma_main_term,
     lemma_ratio_report,
     logconcavity_scan,
     main_term_v,
-    main_term_v_mod,
     nstr,
 )
 from oddbalanced.modular import DomainError
 from exponents import (
     CRITICAL_EXPONENT,
     GAP_POLYNOMIALS,
-    GAP_POLYNOMIALS_MEASURED,
+    EvenModulusError,
     exponent_gap,
     interval_exponent,
 )
@@ -61,24 +59,28 @@ def test_tauberian_validation():
         tauberian_apply(1, 0, 1, 0)
 
 
-def test_main_term_v_mod():
-    # the quotient is taken at the working precision, as main_term_v's is
-    reference = Context(prec=DEFAULT_DPS + GUARD_DIGITS).divide(main_term_v(50), 3)
-    assert abs(main_term_v_mod(0, 3, 50) - reference) == 0
-    assert main_term_v_mod(1, 5, 50) == main_term_v_mod(4, 5, 50)
-    with pytest.raises(EvenModulusError):
-        main_term_v_mod(0, 2, 50)
-    with pytest.raises(EvenModulusError):
-        main_term_v_mod(0, 1, 50)
-    with pytest.raises(ValueError):
-        main_term_v_mod(7, 5, 50)
+def _report_main_term(a, c, n, table):
+    [row] = asym_report(a, c, (n,), table)
+    return row.main_term
+
+
+def test_main_term_v_mod(rank_table_60):
+    # the residue-class main term of v(a,c;n) is main_term_v / c, the
+    # quotient taken at the working precision, as main_term_v's is; the
+    # same for every class, and main_term_v itself at c = 1
+    reference = Context(prec=DEFAULT_DPS + GUARD_DIGITS).divide(
+        main_term_v(50, DEFAULT_DPS), 3)
+    assert abs(_report_main_term(0, 3, 50, rank_table_60) - reference) == 0
+    assert (_report_main_term(1, 5, 50, rank_table_60)
+            == _report_main_term(4, 5, 50, rank_table_60))
+    assert _report_main_term(0, 1, 50, rank_table_60) == main_term_v(50, DEFAULT_DPS)
 
 
 def test_main_term_v_mod_keeps_every_digit():
     # every digit of e^(pi sqrt 600) / (16 * 3 * 600^(3/4))
     # = 452276648384950938093786961120.78...
     with mp.workdps(60):
-        got = mp.mpf(str(main_term_v_mod(0, 3, 600)))
+        got = mp.mpf(str(_report_main_term(0, 3, 600, genfunc.expand_V_rank(600, 3))))
         want = mp.e ** (mp.pi * mp.sqrt(600)) / (48 * mp.mpf(600) ** mp.mpf(0.75))
         assert abs(got / want - 1) < mp.mpf(10) ** -DEFAULT_DPS
 
@@ -86,7 +88,7 @@ def test_main_term_v_mod_keeps_every_digit():
 def test_main_term_identities():
     with mp.workdps(50):
         for n in (1, 7, 100, 4096):
-            lhs = mp.mpf(str(main_term_v(n)))
+            lhs = mp.mpf(str(main_term_v(n, DEFAULT_DPS)))
             rhs = mp.mpf(n) ** mp.mpf("0.25") / 2 * overpartition_asym(n)
             assert abs(lhs / rhs - 1) < mp.mpf(10) ** -45
         # spot values of the other two main terms
@@ -97,18 +99,18 @@ def test_main_term_identities():
 
 
 def test_interval_exponent_values():
-    assert interval_exponent(Fraction(1, 3)) == Fraction(-1, 144)
+    # z = 1/3 and 2/3 mirror each other: -1/18 + 1/6 - 1/8 = -1/72
+    assert interval_exponent(Fraction(1, 3)) == Fraction(-1, 72)
     assert interval_exponent(Fraction(2, 3)) == Fraction(-1, 72)
     assert interval_exponent(Fraction(4, 5)) == Fraction(-17, 400)
-    with pytest.raises(DomainError):
-        interval_exponent(Fraction(1, 2))
-    with pytest.raises(DomainError):
-        interval_exponent(Fraction(1, 4), GAP_POLYNOMIALS_MEASURED)
+    for z in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        with pytest.raises(DomainError):
+            interval_exponent(z)
 
 
 def test_exponent_gap_small_cases():
-    # z=1/3 contributes -1/144 + 1/16 = 1/18; z=2/3 the smaller 7/144
-    assert interval_exponent(Fraction(1, 3)) - CRITICAL_EXPONENT == Fraction(1, 18)
+    # z = 1/3 and z = 2/3 both contribute -1/72 + 1/16 = 7/144
+    assert interval_exponent(Fraction(1, 3)) - CRITICAL_EXPONENT == Fraction(7, 144)
     assert exponent_gap(3) == Fraction(7, 144)
     assert exponent_gap(5) > 0
     with pytest.raises(EvenModulusError):
@@ -118,19 +120,45 @@ def test_exponent_gap_small_cases():
 def test_exponent_gap_sweep():
     for c in range(3, 100, 2):
         assert exponent_gap(c) > 0
-        assert exponent_gap(c, GAP_POLYNOMIALS_MEASURED) > 0
 
 
 def test_gap_polynomials_stay_above_critical_value():
-    # dense rational sweep of both polynomial families over (0,1)
-    for polys in (GAP_POLYNOMIALS, GAP_POLYNOMIALS_MEASURED):
-        for poly in polys:
-            span = poly.hi - poly.lo
-            for i in range(1, 400):
-                z = poly.lo + span * Fraction(i, 400)
-                if z == poly.hi:
-                    continue
-                assert poly(z) > CRITICAL_EXPONENT
+    # dense rational sweep of the polynomials over (0,1)
+    for poly in GAP_POLYNOMIALS:
+        span = poly.hi - poly.lo
+        for i in range(1, 400):
+            z = poly.lo + span * Fraction(i, 400)
+            if z == poly.hi:
+                continue
+            assert poly(z) > CRITICAL_EXPONENT
+
+
+@pytest.mark.parametrize("c, j", [(3, 1), (5, 2), (7, 2), (7, 3)])
+def test_interval_exponents_predict_the_twist_growth(c, j):
+    # The twist T(n) = sum_a cos(2 pi a j/c) v(a,c;n) is the q^n coefficient
+    # of V(e^(2 pi i j/c); q).  On (1/4, 3/4) the main term's Bessel
+    # transfer gives T(n) ~ C n^(-1/2) e^(4 pi sqrt(-E) sqrt n), with E the
+    # interval exponent at j/c, so the least-squares slope of
+    # log|T(n)| + log(n)/2 against sqrt n over n = 1500..3000 is
+    # 4 pi sqrt(-E).  (Without the n^(1/2) the slopes read 0.02-0.03 lower.)
+    # The counts are exact and the twist is formed at 400 digits: float
+    # cosines would lose it to cancellation.
+    table = genfunc.expand_V_rank(3000, c)
+    classes = [table.residue_sequence(a, c) for a in range(c)]
+    with mp.workdps(400):
+        cosines = [mp.cos(2 * mp.pi * a * j / c) for a in range(c)]
+        xs, ys = [], []
+        for n in range(1500, 3001, 50):
+            twist = mp.fsum(cos * col[n] for cos, col in zip(cosines, classes))
+            xs.append(mp.sqrt(n))
+            ys.append(mp.log(abs(twist)) + mp.log(n) / 2)
+        mx, my = mp.fsum(xs) / len(xs), mp.fsum(ys) / len(ys)
+        slope = (mp.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                 / mp.fsum((x - mx) ** 2 for x in xs))
+        exponent = interval_exponent(Fraction(j, c))
+        assert exponent < 0
+        predicted = 4 * mp.pi * mp.sqrt(-mp.mpf(exponent.numerator) / exponent.denominator)
+        assert abs(slope - predicted) < 0.02, (float(slope), float(predicted))
 
 
 def test_lemma_main_term_dispatch():
@@ -165,12 +193,12 @@ def test_lemma_ratio_quick():
 
 def test_asym_report_c1():
     totals = genfunc.expand_v_totals(10)
-    rows = asym_report(0, 1, (2, 10), totals=totals)
+    rows = asym_report(0, 1, (2, 10), genfunc.expand_V_rank(10, 1))
     assert rows[0].exact == 5
     assert rows[0].ratio is not None
     assert rows[1].exact == totals[10]
     assert [r.equidistribution_stat for r in rows] == [None, None]
-    # without totals the report reads the table's one class mod 1
+    # the full table and one reduced mod 3 give the same one class mod 1
     assert asym_report(0, 1, (2, 10), table=genfunc.expand_V_rank(10)) == rows
     assert asym_report(0, 1, (2, 10), table=genfunc.expand_V_rank(10, 3)) == rows
 
@@ -250,10 +278,10 @@ def test_nstr_at_5000_digits():
 
 
 @pytest.mark.parametrize("dps", [30, 50])
-def test_asym_report_prints_only_correct_digits(totals_3600, dps):
+def test_asym_report_prints_only_correct_digits(dps):
     # every printed digit agrees with the same quantity at twice the precision
     checkpoints = [*range(1, 3600, 97), 3600]
-    rows = asym_report(0, 1, checkpoints, totals=totals_3600, dps=dps)
+    rows = asym_report(0, 1, checkpoints, genfunc.expand_V_rank(3600, 1), dps=dps)
     with mp.workdps(2 * dps):
         for row in rows:
             main = mp.e ** (mp.pi * mp.sqrt(row.n)) / (16 * mp.mpf(row.n) ** mp.mpf(0.75))

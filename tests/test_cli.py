@@ -650,8 +650,36 @@ def test_help_lists_every_command_and_flag(capsys, argv):
     names = sorted(_FLAGS) if len(argv) == 1 else [*_FLAGS[argv[0]], *_COMMON]
     for name in names:
         assert name in out, name
-    if argv[0] == "verify-transforms":
-        assert "20260810" in out  # each option is listed with its default
+    if len(argv) == 2:
+        _check_printed_defaults(argv[0], out, capsys)
+
+
+def _run_checkpoints(argv, capsys):
+    """The checkpoints a run of argv reports, read from its n column."""
+    assert cli.main([*argv, "--format", "json"]) == 0
+    return tuple(dict.fromkeys(int(row["n"]) for row in json.loads(capsys.readouterr().out)))
+
+
+def _check_printed_defaults(command, out, capsys):
+    # each printed default of a valued option parses, through that
+    # option's own parser, back to the value a run uses; an option whose
+    # default is no value, or a bare flag, is described in parentheses
+    lines = out.splitlines()
+    printed = dict(line.split(None, 1)
+                   for line in lines[lines.index("options and their defaults:") + 1:])
+    options = cli._options(command)
+    assert sorted(printed) == sorted(options)
+    for flag, (dest, parse, default) in options.items():
+        text = printed[flag]
+        if text.startswith("("):
+            assert parse is None or default is None, flag
+        elif flag == "--checkpoints":  # none given: chosen by the command
+            at_c1, _, otherwise = text.partition(" at --c 1, else ")
+            assert parse(at_c1) == _run_checkpoints([command], capsys)
+            if otherwise:
+                assert parse(otherwise) == _run_checkpoints([command, "--c", "3"], capsys)
+        else:
+            assert parse(text) == getattr(cli.RunConfig(command), dest), flag
 
 
 def test_abbreviated_flags_are_usage_errors(capsys):

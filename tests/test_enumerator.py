@@ -128,7 +128,7 @@ def test_count_rank_table_values():
     assert table.counts[(-1, 2)] == 1
     assert table.counts[(0, 2)] == 3
     assert table.counts[(1, 2)] == 1
-    assert table.total(2) == 5
+    assert sum(cnt for (m, n), cnt in table.counts.items() if n == 2) == 5
 
 
 INVALID = [

@@ -37,6 +37,10 @@ def test_rank_symmetry(rank_table_60):
 
 def test_rank_support(rank_table_60):
     assert rank_support_bound(60) == 9
+    # the full table holds exactly the ranks -mmax..mmax: each occurs
+    for order in (0, 1, 60, 600):
+        mmax = rank_support_bound(order)
+        assert sorted(expand_V_rank(order).columns) == list(range(-mmax, mmax + 1))
     for n in range(20):
         for m in rank_table_60.columns:
             if abs(m) > n + 1 or abs(m) * (abs(m) + 3) // 2 > n:
@@ -55,7 +59,7 @@ def test_matches_enumeration():
     enum = count_rank_table(8)
     for n in range(9):
         for m in range(-(n + 2), n + 3):
-            assert table.rank_polynomial(n).get(m, 0) == enum.v(m, n)
+            assert table.rank_polynomial(n).get(m, 0) == enum.counts.get((m, n), 0)
 
 
 def test_residue_class_examples(rank_table_60):
@@ -385,7 +389,7 @@ def test_range_checks_residue_sequence_callers():
         with pytest.raises(IndexError):
             asym_report(0, 3, checkpoints, table=table)
         with pytest.raises(IndexError):
-            asym_report(0, 1, checkpoints, totals=expand_v_totals(20))
+            asym_report(0, 1, checkpoints, table=expand_V_rank(20, 1))
 
 
 def _overpartitions_by_product(order):
