@@ -142,6 +142,9 @@ def cmd_enumerate(config):
 
     if config.n < 0:
         raise UsageError(f"--n must be >= 0, got {config.n}")
+    if config.n > MAX_ENUMERATE_N:
+        raise UsageError(f"--n above {MAX_ENUMERATE_N} is not supported: the "
+                         f"sequences are listed in memory")
     _emit(enumerator.json_lines(config.n), config)
     return EXIT_OK
 
@@ -249,6 +252,9 @@ def _check_residue(config):
 # a fresh asym-report --c 3 takes about 1.2 s at 10 000 digits and 3.5 s at
 # 20 000 (2 vCPU, Python 3.11): the main terms cost what the digits do
 MAX_PRECISION = 10_000
+# enumerate holds its whole text in memory, ~70 bytes a line: a fresh --n 36
+# (747 672 lines) takes about 1.2 s and 160 MB; --n 50 would need over 1 GB
+MAX_ENUMERATE_N = 36
 
 # the checkpoints of a report given none: the residue classes of
 # equidistribution and asym-report, and asym-report's totals (--c 1)
@@ -420,7 +426,8 @@ _COMMON = {
 COMMANDS = {
     "expand": ("dump the exact rank table v(m,n)",
                {"--n-max": ("n_max", int, 10)}),
-    "enumerate": ("list all sequences of size 2n+2 as JSON lines",
+    "enumerate": ("list all sequences of size 2n+2 as JSON lines (--n is "
+                  f"0..{MAX_ENUMERATE_N}; the top takes about 1.2 s and 160 MB)",
                   {"--n": ("n", int, 5)}),
     "verify-transforms": (
         "residual table for the transformation laws "

@@ -25,8 +25,10 @@ sum (with j = t+1+k the exponent is j^2 - t(t+1)/2 - 1) whose
 coefficients are all +-1.  Rank by rank it reads
 phi(-q) (V_m + V_{m+1}) = G_m for m >= 0, so
 phi(-q) V_m = sum_{t>=|m|} (-1)^{t-|m|} G_t.  At w = 1 every G_t counts
-once: v(n) = sum_k h(k) pbar(n-k) with h = sum_t G_t, |h| <= 3 up to
-n = 1200, the paper's overpartition relation as an exact convolution.  At
+once: v(n) = sum_k h(k) pbar(n-k) with h = sum_t G_t, the paper's
+overpartition relation as an exact convolution.  h is small but not
+bounded by 3: max |h(n)| is 3 for n <= 1200 and 6 for n <= 2*10^4, and
+h(n) = 0 whenever 8n+7 has a prime = +-3 (mod 8) to an odd power.  At
 w = -1 it gives phi(-q) V(-1;q) = sum_t (-1)^t (2t+1) G_t.
 
 The identity is verified, not proved: it agrees exactly with the

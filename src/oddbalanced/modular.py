@@ -12,23 +12,21 @@ Implements, for tau in the upper half-plane:
   ratios share.
 
 Each evaluator returns an EvalResult carrying the value and a bound on the
-discarded tail.  The truncation bounds of theta, eta and V are rigorous;
-the quadrature's bound adds, to the tail, a per-panel error estimate from the
-highest Legendre coefficients of the same pass and a rounding allowance,
+discarded tail.  The truncation bounds of theta, eta and V are rigorous.
+The Mordell integral is the trapezoidal rule, whose error for an integrand
+analytic in a strip has an a-priori bound (see mordell); its bound adds the
+strip term, the tail beyond the truncation point and a rounding allowance,
 and is checked against 30-digit quadrature in the tests.
 sqrt(-i*tau) always means the principal branch, which is the convention
 validated by the transformation-law tests.
 
-All evaluators are plain cmath/math loops; the Gauss-Legendre nodes of the
-quadrature are computed on first use, so importing this module costs
+All evaluators are plain cmath/math loops, so importing this module costs
 nothing beyond the standard library.
 """
 
 import cmath
-import functools
 import math
 from collections import namedtuple
-from operator import mul
 
 TWO_PI = 2.0 * math.pi
 LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
@@ -131,56 +129,9 @@ def eta(tau):
 # Mordell integral
 # ---------------------------------------------------------------------------
 
-GL_POINTS = 40  # nodes of the Gauss-Legendre rule on each panel
-
-
-@functools.cache
-def gauss_legendre():
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], n = GL_POINTS, by Newton's method on the three-term recurrence
-    k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2}.  The rule is symmetric, so only
-    the nodes in (0, 1) (and 0 for odd n) are solved for."""
-    n = GL_POINTS
-    upper = []
-    for i in range(n // 2 + n % 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p_prev, p = 1.0, x
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            dp = n * (x * p - p_prev) / (x * x - 1.0)
-            step = p / dp
-            x -= step
-            if abs(step) <= 1e-16:
-                break
-        upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    if n % 2:
-        upper[-1] = (0.0, upper[-1][1])
-    lower = [(-x, w) for x, w in upper[:n // 2]]
-    rule = lower + upper[::-1]
-    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
-
-
-@functools.cache
-def _legendre_top():
-    """Row vectors that map the values of f at the n = GL_POINTS
-    Gauss-Legendre nodes to the coefficients of P_(n-2) and P_(n-1) in the
-    Legendre expansion of f's interpolant: (2k+1)/2 * w_j * P_k(x_j)."""
-    n = GL_POINTS
-    nodes, weights = gauss_legendre()
-    lower, upper = [], []
-    for x, w in zip(nodes, weights):
-        p_prev, p = 1.0, x
-        for k in range(2, n):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        lower.append((n - 1.5) * w * p_prev)
-        upper.append((n - 0.5) * w * p)
-    return tuple(lower), tuple(upper)
-
-
 def _mordell_range(z, tau):
     """X with |integrand| < e^LOG_EPS outside [-X, X], and a bound on the
-    integral over the discarded |x| > X."""
+    integral over |x| > X of a majorant of |integrand| that decreases there."""
     a = math.pi * tau.imag  # Gaussian decay
     b = TWO_PI * abs(z.real) - math.pi  # worst-case exponential growth vs cosh
     X = 1.0
@@ -195,45 +146,66 @@ def _mordell_range(z, tau):
     return X, 4.0 * math.exp(-a * X * X + b * X) / (2.0 * a * X - b)
 
 
-def _mordell_pass(a, b, X, npanels):
-    """One Gauss-Legendre pass over npanels equal panels of [0, X] for
+# half-widths a of the strips |Im x| < a in which the trapezoidal rule may
+# bound the integrand; the poles of 1/cosh(pi x) sit at +-i/2
+STRIP_WIDTHS = (0.1, 0.2, 0.3, 0.4, 0.45, 0.49)
+# the strip term's target, relative to the bound on the integral of
+# |integrand| along the real axis: a sixteenth of the rounding allowance
+STRIP_REL = 2.0 ** -50
 
-        int_0^X e^(a x^2) (e^(b x) + e^(-b x)) / cosh(pi x) dx,
 
-    the Mordell integral folded onto x >= 0.  Returns (value, estimate,
-    l1): the estimate is the size of the two highest Legendre coefficients
-    of each panel's interpolant, summed over the panels, which for an
-    integrand analytic around the panel is far above the error of the
-    rule; l1 is the same rule applied to |integrand|."""
-    nodes, weights = gauss_legendre()
-    lower, upper = _legendre_top()
-    half = X / (2 * npanels)
-    pi, exp, cexp = math.pi, math.exp, cmath.exp
-    value = estimate = l1 = 0.0
-    for p in range(npanels):
-        mid = (2 * p + 1) * half
-        # 1/cosh(pi x) as 2 e^(-pi x)/(1 + e^(-2 pi x)), which cannot
-        # overflow where the integrand is negligible
-        f = [(cexp(u + bx) + cexp(u - bx)) / (1.0 + exp(-2.0 * pi * x))
-             for t in nodes for x in [mid + half * t]
-             for u in [(a * x - pi) * x] for bx in [b * x]]
-        value += sum(map(mul, weights, f))
-        estimate += abs(sum(map(mul, lower, f))) + abs(sum(map(mul, upper, f)))
-        l1 += sum(map(mul, weights, map(abs, f)))
-    return 2.0 * half * value, 4.0 * half * estimate, 2.0 * half * l1
+def _strip_l1(z, tau, a):
+    """M(a) >= int |f(u+iy)| du for every |y| <= a, where f is the Mordell
+    integrand (inf when the bound overflows or the integral diverges).
+
+    With A = pi Im(tau),
+
+        |e^(pi i tau x^2 - 2 pi z x)| = e^(-A (u^2 - y^2) - 2 pi (Re tau u y
+                                         + Re z u - Im z y))
+
+    at x = u+iy; |cosh(pi(u+iy))| >= cosh(pi u) cos(pi y) and
+    1/cosh(pi u) <= 2 e^(-pi|u|).  So for |y| <= a,
+    |f(u+iy)| <= 2 e^(A a^2 + 2 pi |Im z| a)/cos(pi a) * e^(-A u^2 + c|u|)
+    with c = 2 pi (|Re tau| a + |Re z|) - pi, and
+
+        int_0^inf e^(-A u^2 + c u) du = sqrt(pi/A)/2 e^(s^2) erfc(-s),
+        s = c/(2 sqrt A),
+
+    which is at most 1/|c| for c < 0 (the bound used past s = -20, where
+    erfc underflows, and at A = 0: the boundary tau = 0, |Re z| < 1/2)."""
+    A = math.pi * tau.imag
+    c = TWO_PI * (abs(tau.real) * a + abs(z.real)) - math.pi
+    try:
+        scale = 4.0 * math.exp(A * a * a + TWO_PI * abs(z.imag) * a) / math.cos(math.pi * a)
+        if A == 0 or c < -40.0 * math.sqrt(A):
+            return scale / -c if c < 0 else math.inf
+        s = c / (2.0 * math.sqrt(A))
+        return scale * math.sqrt(math.pi / A) / 2.0 * math.exp(s * s) * math.erfc(-s)
+    except OverflowError:
+        return math.inf
 
 
 def mordell(z, tau):
-    """h(z;tau) by panelwise Gauss-Legendre quadrature of the integrand
-    folded onto [0, X], on panels at most one unit wide (the nearest poles
-    of 1/cosh(pi x), at +-i/2, lie half a unit off the real axis), with the
-    panel count doubled while the error estimate of _mordell_pass is above
-    1e-12 relative.
+    """h(z;tau) = int f, f(x) = exp(pi i tau x^2 - 2 pi z x)/cosh(pi x), by
+    the trapezoidal rule folded onto x >= 0,
 
-    The bound adds the estimate, 64 ulps of the quadrature of |integrand|
-    for rounding, and the discarded tail beyond X.  Allows Im(tau) = 0
-    (the boundary case) when |Re z| < 1/2, where the 1/cosh factor alone
-    makes the integral converge.
+        h * [f(0) + sum_{k=1..n} (f(kh) + f(-kh))],   n = ceil(X/h),
+
+    with X and the tail bound from _mordell_range.  f is analytic in every
+    strip |Im x| < a < 1/2, so the infinite rule h sum_k f(kh) differs from
+    the integral by at most 2M/(e^(2 pi a/h) - 1), where M bounds
+    int |f(u+iy)| du for |y| <= a (Trefethen and Weideman, SIAM Review 56,
+    2014, Theorem 5.1; M in closed form from _strip_l1).  Each a of
+    STRIP_WIDTHS with a finite M gives the h at which that term is
+    STRIP_REL of M(0), and the widest such h is taken; DomainError if no M
+    is finite.  The terms of the infinite rule past n sum to at most the
+    tail bound of _mordell_range, since nh >= X.
+
+    The bound is the strip term, plus that tail, plus 64 ulps of
+    h * sum |f(kh)| for rounding; the sum is compensated, so that its own
+    error does not grow with the number of nodes.  Allows Im(tau) = 0 (the boundary case)
+    when |Re z| < 1/2, where the 1/cosh factor alone makes the integral
+    converge.
     """
     z, tau = complex(z), complex(tau)
     if tau.imag < 0:
@@ -242,15 +214,32 @@ def mordell(z, tau):
         raise DomainError(
             f"divergent parameter regime: Im(tau)=0 needs |Re z| < 1/2, got z={z}")
     X, tail = _mordell_range(z, tau)
-    a = 1j * math.pi * tau
-    b = -TWO_PI * z
-    npanels = math.ceil(X)
-    for _ in range(10):
-        value, estimate, l1 = _mordell_pass(a, b, X, npanels)
-        if estimate <= 1e-12 * max(1.0, abs(value)):
-            break
-        npanels *= 2
-    return EvalResult(value, estimate + 2.0 ** -46 * l1 + tail)
+    target = STRIP_REL * _strip_l1(z, tau, 0.0)
+    rules = [(TWO_PI * a / math.log1p(2.0 * M / target), a, M)
+             for a in STRIP_WIDTHS for M in [_strip_l1(z, tau, a)]
+             if 2.0 * M / target < 1e300]
+    if not rules:
+        raise DomainError(f"no strip bound is finite (z={z}, tau={tau})")
+    h, a, M = max(rules)
+    strip = 2.0 * M / math.expm1(TWO_PI * a / h)
+    alpha = 1j * math.pi * tau
+    # f(+-x) = e^((alpha x - pi (1 +- 2z)) x) w with w = e^(pi x)/cosh(pi x)
+    # = 2/(1 + e^(-2 pi x)), which cannot overflow; 1 +- 2z is exact where it
+    # is small (Re z near -+1/2), where pi +- 2 pi z would lose the digits
+    # that the slow decay needs.  The sum is Kahan's.
+    plus, minus = math.pi * (1 + 2 * z), math.pi * (1 - 2 * z)
+    pi, exp, cexp = math.pi, math.exp, cmath.exp
+    value, carry, l1 = 1.0, 0.0, 1.0  # f(0) = 1
+    for k in range(1, math.ceil(X / h) + 1):
+        x = k * h
+        w = 2.0 / (1.0 + exp(-2.0 * pi * x))
+        fp, fm = cexp((alpha * x - plus) * x) * w, cexp((alpha * x - minus) * x) * w
+        term = fp + fm - carry
+        total = value + term
+        carry = (total - value) - term
+        value = total
+        l1 += abs(fp) + abs(fm)
+    return EvalResult(h * value, strip + tail + 2.0 ** -46 * h * l1)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,7 @@ def test_asym_report_precision_ceiling(capsys, precision):
 @pytest.mark.parametrize("args", [
     ["expand", "--n-max", "-1"],
     ["enumerate", "--n", "-1"],
+    ["enumerate", "--n", "37"],  # past MAX_ENUMERATE_N; nothing is enumerated
     ["logconcavity-scan", "--n-max", "-2"],
     ["logconcavity-scan", "--n-max", "0"],  # no tail to scan
     ["asym-report", "--checkpoints", "0"],

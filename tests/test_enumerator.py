@@ -149,9 +149,16 @@ def test_invalid_sequences_rejected():
         enumerate_sequences(-1)
 
 
-def test_enumeration_checks_its_components(monkeypatch):
-    # enumerate_sequences builds its tuples without the constructor, so it
-    # must make the constructor's checks itself
+# the two routes that build sequences without the constructor: the
+# records, and the JSON lines the enumerate command writes
+BUILDERS = pytest.mark.parametrize(
+    "build", [enumerate_sequences, enumerator.json_lines], ids=["records", "json_lines"])
+
+
+@BUILDERS
+def test_enumeration_checks_its_components(monkeypatch, build):
+    # the builders skip the constructor, so they must make its checks
+    # themselves
     odd_partitions = enumerator._odd_partitions
 
     def with_even_part(total, max_part):
@@ -161,10 +168,11 @@ def test_enumeration_checks_its_components(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_odd_partitions", with_even_part)
     with pytest.raises(AssertionError):
-        enumerate_sequences(4)
+        build(4)
 
 
-def test_enumeration_checks_the_peak_bound(monkeypatch):
+@BUILDERS
+def test_enumeration_checks_the_peak_bound(monkeypatch, build):
     # an odd part past the cap min(peak - 1, r) is at least the peak, so
     # only the bound by the peak can see it
     odd_partitions = enumerator._odd_partitions
@@ -175,7 +183,7 @@ def test_enumeration_checks_the_peak_bound(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_odd_partitions", with_large_part)
     with pytest.raises(AssertionError):
-        enumerate_sequences(4)
+        build(4)
 
 
 def clear_check_caches():

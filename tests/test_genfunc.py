@@ -343,6 +343,47 @@ def test_partial_theta_numerators():
         assert _times_phi_minus_q(pair) == g, m
 
 
+def test_totals_numerator_obeys_the_zero_rule():
+    # h = [q^n] sum_t G_t, the numerator of v(n) over phi(-q): with
+    # j = t+1+k its exponents are j^2 - t(t+1)/2 - 1, so 8n+7 = 8j^2 - (2t+1)^2
+    # is, up to sign, a norm from Z[sqrt 2], where the primes = +-3 (mod 8)
+    # are inert; so h(n) = 0 whenever 8n+7 has such a prime to an odd power
+    top = 20_000
+    h = [0] * (top + 1)
+    t = 0
+    while t * (t + 3) // 2 <= top:
+        plus, minus = genfunc._partial_theta(t, top + 1)
+        for e in plus:
+            h[e] += 1
+        for e in minus:
+            h[e] -= 1
+        t += 1
+    # smallest-prime-factor sieve to 8*top + 7
+    size = 8 * top + 8
+    spf = list(range(size))
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if spf[p] == p:
+            for k in range(p * p, size, p):
+                if spf[k] == k:
+                    spf[k] = p
+
+    def inert_to_odd_power(m):
+        while m > 1:
+            p, e = spf[m], 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e % 2 and p % 8 in (3, 5):
+                return True
+        return False
+
+    forced = [n for n in range(top + 1) if inert_to_odd_power(8 * n + 7)]
+    assert len(forced) == 11_915
+    assert [n for n in forced if h[n]] == []
+    assert max(map(abs, h[:1201])) == 3
+    assert max(map(abs, h)) == 6
+
+
 def test_identity_route_rejects_a_negative_count(monkeypatch):
     # a wrong numerator must raise, never pass as counts
     partial_theta = genfunc._partial_theta
