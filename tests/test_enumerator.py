@@ -149,30 +149,23 @@ def test_invalid_sequences_rejected():
         enumerate_sequences(-1)
 
 
-# the two routes that build sequences without the constructor: the
-# records, and the JSON lines the enumerate command writes
-BUILDERS = pytest.mark.parametrize(
-    "build", [enumerate_sequences, enumerator.json_lines], ids=["records", "json_lines"])
+# enumerate_sequences and the JSON lines the enumerate command writes
+# build sequences without the constructor, so both must make its checks
+# themselves
 
 
-@BUILDERS
-def test_enumeration_checks_its_components(monkeypatch, build):
-    # the builders skip the constructor, so they must make its checks
-    # themselves
+def inject_even_part(monkeypatch):
+    # an even part below the peak: only the parity check can see it
     odd_partitions = enumerator._odd_partitions
 
     def with_even_part(total, max_part):
-        # an even part below the peak: only the parity check can see it
         parts = odd_partitions(total, max_part)
         return parts + ((2,),) if total == 2 and max_part >= 2 else parts
 
     monkeypatch.setattr(enumerator, "_odd_partitions", with_even_part)
-    with pytest.raises(AssertionError):
-        build(4)
 
 
-@BUILDERS
-def test_enumeration_checks_the_peak_bound(monkeypatch, build):
+def inject_large_part(monkeypatch):
     # an odd part past the cap min(peak - 1, r) is at least the peak, so
     # only the bound by the peak can see it
     odd_partitions = enumerator._odd_partitions
@@ -182,8 +175,30 @@ def test_enumeration_checks_the_peak_bound(monkeypatch, build):
         return parts + ((total,),) if total % 2 and max_part < total else parts
 
     monkeypatch.setattr(enumerator, "_odd_partitions", with_large_part)
+
+
+def test_enumeration_checks_its_components(monkeypatch):
+    inject_even_part(monkeypatch)
     with pytest.raises(AssertionError):
-        build(4)
+        enumerate_sequences(4)
+
+
+def test_json_lines_check_their_components(monkeypatch):
+    inject_even_part(monkeypatch)
+    with pytest.raises(AssertionError):
+        enumerator.json_lines(4)
+
+
+def test_enumeration_checks_the_peak_bound(monkeypatch):
+    inject_large_part(monkeypatch)
+    with pytest.raises(AssertionError):
+        enumerate_sequences(4)
+
+
+def test_json_lines_check_the_peak_bound(monkeypatch):
+    inject_large_part(monkeypatch)
+    with pytest.raises(AssertionError):
+        enumerator.json_lines(4)
 
 
 def clear_check_caches():
