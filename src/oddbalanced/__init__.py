@@ -6,8 +6,9 @@ The package has three layers, each imported from its own module:
 * exact expansions (genfunc, enumerator): V(w;q) on integer columns with
   the rank variable w reduced mod w^c - 1 yields the totals v(n), the
   residue-class counts v(a,c;n) and the rank table v(m,n), each class a
-  sum of partial theta series divided by phi(-q); the outer-sum
-  recurrence and the brute-force enumerator check them;
+  sum of partial theta series divided by phi(-q); the brute-force
+  enumerator checks them, and so does the outer-sum recurrence, which
+  lives in the tests;
 * complex-numeric evaluators (modular, transforms, decomposition) for the
   theta/eta/Appell/Mordell functions, V(w;q) at a point
   (modular.evaluate_V_bounded) and the three-term decomposition of the

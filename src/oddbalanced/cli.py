@@ -127,11 +127,25 @@ def _fail(check, detail):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _check_size(order, modulus=None):
+    """Refuse an expansion mod c above MAX_MODULUS, or past genfunc's
+    budget on its packed division, before any of it is allocated."""
+    from . import genfunc
+
+    if modulus and modulus > MAX_MODULUS:
+        raise UsageError(f"c above {MAX_MODULUS} is not supported, got c={modulus}")
+    if not genfunc.within_budget(order, modulus):
+        at = f" at c = {modulus}" if modulus else ""
+        raise UsageError(f"n = {order}{at} is not supported: the exact expansion "
+                         "would pack more than 2^28 bits")
+
+
 def cmd_expand(config):
     from . import genfunc
 
     if config.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {config.n_max}")
+    _check_size(config.n_max)
     table = genfunc.expand_V_rank(config.n_max)
     _write_rows(table.nonzero_items(), ["n", "m", "count"], config)
     return EXIT_OK
@@ -255,6 +269,11 @@ MAX_PRECISION = 10_000
 # enumerate holds its whole text in memory, ~70 bytes a line: a fresh --n 36
 # (747 672 lines) takes about 1.2 s and 160 MB; --n 50 would need over 1 GB
 MAX_ENUMERATE_N = 36
+# the residue statistic at one checkpoint costs O(c^2) (each of the c
+# classes is summed over the c columns): about 0.1 s at c = 1000, where a
+# fresh equidistribution --moduli 1000 --checkpoints 1,2308 (the largest n
+# genfunc's packed-size budget admits there) takes about 0.6 s and 33 MB
+MAX_MODULUS = 1000
 
 # the checkpoints of a report given none: the residue classes of
 # equidistribution and asym-report, and asym-report's totals (--c 1)
@@ -277,6 +296,7 @@ def cmd_asym_report(config):
     checkpoints = config.checkpoints or (TOTAL_CHECKPOINTS if c == 1
                                          else RESIDUE_CHECKPOINTS)
     _check_checkpoints(checkpoints)
+    _check_size(max(checkpoints), c)
     # the table reduced mod c; at c = 1 its one column is the totals v(n)
     table = genfunc.expand_V_rank(max(checkpoints), c)
     rows = asymptotics.asym_report(config.residue, c, checkpoints, table,
@@ -299,6 +319,7 @@ def cmd_equidistribution(config):
     if len(checkpoints) < 2:
         raise UsageError("the statistic must shrink between checkpoints, "
                          "so at least two distinct ones are needed")
+    _check_size(max(checkpoints), max(config.moduli))  # the widest expansion
     rows = []
     decreasing = True
     for c in config.moduli:
@@ -321,6 +342,7 @@ def cmd_logconcavity_scan(config):
     n_max = config.n_max
     if n_max < 1:
         raise UsageError(f"--n-max must be >= 1, got {n_max}")
+    _check_size(n_max + 1, config.modulus)
     table = genfunc.expand_V_rank(n_max + 1, config.modulus)
     pbar = genfunc.expand_overpartition(n_max + 1)
     report = asymptotics.logconcavity_scan(config.residue, config.modulus,
@@ -424,7 +446,8 @@ _COMMON = {
     "--output": ("output", str, None),
 }
 COMMANDS = {
-    "expand": ("dump the exact rank table v(m,n)",
+    "expand": ("dump the exact rank table v(m,n) (--n-max is 0..6373, the "
+               "exact engine's 2^28-bit budget; the top takes about 2.2 s and 270 MB)",
                {"--n-max": ("n_max", int, 10)}),
     "enumerate": ("list all sequences of size 2n+2 as JSON lines (--n is "
                   f"0..{MAX_ENUMERATE_N}; the top takes about 1.2 s and 160 MB)",
@@ -441,16 +464,22 @@ COMMANDS = {
             "--max-residual": ("max_residual", float, 1e-7)}),
     "asym-report": (
         "exact counts vs main term at checkpoints (--allow-even tabulates an "
-        "even c without the main term; --precision DIGITS is 30..10000)", {
+        "even c without the main term; --precision DIGITS is 30..10000; "
+        f"--c is 1..{MAX_MODULUS}; the 2^28-bit budget admits checkpoints to "
+        "151145 at c = 1, about 9 s and 72 MB, and to 2308 at c = 1000)", {
             "--a": ("residue", int, 0),
             "--c": ("modulus", int, 1),
             "--checkpoints": ("checkpoints", _int_list, ()),
             "--allow-even": ("allow_even", None, False),
             "--precision": ("precision", int, 50)}),
-    "equidistribution": ("max_a |c v(a,c;n)/v(n) - 1| at checkpoints", {
+    "equidistribution": (
+        f"max_a |c v(a,c;n)/v(n) - 1| at checkpoints (moduli are 2..{MAX_MODULUS}, "
+        "and at 1000 one checkpoint's statistic takes about 0.1 s)", {
         "--moduli": ("moduli", _int_list, (3, 5, 7)),
         "--checkpoints": ("checkpoints", _int_list, ())}),
-    "logconcavity-scan": ("product inequalities and the overpartition bound", {
+    "logconcavity-scan": (
+        f"product inequalities and the overpartition bound (--c is 1..{MAX_MODULUS}; "
+        "the 2^28-bit budget admits --n-max to 151144 at c = 1, about 23 s)", {
         "--a": ("residue", int, 0),
         "--c": ("modulus", int, 1),
         "--n-max": ("n_max", int, 600)}),

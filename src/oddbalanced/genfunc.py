@@ -35,22 +35,14 @@ The identity is verified, not proved: it agrees exactly with the
 three-term decomposition read as a q-series identity (the route it
 replaced) for c = 1 to N = 40000, c = 3 to N = 10000 and c = 5 to
 N = 6000, and with the outer-sum recurrence for every c <= 16 at orders
-below 8 and for the even c of 2..16 at N = 200 to 600; the tests repeat
-these comparisons against the recurrence.  The cost is O(c N) plus one
-division: the c//2 + 1 class numerators (class -a equals class a) are
-packed into one integer per power of q and divided by phi(-q) together,
-O(N^1.5) operations on integers of about c/2 times the width of v(N).
-The route raises ArithmeticError if a count comes out negative or past
-the bound that sets the packing (see _expand_partial_theta).
-
-_expand_mod runs the outer sum as a recurrence,
-
-    P_0 = 1/(1-q),   P_n = P_{n-1} * q * (1+w q^n)(1+w^-1 q^n) / (1-q^{2n+1}),
-
-one kernel pass per factor, O(c N^2).  No command calls it: it is the
-independent reference route the tests hold the identity route equal to,
-and the program's only user of the kernels, which it imports when it
-runs.
+below 8 and for the even c of 2..16 at N = 200 to 600.  The recurrence,
+O(c N^2), lives in the tests (tests/reference.py), which repeat these
+comparisons; it shares no code with this module.  The cost is O(c N)
+plus one division: the c//2 + 1 class numerators (class -a equals class
+a) are packed into one integer per power of q and divided by phi(-q)
+together, O(N^1.5) operations on integers of about c/2 times the width
+of v(N).  The route raises ArithmeticError if a count comes out negative
+or past the bound that sets the packing (see _expand_partial_theta).
 
 Overpartitions are 1/phi(-q), one division by phi(-q), the module's
 only divisor (_div_phi_minus_q).  This module is exact only: numeric
@@ -137,31 +129,6 @@ class RankTable:
 # Expansions
 # ---------------------------------------------------------------------------
 
-def _expand_mod(order, c):
-    """Coefficients of V(w;q) for n <= order with w reduced mod w^c - 1:
-    c integer columns, column i holding the q-series of the ranks
-    congruent to i mod c.  Runs the outer-sum recurrence, O(c N^2).
-
-    Multiplying by w moves column i to column i+1 mod c.  The table
-    kernels shift between neighbouring columns, so the column that wraps
-    round is handed to them as a saved copy placed beyond the far end.
-    The kernels are imported here, their only program user.
-    """
-    from . import kernels
-
-    prod = [[0] * (order + 1) for _ in range(c)]
-    prod[0] = [1] * (order + 1)  # 1/(1-q)
-    acc = [list(col) for col in prod]
-    for n in range(1, order + 1):
-        for col in prod:
-            kernels.shift_up(col, 1, 0)
-        kernels.table_mul_w([list(prod[-1])] + prod, n, n)
-        kernels.table_mul_winv(prod + [list(prod[0])], n, n)
-        kernels.table_geometric(prod, 2 * n + 1, n)
-        kernels.table_acc(acc, prod, n)
-    return acc
-
-
 def _div_phi_minus_q(x):
     """The q-series x divided by phi(-q) = 1 + 2 sum_{j>=1} (-1)^j q^{j^2},
     truncated to len(x):
@@ -197,6 +164,23 @@ def _field_bits(order):
     root = sqrt(order)
     bits = int(log2(1 + 2 * root / pi) + pi * root / log(2)) + 1
     return -(-(bits + 2) // 8) * 8
+
+
+# The packed division holds (N+1)(c//2+1)B bits, B = _field_bits(N), and
+# the numerators, the quotients and the columns read back each take about
+# that much.  2^28 bits admits the totals (c = 1) to N = 151145 (a fresh
+# asym-report takes about 9 s and 72 MB there) and the full rank table to
+# 6373 (expand: 2.2 s, 270 MB); the README lists the other tops.
+MAX_PACKED_BITS = 1 << 28
+
+
+def within_budget(order, modulus=None):
+    """Whether expand_V_rank(order, modulus) packs at most MAX_PACKED_BITS
+    bits into its division.  A field is at least 8 bits, so an order past
+    the budget is refused before _field_bits takes its float root."""
+    c = modulus or 2 * rank_support_bound(order) + 1
+    return (order < MAX_PACKED_BITS
+            and (order + 1) * (c // 2 + 1) * _field_bits(order) <= MAX_PACKED_BITS)
 
 
 def _expand_partial_theta(order, c):

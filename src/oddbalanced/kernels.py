@@ -1,8 +1,10 @@
 """Hot inner loops for truncated q-series arithmetic, in pure Python.
 
-They serve genfunc._expand_mod, the outer-sum recurrence that is the
-tests' reference route, and the benchmark's per-layer probes, which time
-them by name.  No command loads this module.
+No module of the program imports this one: the exact engine is the partial
+theta route in genfunc, and the outer-sum recurrence the tests hold it to
+(tests/reference.py) writes its passes inline.  The six passes stay only
+because the benchmark's per-layer probes time them by name, until
+ROADMAP items 1 and 2 retire the probes and this module with them.
 
 Every function here mutates its list arguments in place and is generic
 over the coefficient type: plain int, Fraction, complex, or any object
@@ -12,16 +14,6 @@ Conventions: a series is a list ``c`` with ``c[k]`` the coefficient of q^k,
 and ``lo`` is a lower bound on the support of ``c`` (coefficients below
 ``lo`` are known to be zero, so work there can be skipped).
 """
-
-
-def shift_up(c, by, zero):
-    """In place, multiply the series by q^by (coefficients above the
-    truncation order fall off the end; the length never changes)."""
-    by = min(by, len(c))
-    if by <= 0:
-        return
-    c[by:] = c[: len(c) - by]
-    c[:by] = [zero] * by
 
 
 def shifted_add(c, a, s, lo=0):
@@ -58,8 +50,8 @@ def acc_add(dst, src, lo=0):
 
 # ---------------------------------------------------------------------------
 # Rank-tracking variants.  A table is a list of columns; column i holds the
-# q-series coefficients of w^(i - offset).  Multiplying by a power of w is a
-# shift between adjacent columns, so the same three passes as above suffice.
+# q-series coefficients of w^(i - offset), so multiplying by w is a shift
+# from each column to the next.
 # ---------------------------------------------------------------------------
 
 def table_mul_w(cols, a, lo=0):
@@ -73,24 +65,7 @@ def table_mul_w(cols, a, lo=0):
                 dst[k] = dst[k] + v
 
 
-def table_mul_winv(cols, a, lo=0):
-    """In place, multiply the table by (1 + w^-1*q^a); bottom column first."""
-    for i in range(len(cols) - 1):
-        dst = cols[i]
-        src = cols[i + 1]
-        for k in range(len(dst) - 1, lo + a - 1, -1):
-            v = src[k - a]
-            if v:
-                dst[k] = dst[k] + v
-
-
 def table_geometric(cols, a, lo=0):
     """In place, divide every column by (1 - q^a)."""
     for col in cols:
         geometric_add(col, a, lo)
-
-
-def table_acc(dst_cols, src_cols, lo=0):
-    """Accumulate src table into dst table."""
-    for dst, src in zip(dst_cols, src_cols):
-        acc_add(dst, src, lo)

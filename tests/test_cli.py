@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import cli
+from oddbalanced import cli, genfunc
 from oddbalanced.asymptotics import LemmaRatioRow, LogConcavityReport, ReportRow
 from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
@@ -211,6 +211,22 @@ def test_asym_report_precision_ceiling(capsys, precision):
     assert captured.out == ""
 
 
+# the first value past each ceiling: genfunc's budget on the packed
+# division (expand to 6373, c = 1 to 151145, c = 3 to 95191, c = 5 to
+# 72627) and cli.MAX_MODULUS; an order whose float root would overflow
+PAST_CEILINGS = [
+    ["expand", "--n-max", "6374"],
+    ["expand", "--n-max", "1" + "0" * 400],
+    ["asym-report", "--checkpoints", "151146"],
+    ["asym-report", "--c", "3", "--checkpoints", "100,95192"],
+    ["asym-report", "--c", "1001"],
+    ["equidistribution", "--moduli", "1001"],
+    ["equidistribution", "--moduli", "3,5", "--checkpoints", "10,72628"],
+    ["logconcavity-scan", "--n-max", "151145"],
+    ["logconcavity-scan", "--c", "1001"],
+]
+
+
 @pytest.mark.parametrize("args", [
     ["expand", "--n-max", "-1"],
     ["enumerate", "--n", "-1"],
@@ -230,12 +246,24 @@ def test_asym_report_precision_ceiling(capsys, precision):
     ["equidistribution", "--moduli", ""],
     ["equidistribution", "--checkpoints=-1,60"],
     ["equidistribution", "--checkpoints", "60"],  # nothing to shrink between
-], ids=lambda args: " ".join(args))
+    *PAST_CEILINGS,
+], ids=lambda args: " ".join(args)[:80])
 def test_bad_exact_command_inputs_are_usage_errors(tmp_path, capsys, args):
     code, captured = run_cli([*args, "--output", str(tmp_path / "out.csv")], capsys)
     assert code == 2
     assert_one_line_usage_error(captured.err)
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("args", PAST_CEILINGS, ids=lambda args: " ".join(args)[:80])
+def test_no_expansion_starts_past_a_ceiling(monkeypatch, capsys, args):
+    def refuse(*_):
+        raise AssertionError("expand_V_rank entered")
+
+    monkeypatch.setattr(genfunc, "expand_V_rank", refuse)
+    code, captured = run_cli(args, capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
 
 
 @pytest.mark.parametrize("args", [["enumerate", "--n", "2"], ["verify-transforms"]],

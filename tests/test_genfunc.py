@@ -20,6 +20,7 @@ from oddbalanced.genfunc import (
 from oddbalanced.modular import DomainError
 
 from conftest import expand_partition
+from reference import expand_mod, full_recurrence_table
 
 
 def test_known_small_coefficients():
@@ -81,14 +82,23 @@ def test_residue_monotonicity(rank_table_60):
             assert all(x <= y for x, y in zip(seq, seq[1:]))
 
 
-@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 9])
-def test_reduced_expansion_matches_enumerator(c):
+# the program's engine and the tests' recurrence, as columns {a: counts};
+# the engine's cases keep their plain ids
+ROUTES = {"": lambda order, c: expand_V_rank(order, c).columns,
+          "recurrence-": lambda order, c: dict(enumerate(expand_mod(order, c)))}
+
+
+@pytest.mark.parametrize("route,c", [pytest.param(route, c, id=f"{name}{c}")
+                                     for name, route in ROUTES.items()
+                                     for c in (1, 2, 3, 4, 5, 9)])
+def test_reduced_expansion_matches_enumerator(route, c):
+    # each exact route is held to the brute-force counts, not only to the
+    # other route
     order = 10
-    reduced = expand_V_rank(order, c)
     buckets = [[0] * (order + 1) for _ in range(c)]
     for (m, n), cnt in count_rank_table(order).counts.items():
         buckets[m % c][n] += cnt
-    assert reduced.columns == dict(enumerate(buckets))
+    assert route(order, c) == dict(enumerate(buckets))
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 9])
@@ -202,36 +212,40 @@ def test_reduced_table_refuses_rank_queries_and_foreign_moduli():
 def test_identity_route_equals_recurrence(order, c):
     # the two exact routes share no code: the partial theta identity
     # divided by phi(-q) against the outer-sum recurrence
-    assert genfunc._expand_partial_theta(order, c) == genfunc._expand_mod(order, c)
+    assert genfunc._expand_partial_theta(order, c) == expand_mod(order, c)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 7])
 def test_identity_route_low_orders(c):
     for order in range(6):
-        assert genfunc._expand_partial_theta(order, c) == genfunc._expand_mod(order, c)
+        assert genfunc._expand_partial_theta(order, c) == expand_mod(order, c)
 
 
 @settings(max_examples=25, deadline=None)
 @given(c=st.integers(1, 16), order=st.integers(0, 150))
 def test_identity_route_property(c, order):
-    assert genfunc._expand_partial_theta(order, c) == genfunc._expand_mod(order, c)
-
-
-def _full_recurrence_table(order):
-    mmax = rank_support_bound(order)
-    c = 2 * mmax + 1
-    cols = genfunc._expand_mod(order, c)
-    return {m: cols[m % c] for m in range(-mmax, mmax + 1) if any(cols[m % c])}
+    assert genfunc._expand_partial_theta(order, c) == expand_mod(order, c)
 
 
 def test_full_table_equals_recurrence():
     # the full table runs the identity at c = 2*mmax+1, where nothing wraps
     order = 150
-    assert expand_V_rank(order).columns == _full_recurrence_table(order)
+    assert expand_V_rank(order).columns == full_recurrence_table(order)
 
 
 def test_full_table_equals_recurrence_at_200():
-    assert expand_V_rank(200).columns == _full_recurrence_table(200)
+    assert expand_V_rank(200).columns == full_recurrence_table(200)
+
+
+@pytest.mark.parametrize("modulus,top", [(None, 6373), (1, 151145), (3, 95191),
+                                          (4, 72627), (5, 72627), (1000, 2308)])
+def test_budget_admits_the_quoted_orders(modulus, top):
+    # the largest orders the packed-size budget admits, as --help, the
+    # README and the ceiling tests quote them; an order whose float root
+    # would overflow is refused all the same
+    assert genfunc.within_budget(top, modulus)
+    assert not genfunc.within_budget(top + 1, modulus)
+    assert not genfunc.within_budget(10 ** 400, modulus)
 
 
 def test_packed_width_bounds_every_count():
@@ -331,7 +345,7 @@ def test_partial_theta_numerators():
     # phi(-q) (V_m + V_{m+1}) = G_m = sum_{k>=0} (-1)^k q^(k^2 + 2k(m+1) + m(m+3)/2),
     # checked on the recurrence's table, so the identity itself is tested
     order = 300
-    cols = _full_recurrence_table(order)
+    cols = full_recurrence_table(order)
     zero = [0] * (order + 1)
     for m in range(rank_support_bound(order) + 1):
         g = list(zero)
