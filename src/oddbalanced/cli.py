@@ -6,6 +6,14 @@ produce identical bytes.  Exit codes: 0 all checks passed, 1 a threshold
 check failed (a JSON failure record goes to stderr), 2 usage error (a
 one-line message goes to stderr).
 
+Each handler cmd_<command>(config) returns (text, failure): the
+command's whole output, and the detail of its failure record when a
+check failed (None or empty when every check passed).  dispatch alone
+writes the text to --output or stdout, then the failure record to
+stderr, and returns the exit code.  Input a handler cannot run on, or an
+--output that cannot be written, raises UsageError, which main turns
+into the one-line message and exit 2.
+
 Each command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads no other module of the package and nothing
 the interpreter has not loaded already: the argv parser is a table
@@ -79,24 +87,11 @@ def _fmt(x):
     return str(x)
 
 
-def _emit(text, config):
-    """Write text to --output, or to stdout when none is given."""
-    if not config.output:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write --output {config.output}: "
-                         f"{exc.strerror or exc}") from exc
-
-
-def _write_rows(rows, header, config):
-    """Emit rows, tuples of cells in header order, in the configured
-    format.  A cell is written as its str (for a float or complex its
-    shortest round-trip repr), all of them by one C-level format of a
-    template made from the header."""
+def _rows_text(rows, header, config):
+    """The text of rows, tuples of cells in header order, in the
+    configured format.  A cell is written as its str (for a float or
+    complex its shortest round-trip repr), all of them by one C-level
+    format of a template made from the header."""
     rows = list(rows)
     cells = chain.from_iterable(rows)
     if config.fmt == "json":
@@ -107,20 +102,10 @@ def _write_rows(rows, header, config):
         # json.dumps calls for a str
         template = " {\n" + ",\n".join(
             "  " + quote(k).replace("%", "%%") + ": %s" for k in header) + "\n }"
-        text = ("[\n" + ",\n".join([template] * len(rows)) + "\n]\n"
+        return ("[\n" + ",\n".join([template] * len(rows)) + "\n]\n"
                 ) % tuple(map(quote, map(str, cells))) if rows else "[]\n"
-    else:
-        line = ",".join(["%s"] * len(header)) + "\n"
-        text = ",".join(header) + "\n" + (line * len(rows)) % tuple(cells)
-    _emit(text, config)
-
-
-def _fail(check, detail):
-    import json
-
-    record = {"status": "fail", "check": check, "detail": detail}
-    sys.stderr.write(json.dumps(record) + "\n")
-    return EXIT_CHECK_FAILED
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (line * len(rows)) % tuple(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +132,7 @@ def cmd_expand(config):
         raise UsageError(f"--n-max must be >= 0, got {config.n_max}")
     _check_size(config.n_max)
     table = genfunc.expand_V_rank(config.n_max)
-    _write_rows(table.nonzero_items(), ["n", "m", "count"], config)
-    return EXIT_OK
+    return _rows_text(table.nonzero_items(), ["n", "m", "count"], config), None
 
 
 def cmd_enumerate(config):
@@ -159,8 +143,7 @@ def cmd_enumerate(config):
     if config.n > MAX_ENUMERATE_N:
         raise UsageError(f"--n above {MAX_ENUMERATE_N} is not supported: the "
                          f"sequences are listed in memory")
-    _emit(enumerator.json_lines(config.n), config)
-    return EXIT_OK
+    return enumerator.json_lines(config.n), None
 
 
 # per-law residual ceilings; --max-residual overrides all of them
@@ -187,18 +170,11 @@ def cmd_verify_transforms(config):
 
     _check_max_residual(config)
     rows = transforms.all_rows(seed=config.seed)
-    _write_rows([(r.law, r.point, r.residual) for r in rows],
-                ["law", "point", "residual"], config)
-    failures = []
-    for r in rows:
-        limit = (TRANSFORM_THRESHOLDS[r.law] if config.max_residual is None
-                 else config.max_residual)
-        if not r.residual < limit:
-            failures.append({"law": r.law, "point": r.point,
-                             "residual": r.residual, "limit": limit})
-    if failures:
-        return _fail("verify-transforms", failures)
-    return EXIT_OK
+    limits = (TRANSFORM_THRESHOLDS if config.max_residual is None
+              else dict.fromkeys(TRANSFORM_THRESHOLDS, config.max_residual))
+    failures = [{"law": r.law, "point": r.point, "residual": r.residual,
+                 "limit": limits[r.law]} for r in rows if not r.residual < limits[r.law]]
+    return _rows_text(rows, transforms.LawResidual._fields, config), failures
 
 
 def _grid_number(point, key, default=None):
@@ -243,14 +219,10 @@ def cmd_verify_decomposition(config):
     grid = _load_grid(config.grid)
     samples = _numeric_domain(decomposition.run_grid, grid)
     rows = [(s.z, s.tau, s.order, s.lhs, s.rhs, s.residual, s.lhs_tail) for s in samples]
-    _write_rows(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
-                       "series_tail_bound"], config)
-    limit = config.max_residual
     bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual}
-           for s in samples if not s.residual < limit]
-    if bad:
-        return _fail("verify-decomposition", bad)
-    return EXIT_OK
+           for s in samples if not s.residual < config.max_residual]
+    return _rows_text(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
+                             "series_tail_bound"], config), bad
 
 
 def _check_checkpoints(checkpoints):
@@ -269,10 +241,10 @@ MAX_PRECISION = 10_000
 # enumerate holds its whole text in memory, ~70 bytes a line: a fresh --n 36
 # (747 672 lines) takes about 1.2 s and 160 MB; --n 50 would need over 1 GB
 MAX_ENUMERATE_N = 36
-# the residue statistic at one checkpoint costs O(c^2) (each of the c
-# classes is summed over the c columns): about 0.1 s at c = 1000, where a
-# fresh equidistribution --moduli 1000 --checkpoints 1,2308 (the largest n
-# genfunc's packed-size budget admits there) takes about 0.6 s and 33 MB
+# an expansion mod c reads its c//2 + 1 classes back out of one packed
+# integer per power of q, O(c^2) per power: 0.15 s of the 0.3 s (33 MB) a
+# fresh equidistribution --moduli 1000 --checkpoints 1,2308 takes (2308 is
+# the largest n genfunc's packed-size budget admits there)
 MAX_MODULUS = 1000
 
 # the checkpoints of a report given none: the residue classes of
@@ -303,9 +275,8 @@ def cmd_asym_report(config):
                                    dps=config.precision)
     header = asymptotics.ReportRow._fields[:4 if c == 1 else 5]  # one class: no statistic
     nstr, digits = asymptotics.nstr, config.precision
-    _write_rows([(r.n, r.exact, _fmt(nstr(r.main_term, digits)), _fmt(nstr(r.ratio, digits)),
-                  r.equidistribution_stat)[:len(header)] for r in rows], header, config)
-    return EXIT_OK
+    return _rows_text([(r.n, r.exact, _fmt(nstr(r.main_term, digits)), _fmt(nstr(r.ratio, digits)),
+                        r.equidistribution_stat)[:len(header)] for r in rows], header, config), None
 
 
 def cmd_equidistribution(config):
@@ -321,18 +292,15 @@ def cmd_equidistribution(config):
                          "so at least two distinct ones are needed")
     _check_size(max(checkpoints), max(config.moduli))  # the widest expansion
     rows = []
-    decreasing = True
+    failure = None
     for c in config.moduli:
         table = genfunc.expand_V_rank(max(checkpoints), c)
         stats = [(n, asymptotics.equidistribution_stat(table, c, n))
                  for n in sorted(checkpoints)]
         rows += [(c, n, stat) for n, stat in stats]
         if stats[-1][1] >= stats[0][1]:
-            decreasing = False
-    _write_rows(rows, ["c", "n", "stat"], config)
-    if not decreasing:
-        return _fail("equidistribution", "statistic did not shrink across checkpoints")
-    return EXIT_OK
+            failure = "statistic did not shrink across checkpoints"
+    return _rows_text(rows, ["c", "n", "stat"], config), failure
 
 
 def cmd_logconcavity_scan(config):
@@ -360,19 +328,16 @@ def cmd_logconcavity_scan(config):
         "bound_threshold": report.bound_threshold,
         "bound_violation_count": len(report.bound_violations),
     }
-    _write_rows([tuple(map(_fmt, row.values()))], list(row), config)
     # The squared reading failing all the way to the top is an expected
     # finding (the counts grow log-concavely): it is reported in the
     # square_fails_to_end column, loudly, but does not fail the run.  The
     # doubled-argument reading and the overpartition bound are unambiguous
     # claims and must stabilise below the top of the range.
-    if report.double_fails_to_end:
-        return _fail("logconcavity-scan", {
-            "reading": "doubled-argument", "threshold": report.double_threshold})
-    if report.bound_fails_to_end:
-        return _fail("logconcavity-scan", {
-            "reading": "overpartition-bound", "threshold": report.bound_threshold})
-    return EXIT_OK
+    failure = ({"reading": "doubled-argument", "threshold": report.double_threshold}
+               if report.double_fails_to_end else
+               {"reading": "overpartition-bound", "threshold": report.bound_threshold}
+               if report.bound_fails_to_end else None)
+    return _rows_text([tuple(map(_fmt, row.values()))], list(row), config), failure
 
 
 def cmd_lemma_ratios(config):
@@ -393,18 +358,13 @@ def cmd_lemma_ratios(config):
                                config.moduli, config.t_values)
     rows = [(r.modulus, r.j, r.t, r.series_value, r.main_term, r.deviation,
              r.series_tail_bound) for r in rows_raw]
-    _write_rows(rows, ["c", "j", "t", "series_value", "main_term", "deviation",
-                       "series_tail_bound"], config)
-    failures = []
-    for c in config.moduli:
-        for j in range(1, c):
-            devs = {r.t: r.deviation for r in rows_raw
-                    if r.modulus == c and r.j == j}
-            if not devs[ts[-1]] < devs[ts[0]]:
-                failures.append({"c": c, "j": j, "devs": devs})
-    if failures:
-        return _fail("lemma-ratios", failures)
-    return EXIT_OK
+    devs = {}  # (c, j) -> {t: deviation}, in the order of the rows
+    for r in rows_raw:
+        devs.setdefault((r.modulus, r.j), {})[r.t] = r.deviation
+    failures = [{"c": c, "j": j, "devs": d} for (c, j), d in devs.items()
+                if not d[ts[-1]] < d[ts[0]]]
+    return _rows_text(rows, ["c", "j", "t", "series_value", "main_term", "deviation",
+                             "series_tail_bound"], config), failures
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +372,28 @@ def cmd_lemma_ratios(config):
 # ---------------------------------------------------------------------------
 
 def dispatch(config):
+    """Run the command's handler, write its text to --output (or stdout)
+    and return the exit code: 1, after a JSON failure record on stderr,
+    when a check failed, else 0."""
     # the handler is looked up when it runs, so a wrapper put on a cmd_*
     # attribute of this module sees the call
-    return globals()["cmd_" + config.command.replace("-", "_")](config)
+    text, failure = globals()["cmd_" + config.command.replace("-", "_")](config)
+    if not config.output:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {config.output}: "
+                             f"{exc.strerror or exc}") from exc
+    if not failure:
+        return EXIT_OK
+    import json
+
+    record = {"status": "fail", "check": config.command, "detail": failure}
+    sys.stderr.write(json.dumps(record) + "\n")
+    return EXIT_CHECK_FAILED
 
 
 def _number_list(kind):
@@ -447,10 +426,10 @@ _COMMON = {
 }
 COMMANDS = {
     "expand": ("dump the exact rank table v(m,n) (--n-max is 0..6373, the "
-               "exact engine's 2^28-bit budget; the top takes about 2.2 s and 270 MB)",
+               "exact engine's 2^28-bit budget)",
                {"--n-max": ("n_max", int, 10)}),
     "enumerate": ("list all sequences of size 2n+2 as JSON lines (--n is "
-                  f"0..{MAX_ENUMERATE_N}; the top takes about 1.2 s and 160 MB)",
+                  f"0..{MAX_ENUMERATE_N})",
                   {"--n": ("n", int, 5)}),
     "verify-transforms": (
         "residual table for the transformation laws "
@@ -466,20 +445,19 @@ COMMANDS = {
         "exact counts vs main term at checkpoints (--allow-even tabulates an "
         "even c without the main term; --precision DIGITS is 30..10000; "
         f"--c is 1..{MAX_MODULUS}; the 2^28-bit budget admits checkpoints to "
-        "151145 at c = 1, about 9 s and 72 MB, and to 2308 at c = 1000)", {
+        "151145 at c = 1 and to 2308 at c = 1000)", {
             "--a": ("residue", int, 0),
             "--c": ("modulus", int, 1),
             "--checkpoints": ("checkpoints", _int_list, ()),
             "--allow-even": ("allow_even", None, False),
             "--precision": ("precision", int, 50)}),
     "equidistribution": (
-        f"max_a |c v(a,c;n)/v(n) - 1| at checkpoints (moduli are 2..{MAX_MODULUS}, "
-        "and at 1000 one checkpoint's statistic takes about 0.1 s)", {
+        f"max_a |c v(a,c;n)/v(n) - 1| at checkpoints (moduli are 2..{MAX_MODULUS})", {
         "--moduli": ("moduli", _int_list, (3, 5, 7)),
         "--checkpoints": ("checkpoints", _int_list, ())}),
     "logconcavity-scan": (
         f"product inequalities and the overpartition bound (--c is 1..{MAX_MODULUS}; "
-        "the 2^28-bit budget admits --n-max to 151144 at c = 1, about 23 s)", {
+        "the 2^28-bit budget admits --n-max to 151144 at c = 1)", {
         "--a": ("residue", int, 0),
         "--c": ("modulus", int, 1),
         "--n-max": ("n_max", int, 600)}),

@@ -77,7 +77,9 @@ class RankTable:
 
     def __init__(self, max_n, columns, modulus=None):
         self.max_n = max_n
-        self.columns = columns  # m (or a, when reduced) -> list of counts indexed by n
+        # m in -mmax..mmax (or a in 0..modulus-1, when reduced), in
+        # ascending order -> list of counts indexed by n
+        self.columns = columns
         self.modulus = modulus  # None for the full rank table
 
     def _require_ranks(self):
@@ -96,19 +98,24 @@ class RankTable:
         if not 0 <= n <= self.max_n:
             raise IndexError(f"n={n} outside 0..{self.max_n}")
 
+    def _class_columns(self, a, c):
+        """The columns of the ranks (or classes) congruent to a mod c, in
+        steps of c from the first key (the keys are contiguous)."""
+        self._check_modulus(c)
+        lo = next(iter(self.columns))
+        return [self.columns[m] for m in range(lo + (a - lo) % c, lo + len(self.columns), c)]
+
     def residue_class(self, a, c, n):
         """v(a,c;n): ranks congruent to a mod c."""
-        self._check_modulus(c)
+        cols = self._class_columns(a, c)
         self._check_n(n)
-        return sum(col[n] for m, col in self.columns.items() if m % c == a % c)
+        return sum(col[n] for col in cols)
 
     def residue_sequence(self, a, c):
-        self._check_modulus(c)
         out = [0] * (self.max_n + 1)
-        for m, col in self.columns.items():
-            if m % c == a % c:
-                for n, cnt in enumerate(col):
-                    out[n] += cnt
+        for col in self._class_columns(a, c):
+            for n, cnt in enumerate(col):
+                out[n] += cnt
         return out
 
     def nonzero_items(self):

@@ -312,6 +312,19 @@ def test_equidistribution_stat_is_correctly_rounded(c):
         assert abs(equidistribution_stat(table, c, n) - exact) <= math.ulp(exact)
 
 
+def test_equidistribution_stat_at_c_1000_is_its_fraction_definition():
+    # the classes filtered from the full rank table by m % c, against the
+    # table reduced mod 1000 that the statistic reads column by column
+    c, order = 1000, 300
+    full = genfunc.expand_V_rank(order)
+    table = genfunc.expand_V_rank(order, c)
+    for n in (1, 10, 150, 300):
+        counts = [sum(col[n] for m, col in full.columns.items() if m % c == a)
+                  for a in range(c)]
+        exact = max(abs(Fraction(c * k, sum(counts)) - 1) for k in counts)
+        assert equidistribution_stat(table, c, n) == float(exact)
+
+
 def test_asym_report_even_modulus(rank_table_60):
     # no main term applies, so none is printed; the cli refuses an even c
     # unless --allow-even is given (test_cli)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import cli, genfunc
+from oddbalanced import asymptotics, cli, decomposition, genfunc, transforms
 from oddbalanced.asymptotics import LemmaRatioRow, LogConcavityReport, ReportRow
 from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
@@ -84,6 +84,76 @@ def test_verify_transforms_tampered_threshold(tmp_path, capsys):
     record = json.loads(captured.err.strip())
     assert record["status"] == "fail"
     assert record["check"] == "verify-transforms"
+
+
+# Each check forced to fail through the report function its command calls:
+# (argv, module, name, the fake, the output, the failure record's detail).
+# The fakes' rows print as plain literals, so the expected text is written out.
+_LOGCONCAVITY_HEADER = ("residue,modulus,n_max,square_threshold,square_violation_count,"
+                        "square_fails_to_end,double_threshold,double_scan_max,"
+                        "double_violation_count,bound_threshold,bound_violation_count\n")
+FORCED_FAILURES = [
+    pytest.param(
+        ["verify-transforms"], transforms, "all_rows",
+        lambda seed: [transforms.LawResidual("theta_inversion", "z=0;tau=1j", 1.0)],
+        "law,point,residual\ntheta_inversion,z=0;tau=1j,1.0\n",
+        [{"law": "theta_inversion", "point": "z=0;tau=1j", "residual": 1.0, "limit": 1e-9}],
+        id="verify-transforms"),
+    pytest.param(
+        ["verify-decomposition"], decomposition, "run_grid",
+        lambda grid: [decomposition.DecompositionSample(
+            z=0j, tau=1j, order=10, lhs=1 + 0j, t1=2 + 0j, t=0j, t2=0j, lhs_tail=0.0)],
+        "z,tau,order,lhs,rhs,residual,series_tail_bound\n0j,1j,10,(1+0j),(2+0j),1.0,0.0\n",
+        [{"z": "0j", "tau": "1j", "residual": 1.0}],
+        id="verify-decomposition"),
+    pytest.param(
+        ["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], asymptotics,
+        "equidistribution_stat", lambda table, c, n: float(n),
+        "c,n,stat\n3,20,20.0\n3,60,60.0\n",
+        "statistic did not shrink across checkpoints",
+        id="equidistribution"),
+    pytest.param(
+        ["logconcavity-scan", "--n-max", "60"], asymptotics, "logconcavity_scan",
+        lambda a, c, n_max, table, pbar: LogConcavityReport(
+            a, c, n_max, 61, [1, 2], True, 61, 30, [29], True, 1, [], False),
+        _LOGCONCAVITY_HEADER + "0,1,60,61,2,true,61,30,1,1,0\n",
+        {"reading": "doubled-argument", "threshold": 61},
+        id="logconcavity-scan-doubled"),
+    pytest.param(
+        ["logconcavity-scan", "--n-max", "60"], asymptotics, "logconcavity_scan",
+        lambda a, c, n_max, table, pbar: LogConcavityReport(
+            a, c, n_max, 61, [1, 2], True, 3, 30, [], False, 61, [60], True),
+        _LOGCONCAVITY_HEADER + "0,1,60,61,2,true,3,30,0,61,1\n",
+        {"reading": "overpartition-bound", "threshold": 61},
+        id="logconcavity-scan-bound"),
+    pytest.param(
+        ["lemma-ratios", "--moduli", "3", "--t-values", "0.1,0.05"], asymptotics,
+        "lemma_ratio_report",
+        # the deviation |series / main term - 1| grows as t shrinks at j = 1 only
+        lambda moduli, t_values: [
+            LemmaRatioRow(3, j, t, complex(value), 1 + 0j, 0.0)
+            for j, values in ((1, (2, 3)), (2, (3, 2))) for t, value in zip((0.1, 0.05), values)],
+        "c,j,t,series_value,main_term,deviation,series_tail_bound\n"
+        "3,1,0.1,(2+0j),(1+0j),1.0,0.0\n3,1,0.05,(3+0j),(1+0j),2.0,0.0\n"
+        "3,2,0.1,(3+0j),(1+0j),2.0,0.0\n3,2,0.05,(2+0j),(1+0j),1.0,0.0\n",
+        [{"c": 3, "j": 1, "devs": {"0.1": 1.0, "0.05": 2.0}}],
+        id="lemma-ratios"),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, fake, text, detail", FORCED_FAILURES)
+def test_a_failed_check_writes_its_output_then_one_record(monkeypatch, argv, module, name,
+                                                          fake, text, detail):
+    monkeypatch.setattr(module, name, fake)
+    both = io.StringIO()  # stdout and stderr in the order they were written
+    with redirect_stdout(both), redirect_stderr(both):
+        code = cli.main(argv)
+    assert code == 1
+    written = both.getvalue()
+    assert written[:len(text)] == text
+    record = written[len(text):]
+    assert record.endswith("\n") and record.count("\n") == 1
+    assert json.loads(record) == {"status": "fail", "check": argv[0], "detail": detail}
 
 
 def test_verify_decomposition_single_point(tmp_path):
@@ -350,14 +420,14 @@ def test_json_rows_match_json_dumps(capsys):
     [],
     [{"text": 'a "quoted" back\\slash\nnew line \u00e9', "n": 3}, {"n": None}],
 ], ids=["no rows", "escaped strings"])
-def test_json_writer_matches_json_dumps(capsys, rows):
+def test_json_writer_matches_json_dumps(rows):
     header = ["text", "n"]
     # the writer takes tuples in header order; None and bool cells are
     # converted by the handler that builds the row
-    cli._write_rows([tuple(cli._fmt(r.get(k)) for k in header) for r in rows], header,
-                    cli.RunConfig(command="expand", fmt="json"))
+    text = cli._rows_text([tuple(cli._fmt(r.get(k)) for k in header) for r in rows], header,
+                          cli.RunConfig(command="expand", fmt="json"))
     payload = [{k: cli._fmt(r.get(k)) for k in header} for r in rows]
-    assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
+    assert text == json.dumps(payload, indent=1) + "\n"
 
 
 def test_equidistribution_small(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import cli, genfunc, kernels
+from oddbalanced import cli, genfunc
 from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import (
     RankTable,
@@ -191,6 +191,22 @@ def test_bad_modulus_rejected():
         expand_V_rank(4, 0)
     with pytest.raises(ValueError):
         expand_V_rank(4).residue_class(0, 0, 2)
+
+
+@pytest.mark.parametrize("order, modulus", [(60, None), (60, 3), (60, 7), (40, 12),
+                                            (20, 1000)])
+def test_class_views_equal_the_filter_over_every_column(order, modulus):
+    # the views step through the residues from the first key; the filter
+    # m % c == a % c reads every column
+    table = expand_V_rank(order, modulus)
+    moduli = range(1, 50) if modulus is None else [
+        d for d in range(1, modulus + 1) if modulus % d == 0]
+    for c in moduli:
+        for a in (range(-c, 2 * c) if c < 50 else (0, 1, c // 2, c - 1, -1, c + 1)):
+            seq = [sum(col[n] for m, col in table.columns.items() if m % c == a % c)
+                   for n in range(order + 1)]
+            assert table.residue_sequence(a, c) == seq, (a, c)
+            assert [table.residue_class(a, c, n) for n in (0, order)] == [seq[0], seq[-1]]
 
 
 def test_reduced_table_refuses_rank_queries_and_foreign_moduli():
@@ -448,19 +464,22 @@ def test_range_checks_residue_sequence_callers():
 
 
 def _overpartitions_by_product(order):
-    out = [0] * (order + 1)
-    out[0] = 1
+    """prod (1+q^k)/(1-q^k): times 1 + q^k from the top down, then
+    divided by 1 - q^k from the bottom up."""
+    out = [1] + [0] * order
     for k in range(1, order + 1):
-        kernels.shifted_add_one(out, k)
-        kernels.geometric_add(out, k)
+        for i in range(order, k - 1, -1):
+            out[i] += out[i - k]
+        for i in range(k, order + 1):
+            out[i] += out[i - k]
     return out
 
 
 def _partitions_by_product(order):
-    out = [0] * (order + 1)
-    out[0] = 1
+    out = [1] + [0] * order
     for k in range(1, order + 1):
-        kernels.geometric_add(out, k)
+        for i in range(k, order + 1):
+            out[i] += out[i - k]
     return out
 
 
