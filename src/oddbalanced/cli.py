@@ -10,9 +10,14 @@ Each handler cmd_<command>(config) returns (text, failure): the
 command's whole output, and the detail of its failure record when a
 check failed (None or empty when every check passed).  dispatch alone
 writes the text to --output or stdout, then the failure record to
-stderr, and returns the exit code.  Input a handler cannot run on, or an
---output that cannot be written, raises UsageError, which main turns
-into the one-line message and exit 2.
+stderr, and returns the exit code.  Every usage error takes one path: a
+word the parser cannot read, a value outside its option's domain, input
+a handler cannot run on, or an --output that cannot be written raises
+UsageError, and main alone turns it into the one-line message and exit 2.
+
+Each option's range has one home, the domain column of COMMANDS: dispatch
+checks every value against it before the handler runs, and --help prints
+it.  The handlers keep only the rules that tie two values together.
 
 Each command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads no other module of the package and nothing
@@ -34,7 +39,7 @@ number (write --checkpoints=-5,600).  Flags are spelled in full: no
 abbreviation is accepted.  A flag given twice keeps its last value, and a
 list value keeps a repeated entry once, at its first place.  -h or --help
 prints the commands, or after a command its options with their defaults,
-each written as it would be typed.
+each written as it would be typed, and their domains.
 """
 
 import math
@@ -73,7 +78,7 @@ class RunConfig:
 
     def __init__(self, command, **settings):
         self.command = command
-        for dest, _, default in _options(command).values():
+        for dest, _, default, _ in _options(command).values():
             setattr(self, dest, default)
         vars(self).update(settings)
 
@@ -113,12 +118,10 @@ def _rows_text(rows, header, config):
 # ---------------------------------------------------------------------------
 
 def _check_size(order, modulus=None):
-    """Refuse an expansion mod c above MAX_MODULUS, or past genfunc's
-    budget on its packed division, before any of it is allocated."""
+    """Refuse an expansion past genfunc's budget on its packed division
+    before any of it is allocated."""
     from . import genfunc
 
-    if modulus and modulus > MAX_MODULUS:
-        raise UsageError(f"c above {MAX_MODULUS} is not supported, got c={modulus}")
     if not genfunc.within_budget(order, modulus):
         at = f" at c = {modulus}" if modulus else ""
         raise UsageError(f"n = {order}{at} is not supported: the exact expansion "
@@ -128,8 +131,6 @@ def _check_size(order, modulus=None):
 def cmd_expand(config):
     from . import genfunc
 
-    if config.n_max < 0:
-        raise UsageError(f"--n-max must be >= 0, got {config.n_max}")
     _check_size(config.n_max)
     table = genfunc.expand_V_rank(config.n_max)
     return _rows_text(table.nonzero_items(), ["n", "m", "count"], config), None
@@ -138,11 +139,6 @@ def cmd_expand(config):
 def cmd_enumerate(config):
     from . import enumerator
 
-    if config.n < 0:
-        raise UsageError(f"--n must be >= 0, got {config.n}")
-    if config.n > MAX_ENUMERATE_N:
-        raise UsageError(f"--n above {MAX_ENUMERATE_N} is not supported: the "
-                         f"sequences are listed in memory")
     return enumerator.json_lines(config.n), None
 
 
@@ -160,15 +156,9 @@ TRANSFORM_THRESHOLDS = {
 }
 
 
-def _check_max_residual(config):
-    if config.max_residual is not None and not config.max_residual >= 0:
-        raise UsageError(f"--max-residual must be >= 0, got {config.max_residual}")
-
-
 def cmd_verify_transforms(config):
     from . import transforms
 
-    _check_max_residual(config)
     rows = transforms.all_rows(seed=config.seed)
     limits = (TRANSFORM_THRESHOLDS if config.max_residual is None
               else dict.fromkeys(TRANSFORM_THRESHOLDS, config.max_residual))
@@ -215,7 +205,6 @@ def _load_grid(source):
 def cmd_verify_decomposition(config):
     from . import decomposition
 
-    _check_max_residual(config)
     grid = _load_grid(config.grid)
     samples = _numeric_domain(decomposition.run_grid, grid)
     rows = [(s.z, s.tau, s.order, s.lhs, s.rhs, s.residual, s.lhs_tail) for s in samples]
@@ -225,14 +214,9 @@ def cmd_verify_decomposition(config):
                              "series_tail_bound"], config), bad
 
 
-def _check_checkpoints(checkpoints):
-    if not all(n >= 1 for n in checkpoints):
-        raise UsageError(f"checkpoints must be >= 1, got {','.join(map(str, checkpoints))}")
-
-
 def _check_residue(config):
-    if config.modulus < 1 or not 0 <= config.residue < config.modulus:
-        raise UsageError(f"need 0 <= a < c, got a={config.residue}, c={config.modulus}")
+    if config.residue >= config.modulus:
+        raise UsageError(f"need a < c, got a={config.residue}, c={config.modulus}")
 
 
 # a fresh asym-report --c 3 takes about 1.2 s at 10 000 digits and 3.5 s at
@@ -257,17 +241,12 @@ def cmd_asym_report(config):
     from . import asymptotics, genfunc
 
     _check_residue(config)
-    if config.precision < 30:
-        raise UsageError("--precision below 30 digits is not meaningful here")
-    if config.precision > MAX_PRECISION:
-        raise UsageError(f"--precision above {MAX_PRECISION} digits is not supported")
     if config.modulus % 2 == 0 and not config.allow_even:
         raise UsageError(f"c={config.modulus} is even, so no main term applies; "
                          "pass --allow-even to tabulate the exact counts only")
     c = config.modulus
     checkpoints = config.checkpoints or (TOTAL_CHECKPOINTS if c == 1
                                          else RESIDUE_CHECKPOINTS)
-    _check_checkpoints(checkpoints)
     _check_size(max(checkpoints), c)
     # the table reduced mod c; at c = 1 its one column is the totals v(n)
     table = genfunc.expand_V_rank(max(checkpoints), c)
@@ -282,25 +261,23 @@ def cmd_asym_report(config):
 def cmd_equidistribution(config):
     from . import asymptotics, genfunc
 
-    if not config.moduli or min(config.moduli) < 2:
-        raise UsageError("moduli must be >= 2, so that the residue classes "
-                         "can differ")
+    if not config.moduli:
+        raise UsageError("no moduli given, so there is nothing to check")
     checkpoints = config.checkpoints or RESIDUE_CHECKPOINTS
-    _check_checkpoints(checkpoints)
     if len(checkpoints) < 2:
         raise UsageError("the statistic must shrink between checkpoints, "
                          "so at least two distinct ones are needed")
     _check_size(max(checkpoints), max(config.moduli))  # the widest expansion
     rows = []
-    failure = None
+    failures = []  # the moduli whose statistic did not shrink
     for c in config.moduli:
         table = genfunc.expand_V_rank(max(checkpoints), c)
         stats = [(n, asymptotics.equidistribution_stat(table, c, n))
                  for n in sorted(checkpoints)]
         rows += [(c, n, stat) for n, stat in stats]
         if stats[-1][1] >= stats[0][1]:
-            failure = "statistic did not shrink across checkpoints"
-    return _rows_text(rows, ["c", "n", "stat"], config), failure
+            failures.append({"c": c, "stats": dict(stats)})
+    return _rows_text(rows, ["c", "n", "stat"], config), failures
 
 
 def cmd_logconcavity_scan(config):
@@ -308,8 +285,6 @@ def cmd_logconcavity_scan(config):
 
     _check_residue(config)
     n_max = config.n_max
-    if n_max < 1:
-        raise UsageError(f"--n-max must be >= 1, got {n_max}")
     _check_size(n_max + 1, config.modulus)
     table = genfunc.expand_V_rank(n_max + 1, config.modulus)
     pbar = genfunc.expand_overpartition(n_max + 1)
@@ -345,12 +320,6 @@ def cmd_lemma_ratios(config):
 
     if not config.moduli:
         raise UsageError("no moduli given, so there is nothing to check")
-    bad = [c for c in config.moduli if c < 3 or c % 2 == 0]
-    if bad:
-        raise UsageError(f"moduli must be odd and >= 3, so that no z=j/c is "
-                         f"1/4, 1/2 or 3/4; got c={bad[0]}")
-    if not all(t > 0 and math.isfinite(t) for t in config.t_values):
-        raise UsageError("t-values must be positive and finite")
     ts = sorted(config.t_values, reverse=True)
     if len(ts) < 2:
         raise UsageError("the ratio test needs at least two distinct t-values")
@@ -372,9 +341,15 @@ def cmd_lemma_ratios(config):
 # ---------------------------------------------------------------------------
 
 def dispatch(config):
-    """Run the command's handler, write its text to --output (or stdout)
-    and return the exit code: 1, after a JSON failure record on stderr,
-    when a check failed, else 0."""
+    """Check every option's value against its domain, run the command's
+    handler, write its text to --output (or stdout) and return the exit
+    code: 1, after a JSON failure record on stderr, when a check failed,
+    else 0."""
+    for flag, (dest, _, _, domain) in _options(config.command).items():
+        value = getattr(config, dest)
+        if domain and not all(x is None or domain[1](x)
+                              for x in (value if isinstance(value, tuple) else (value,))):
+            raise UsageError(f"{flag} must be {domain[0]}, got {_typed(value)}")
     # the handler is looked up when it runs, so a wrapper put on a cmd_*
     # attribute of this module sees the call
     text, failure = globals()["cmd_" + config.command.replace("-", "_")](config)
@@ -417,63 +392,65 @@ def _format(text):
 _int_list = _number_list(int)
 _float_list = _number_list(float)
 
-# Every command's help line and options, {flag: (dest, parse, default)}.
-# A parse of None marks a bare flag, which sets True.  _COMMON is added to
-# every command.
+
+def _within(lo, hi=math.inf):
+    """The domain lo <= x <= hi; NaN is outside every one."""
+    return (f"{lo}..{hi}" if hi < math.inf else f">= {lo}"), lambda x: lo <= x <= hi
+
+
+# Every command's help line and options, {flag: (dest, parse, default,
+# domain)}.  A parse of None marks a bare flag, which sets True.  A domain
+# is None or (text, test): dispatch refuses a value, or an entry of a list
+# value, that fails the test.  _COMMON is added to every command.
 _COMMON = {
-    "--format": ("fmt", _format, "csv"),
-    "--output": ("output", str, None),
+    "--format": ("fmt", _format, "csv", None),
+    "--output": ("output", str, None, None),
 }
 COMMANDS = {
-    "expand": ("dump the exact rank table v(m,n) (--n-max is 0..6373, the "
-               "exact engine's 2^28-bit budget)",
-               {"--n-max": ("n_max", int, 10)}),
-    "enumerate": ("list all sequences of size 2n+2 as JSON lines (--n is "
-                  f"0..{MAX_ENUMERATE_N})",
-                  {"--n": ("n", int, 5)}),
+    "expand": ("dump the exact rank table v(m,n) (the 2^28-bit budget "
+               "admits --n-max to 6373)",
+               {"--n-max": ("n_max", int, 10, _within(0))}),
+    "enumerate": ("list all sequences of size 2n+2 as JSON lines",
+                  {"--n": ("n", int, 5, _within(0, MAX_ENUMERATE_N))}),
     "verify-transforms": (
         "residual table for the transformation laws "
         "(--max-residual overrides every per-law threshold)", {
-            "--seed": ("seed", int, 20260810),
-            "--max-residual": ("max_residual", float, None)}),
+            "--seed": ("seed", int, 20260810, None),
+            "--max-residual": ("max_residual", float, None, _within(0))}),
     "verify-decomposition": (
         "residuals of the three-term decomposition identity (--grid is "
         '"default" or a JSON file of {z_re, z_im, tau_re, tau_im, order})', {
-            "--grid": ("grid", str, "default"),
-            "--max-residual": ("max_residual", float, 1e-7)}),
+            "--grid": ("grid", str, "default", None),
+            "--max-residual": ("max_residual", float, 1e-7, _within(0))}),
     "asym-report": (
         "exact counts vs main term at checkpoints (--allow-even tabulates an "
-        "even c without the main term; --precision DIGITS is 30..10000; "
-        f"--c is 1..{MAX_MODULUS}; the 2^28-bit budget admits checkpoints to "
-        "151145 at c = 1 and to 2308 at c = 1000)", {
-            "--a": ("residue", int, 0),
-            "--c": ("modulus", int, 1),
-            "--checkpoints": ("checkpoints", _int_list, ()),
-            "--allow-even": ("allow_even", None, False),
-            "--precision": ("precision", int, 50)}),
-    "equidistribution": (
-        f"max_a |c v(a,c;n)/v(n) - 1| at checkpoints (moduli are 2..{MAX_MODULUS})", {
-        "--moduli": ("moduli", _int_list, (3, 5, 7)),
-        "--checkpoints": ("checkpoints", _int_list, ())}),
+        "even c without the main term; the 2^28-bit budget admits checkpoints "
+        "to 151145 at c = 1 and to 2308 at c = 1000)", {
+            "--a": ("residue", int, 0, _within(0)),
+            "--c": ("modulus", int, 1, _within(1, MAX_MODULUS)),
+            "--checkpoints": ("checkpoints", _int_list, (), _within(1)),
+            "--allow-even": ("allow_even", None, False, None),
+            "--precision": ("precision", int, 50, _within(30, MAX_PRECISION))}),
+    "equidistribution": ("max_a |c v(a,c;n)/v(n) - 1| at checkpoints", {
+        "--moduli": ("moduli", _int_list, (3, 5, 7), _within(2, MAX_MODULUS)),
+        "--checkpoints": ("checkpoints", _int_list, (), _within(1))}),
     "logconcavity-scan": (
-        f"product inequalities and the overpartition bound (--c is 1..{MAX_MODULUS}; "
-        "the 2^28-bit budget admits --n-max to 151144 at c = 1)", {
-        "--a": ("residue", int, 0),
-        "--c": ("modulus", int, 1),
-        "--n-max": ("n_max", int, 600)}),
+        "product inequalities and the overpartition bound (the 2^28-bit "
+        "budget admits --n-max to 151144 at c = 1)", {
+        "--a": ("residue", int, 0, _within(0)),
+        "--c": ("modulus", int, 1, _within(1, MAX_MODULUS)),
+        "--n-max": ("n_max", int, 600, _within(1))}),
+    # an odd c >= 3 puts no z = j/c at 1/4, 1/2 or 3/4
     "lemma-ratios": ("series value over interval main term at z=j/c", {
-        "--moduli": ("moduli", _int_list, (3, 5)),
-        "--t-values": ("t_values", _float_list, (0.1, 0.05, 0.025))}),
+        "--moduli": ("moduli", _int_list, (3, 5), (f"odd, 3..{MAX_MODULUS}",
+                     lambda c: 3 <= c <= MAX_MODULUS and c % 2)),
+        "--t-values": ("t_values", _float_list, (0.1, 0.05, 0.025),
+                       ("positive and finite", lambda t: 0 < t < math.inf))}),
 }
 
 
 def _options(command):
     return {**COMMANDS[command][1], **_COMMON}
-
-
-def _usage_exit(prog, message):
-    sys.stderr.write(f"{prog}: error: {message}\n")
-    raise SystemExit(EXIT_USAGE)
 
 
 def _typed(value):
@@ -501,8 +478,8 @@ def _default_text(command, flag, parse, default):
 
 
 def _help(command=None):
-    """Print the commands, or one command's options with their defaults,
-    and exit 0."""
+    """Print the commands, or one command's options with their defaults
+    and domains, and exit 0."""
     usage = f"usage: oddbalanced {command or '<command>'} [--flag value | --flag=value ...]"
     if command is None:
         lines = [usage, "commands:"]
@@ -510,9 +487,10 @@ def _help(command=None):
         lines.append("every command takes --format csv|json and --output FILE "
                      "(default stdout)")
     else:
-        lines = [usage, COMMANDS[command][0], "options and their defaults:"]
+        lines = [usage, COMMANDS[command][0], "options, their defaults and domains:"]
         lines += [f"  {flag:16}{_default_text(command, flag, parse, default)}"
-                  for flag, (_, parse, default) in _options(command).items()]
+                  + (f" ({domain[0]})" if domain else "")
+                  for flag, (_, parse, default, domain) in _options(command).items()]
     print(*lines, sep="\n")
     raise SystemExit(EXIT_OK)
 
@@ -532,17 +510,16 @@ def _is_flag(word):
 def parse_args(argv):
     """The RunConfig of argv: a command, then its options, each --flag
     value or --flag=value (--allow-even takes no value); a flag given twice
-    keeps its last value.  A word it cannot read writes one stderr line and
-    exits 2; -h or --help prints help and exits 0."""
+    keeps its last value.  A word it cannot read raises UsageError; -h or
+    --help prints help and exits 0."""
     if not argv or argv[0] in ("-h", "--help"):
         if argv:
             _help()
-        _usage_exit("oddbalanced", "the following arguments are required: command")
+        raise UsageError("the following arguments are required: command")
     command = argv[0]
     if command not in COMMANDS:
-        _usage_exit("oddbalanced", f"argument command: invalid choice: {command!r} "
-                    f"(choose from {', '.join(map(repr, COMMANDS))})")
-    prog = f"oddbalanced {command}"
+        raise UsageError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
     options = _options(command)
     config = RunConfig(command)
     unknown = []
@@ -554,35 +531,38 @@ def parse_args(argv):
         if flag not in options:
             unknown.append(word)
             continue
-        dest, parse, _ = options[flag]
+        dest, parse, _, _ = options[flag]
         if parse is None:
             if eq:
-                _usage_exit(prog, f"argument {flag}: ignored explicit argument {value!r}")
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
             value = True
         else:
             if not eq:
                 value = next(words, None)
                 if value is None or _is_flag(value):
-                    _usage_exit(prog, f"argument {flag}: expected one argument")
+                    raise UsageError(f"argument {flag}: expected one argument")
             try:
                 value = parse(value)
             except ValueError as exc:
                 # int's and float's own messages, reworded as argparse did
                 reason = (f"invalid {parse.__name__} value: {value!r}"
                           if parse in (int, float) else exc)
-                _usage_exit(prog, f"argument {flag}: {reason}")
+                raise UsageError(f"argument {flag}: {reason}") from None
         setattr(config, dest, value)
     if unknown:
-        _usage_exit("oddbalanced", f"unrecognized arguments: {' '.join(unknown)}")
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
     return config
 
 
 def main(argv=None):
-    config = parse_args(sys.argv[1:] if argv is None else argv)
+    """Parse argv and dispatch it; the one writer of a usage error's
+    stderr line and exit 2."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        return dispatch(config)
+        return dispatch(parse_args(argv))
     except UsageError as exc:
-        sys.stderr.write(f"oddbalanced {config.command}: error: {exc}\n")
+        command = f" {argv[0]}" if argv and argv[0] in COMMANDS else ""
+        sys.stderr.write(f"oddbalanced{command}: error: {exc}\n")
         return EXIT_USAGE
 
 

@@ -29,11 +29,9 @@ from collections import namedtuple
 from .modular import (
     DomainError,
     PoleError,
-    eta,
     evaluate_V_bounded,
     mu,
     qpow,
-    q0pow,
     theta,
 )
 

@@ -20,7 +20,6 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
-import pytest
 
 from oddbalanced import cli, transforms
 from oddbalanced.asymptotics import (

@@ -110,8 +110,15 @@ FORCED_FAILURES = [
         ["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], asymptotics,
         "equidistribution_stat", lambda table, c, n: float(n),
         "c,n,stat\n3,20,20.0\n3,60,60.0\n",
-        "statistic did not shrink across checkpoints",
+        [{"c": 3, "stats": {"20": 20.0, "60": 60.0}}],
         id="equidistribution"),
+    pytest.param(
+        # the statistic shrinks at c = 3 and grows at c = 5
+        ["equidistribution", "--moduli", "3,5", "--checkpoints", "20,60"], asymptotics,
+        "equidistribution_stat", lambda table, c, n: float(n) if c == 5 else 1 / n,
+        "c,n,stat\n3,20,0.05\n3,60,0.016666666666666666\n5,20,20.0\n5,60,60.0\n",
+        [{"c": 5, "stats": {"20": 20.0, "60": 60.0}}],
+        id="equidistribution-one-modulus"),
     pytest.param(
         ["logconcavity-scan", "--n-max", "60"], asymptotics, "logconcavity_scan",
         lambda a, c, n_max, table, pbar: LogConcavityReport(
@@ -226,6 +233,7 @@ def assert_bad_grid_is_a_usage_error(tmp_path, capsys, points):
     ["--t-values", "0.1"],
     ["--t-values", "0.05,0.05"],
     ["--t-values", "0.1,0"],
+    ["--moduli", "1001"],  # past cli.MAX_MODULUS
 ])
 def test_bad_lemma_inputs_are_usage_errors(tmp_path, capsys, args):
     code, captured = run_cli(["lemma-ratios", *args,
@@ -309,11 +317,14 @@ PAST_CEILINGS = [
     ["asym-report", "--precision", "20"],
     ["asym-report", "--c", "3", "--a", "5"],
     ["asym-report", "--c", "0"],
+    ["asym-report", "--a", "-1"],
     ["logconcavity-scan", "--c", "5", "--a", "-1"],
+    ["logconcavity-scan", "--c", "0"],
     ["equidistribution", "--moduli", "0"],
     ["equidistribution", "--moduli", "-3"],
     ["equidistribution", "--moduli", "1"],  # the statistic is always 0
     ["equidistribution", "--moduli", ""],
+    ["equidistribution", "--moduli", "3,1001"],
     ["equidistribution", "--checkpoints=-1,60"],
     ["equidistribution", "--checkpoints", "60"],  # nothing to shrink between
     *PAST_CEILINGS,
@@ -485,12 +496,20 @@ def test_lemma_ratios_small(tmp_path):
 
 
 def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["expand", "--bogus-flag"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 2
+    assert cli.main(["expand", "--bogus-flag"]) == 2
+    assert cli.main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["expand", "--n-max", "abc"],  # refused by the parser
+    ["expand", "--n-max", "-1"],  # refused by the option's domain
+    ["asym-report", "--c", "3", "--a", "5"],  # refused by the handler
+], ids=" ".join)
+def test_every_usage_error_is_one_line_from_main(capsys, args):
+    code, captured = run_cli(args, capsys)
+    assert code == 2
+    assert_one_line_usage_error(captured.err)
+    assert captured.err.startswith(f"oddbalanced {args[0]}: error: ")
 
 
 @pytest.mark.parametrize("args", [
@@ -503,9 +522,7 @@ def test_usage_errors_exit_2():
       if command != "asym-report"),
 ], ids=lambda args: " ".join(args))
 def test_parser_errors_are_one_line(capsys, args):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    assert exc.value.code == 2
+    assert cli.main(args) == 2
     assert_one_line_usage_error(capsys.readouterr().err)
 
 
@@ -700,16 +717,18 @@ def test_exit_code_contract(argv):
 
 
 def _parsed(parse, argv):
-    """(the settings, None) where parse accepts argv, (None, its stderr)
-    where it exits 2.  Floats are compared by repr, so that nan equals nan."""
-    err = io.StringIO()
-    with redirect_stderr(err):
+    """The settings where parse accepts argv, None where it exits 2 (as
+    argparse does) or raises UsageError (as the table does).  Floats are
+    compared by repr, so that nan equals nan."""
+    with redirect_stderr(io.StringIO()):
         try:
             config = parse(argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
-            return None, err.getvalue()
-    return {k: repr(v) for k, v in vars(config).items()}, None
+            return None
+        except cli.UsageError:
+            return None
+    return {k: repr(v) for k, v in vars(config).items()}
 
 
 @settings(max_examples=300, deadline=None)
@@ -730,13 +749,14 @@ def _parsed(parse, argv):
 def test_table_parser_agrees_with_argparse(argv):
     # the strategy draws only full flag names, so argparse's prefix
     # matching, the one documented difference, never comes up
-    expected, _ = _parsed(build_parser().parse_args, argv)
-    got, err = _parsed(cli.parse_args, argv)
-    if expected is None:
-        assert got is None, argv
-        assert_one_line_usage_error(err)
-    else:
-        assert got == expected, argv
+    expected = _parsed(build_parser().parse_args, argv)
+    got = _parsed(cli.parse_args, argv)
+    assert got == expected, argv
+    if got is None:  # main reports the refusal as one line and exit 2
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert cli.main(argv) == 2, argv
+        assert_one_line_usage_error(err.getvalue())
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], *([c, "--help"] for c in sorted(_FLAGS))],
@@ -762,14 +782,18 @@ def _run_checkpoints(argv, capsys):
 def _check_printed_defaults(command, out, capsys):
     # each printed default of a valued option parses, through that
     # option's own parser, back to the value a run uses; an option whose
-    # default is no value, or a bare flag, is described in parentheses
+    # default is no value, or a bare flag, is described in parentheses.
+    # The option's domain, if it has one, follows in parentheses.
     lines = out.splitlines()
     printed = dict(line.split(None, 1)
-                   for line in lines[lines.index("options and their defaults:") + 1:])
+                   for line in lines[lines.index("options, their defaults and domains:") + 1:])
     options = cli._options(command)
     assert sorted(printed) == sorted(options)
-    for flag, (dest, parse, default) in options.items():
+    for flag, (dest, parse, default, domain) in options.items():
         text = printed[flag]
+        if domain:
+            text, _, printed_domain = text.rpartition(" (")
+            assert printed_domain == domain[0] + ")", flag
         if text.startswith("("):
             assert parse is None or default is None, flag
         elif flag == "--checkpoints":  # none given: chosen by the command
@@ -783,7 +807,5 @@ def _check_printed_defaults(command, out, capsys):
 
 def test_abbreviated_flags_are_usage_errors(capsys):
     # argparse took an unambiguous prefix of a flag; the table does not
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["asym-report", "--check", "20"])
-    assert exc.value.code == 2
+    assert cli.main(["asym-report", "--check", "20"]) == 2
     assert_one_line_usage_error(capsys.readouterr().err)

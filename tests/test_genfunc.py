@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 import random
@@ -10,14 +9,12 @@ from hypothesis import strategies as st
 from oddbalanced import cli, genfunc
 from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import (
-    RankTable,
     evaluate_V,
     expand_overpartition,
     expand_V_rank,
     expand_v_totals,
     rank_support_bound,
 )
-from oddbalanced.modular import DomainError
 
 from conftest import expand_partition
 from reference import expand_mod, full_recurrence_table
