@@ -90,20 +90,15 @@ def nstr(x, digits):
     a ".0" kept.  mpmath reads its digits from a binary value truncated a few
     places past the cut, so where the dropped digits are 5 then four zeros
     it may round down where this rounds up."""
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
+
     if x is None:
         return None
     if not x:
         return "0.0"
-    mantissa = "".join(map(str, x.as_tuple().digits))
+    x = Context(prec=digits, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN).plus(x)
+    head = "".join(map(str, x.as_tuple().digits)).ljust(digits, "0")
     exponent = x.adjusted()
-    head = mantissa[:digits]
-    if len(mantissa) > digits and mantissa[digits] >= "5":
-        kept = head.rstrip("9")
-        if kept:
-            head = kept[:-1] + str(int(kept[-1]) + 1)
-        else:
-            head, exponent = "1", exponent + 1
-    head = head.ljust(digits, "0")
     if min(-(digits // 3), -5) < exponent < digits:
         if exponent < 0:
             text = "0." + "0" * (-exponent - 1) + head

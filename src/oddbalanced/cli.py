@@ -32,7 +32,8 @@ a third-party package or the kernels.
 
 The argv grammar: a command, then its options in any order, each written
 --flag value or --flag=value; --allow-even alone takes no value.  Every
-command takes --format and --output; any other option belongs to the
+command takes --output, and every command but enumerate, which writes
+JSON lines only, takes --format; any other option belongs to the
 commands that read it (--precision only to asym-report).  A value
 given as a separate word may not start with '-' unless it is a negative
 number (write --checkpoints=-5,600).  Flags are spelled in full: no
@@ -125,7 +126,7 @@ def _check_size(order, modulus=None):
     if not genfunc.within_budget(order, modulus):
         at = f" at c = {modulus}" if modulus else ""
         raise UsageError(f"n = {order}{at} is not supported: the exact expansion "
-                         "would pack more than 2^28 bits")
+                         f"would pack more than 2^{genfunc.MAX_PACKED_BITS.bit_length() - 1} bits")
 
 
 def cmd_expand(config):
@@ -401,7 +402,8 @@ def _within(lo, hi=math.inf):
 # Every command's help line and options, {flag: (dest, parse, default,
 # domain)}.  A parse of None marks a bare flag, which sets True.  A domain
 # is None or (text, test): dispatch refuses a value, or an entry of a list
-# value, that fails the test.  _COMMON is added to every command.
+# value, that fails the test.  _COMMON follows every command's own
+# options, but for a flag the command maps to None (enumerate's --format).
 _COMMON = {
     "--format": ("fmt", _format, "csv", None),
     "--output": ("output", str, None, None),
@@ -411,7 +413,8 @@ COMMANDS = {
                "admits --n-max to 6373)",
                {"--n-max": ("n_max", int, 10, _within(0))}),
     "enumerate": ("list all sequences of size 2n+2 as JSON lines",
-                  {"--n": ("n", int, 5, _within(0, MAX_ENUMERATE_N))}),
+                  {"--n": ("n", int, 5, _within(0, MAX_ENUMERATE_N)),
+                   "--format": None}),
     "verify-transforms": (
         "residual table for the transformation laws "
         "(--max-residual overrides every per-law threshold)", {
@@ -450,7 +453,9 @@ COMMANDS = {
 
 
 def _options(command):
-    return {**COMMANDS[command][1], **_COMMON}
+    own = COMMANDS[command][1]
+    return {**{flag: option for flag, option in own.items() if option},
+            **{flag: option for flag, option in _COMMON.items() if flag not in own}}
 
 
 def _typed(value):
@@ -484,8 +489,8 @@ def _help(command=None):
     if command is None:
         lines = [usage, "commands:"]
         lines += [f"  {name:22}{text}" for name, (text, _) in COMMANDS.items()]
-        lines.append("every command takes --format csv|json and --output FILE "
-                     "(default stdout)")
+        lines.append("every command takes --output FILE (default stdout); all but "
+                     "enumerate take --format csv|json")
     else:
         lines = [usage, COMMANDS[command][0], "options, their defaults and domains:"]
         lines += [f"  {flag:16}{_default_text(command, flag, parse, default)}"

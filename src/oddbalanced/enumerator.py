@@ -12,11 +12,11 @@ groups into records; json_lines writes the `enumerate` command's text
 from the same groups, one join per group.
 
 The number of sequences grows like e^(pi sqrt(n)) times a power of n;
-n = 24 (size 50, 32 769 sequences) takes about 0.04 s in process, and
-`enumerate --n 24`, with its 2.29 MB of JSON lines, about 0.115 s as a
-fresh process, 0.06 s above a bare interpreter (was 0.157 s when the
-lines were formatted one record at a time; medians of 21, pure Python,
-2 vCPU, Python 3.11).
+n = 24 (size 50, 32 769 sequences) takes about 0.017 s in process as
+records and 0.038 s as `enumerate`'s 2.29 MB of JSON lines.  A fresh
+`enumerate --n 24` takes 0.06 s above a bare interpreter (0.045 s):
+0.007 s to compile the package, the rest the work (medians of 31, pure
+Python, 2 vCPU, Python 3.11).
 """
 
 from collections import namedtuple

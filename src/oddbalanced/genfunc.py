@@ -59,11 +59,9 @@ from operator import or_
 def rank_support_bound(order):
     """Largest m with m(m+3)/2 <= order; v(m,n)=0 for |m| above it when
     n <= order, because the smallest sequence of rank m (right evens
-    2..2m, peak 2m+2) has n = m(m+3)/2."""
-    m = (isqrt(8 * order + 9) - 3) // 2
-    while m * (m + 3) // 2 > order:
-        m -= 1
-    return m
+    2..2m, peak 2m+2) has n = m(m+3)/2.  Exact, since m(m+3)/2 <= N iff
+    (2m+3)^2 <= 8N+9 iff 2m+3 <= isqrt(8N+9)."""
+    return (isqrt(8 * order + 9) - 3) // 2
 
 
 class RankTable:

@@ -48,7 +48,7 @@ def build_parser():
 
     sp = sub.add_parser("enumerate", help="list all sequences of size 2n+2 as JSON lines")
     sp.add_argument("--n", type=int, default=5)
-    common(sp)
+    sp.add_argument("--output", default=None, help="file path (default stdout)")
 
     sp = sub.add_parser("verify-transforms",
                         help="residual table for the transformation laws")

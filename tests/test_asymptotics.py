@@ -258,10 +258,48 @@ def test_nstr_matches_mpmath(case):
     ("1.23456789012345678901234567e-5", 15, "1.23456789012346e-5"),
     ("1.23456789012345678901234567e-5", 12, "1.23456789012e-5"),
     ("0", 30, "0.0"),
+    # 9.99... rounds to 10.0, its leading exponent moving past each edge
+    # of fixed notation (fixed iff -5 < exponent < digits)
+    ("9.97e-6", 1, "1.0e-5"),
+    ("9.97e-5", 1, "0.0001"),
+    ("9.97e0", 1, "1.0e+1"),
+    ("9.97e1", 1, "1.0e+2"),
+    ("9.9997e-6", 3, "1.0e-5"),
+    ("9.9997e-5", 3, "0.0001"),
+    ("9.9997e2", 3, "1.0e+3"),
+    ("9.9997e3", 3, "1.0e+4"),
+    ("9.9999999999999997e-6", 15, "1.0e-5"),
+    ("9.9999999999999997e-5", 15, "0.0001"),
+    ("9.9999999999999997e14", 15, "1.0e+15"),
+    ("9.9999999999999997e15", 15, "1.0e+16"),
+    # exact ties that binary holds exactly, so mpmath sees them too
+    ("9.5", 1, "1.0e+1"),
+    ("999.5", 3, "1.0e+3"),
+    ("999999999999999.5", 15, "1.0e+15"),
+    ("9995e4", 3, "1.0e+8"),
+    ("0.125", 2, "0.13"),
+    ("0.0625", 2, "0.063"),
 ])
 def test_nstr_hand_cases(text, digits, printed):
     x = Decimal(text)
     assert nstr(x, digits) == printed == _mp_nstr(x, digits)
+
+
+@pytest.mark.parametrize("digits", [1, 3, 15])
+def test_nstr_carries_through_nines_at_every_place(digits):
+    # the kept digits are ones up to place p and nines from it, so rounding
+    # up carries into place p - 1 or, at p = 0, into the exponent.  An exact
+    # tie (5000) rounds up, as the value just above it (5001) does: mpmath
+    # reads a decimal tie through a binary value just below it
+    for p in range(digits):
+        head = "1" * p + "9" * (digits - p)
+        for exponent in (-6, -5, 0, digits - 1, digits):
+            def at(tail):
+                return Decimal(f"{head}{tail}e{exponent - digits - len(tail) + 1}")
+
+            for tail in ("6", "4999"):
+                assert nstr(at(tail), digits) == _mp_nstr(at(tail), digits), at(tail)
+            assert nstr(at("5000"), digits) == _mp_nstr(at("5001"), digits), at("5000")
 
 
 def test_nstr_at_5000_digits():

@@ -309,6 +309,8 @@ PAST_CEILINGS = [
     ["expand", "--n-max", "-1"],
     ["enumerate", "--n", "-1"],
     ["enumerate", "--n", "37"],  # past MAX_ENUMERATE_N; nothing is enumerated
+    ["enumerate", "--format", "csv"],  # enumerate writes JSON lines only
+    ["enumerate", "--format=json"],
     ["logconcavity-scan", "--n-max", "-2"],
     ["logconcavity-scan", "--n-max", "0"],  # no tail to scan
     ["asym-report", "--checkpoints", "0"],
@@ -524,6 +526,66 @@ def test_every_usage_error_is_one_line_from_main(capsys, args):
 def test_parser_errors_are_one_line(capsys, args):
     assert cli.main(args) == 2
     assert_one_line_usage_error(capsys.readouterr().err)
+
+
+# Two settings of every option, as argv fragments, that a run must tell
+# apart; {output} and {grid} stand for files the test makes.
+_IO_PAIRS = {
+    "--format": (["--format", "csv"], ["--format", "json"]),
+    "--output": ([], ["--output", "{output}"]),
+}
+_OPTION_PAIRS = {
+    "expand": {"--n-max": (["--n-max", "1"], ["--n-max", "2"]), **_IO_PAIRS},
+    "enumerate": {"--n": (["--n", "1"], ["--n", "2"]), "--output": _IO_PAIRS["--output"]},
+    "verify-transforms": {
+        "--seed": (["--seed", "1"], ["--seed", "2"]),
+        "--max-residual": ([], ["--max-residual", "0"]), **_IO_PAIRS},
+    "verify-decomposition": {
+        "--grid": (["--grid", "default"], ["--grid", "{grid}"]),
+        "--max-residual": ([], ["--max-residual", "0"]), **_IO_PAIRS},
+    "asym-report": {
+        "--a": (["--c", "3", "--a", "0"], ["--c", "3", "--a", "1"]),
+        "--c": (["--c", "1"], ["--c", "3"]),
+        "--checkpoints": (["--checkpoints", "20,40"], ["--checkpoints", "20,60"]),
+        "--allow-even": (["--c", "4"], ["--c", "4", "--allow-even"]),
+        "--precision": (["--precision", "30"], ["--precision", "31"]), **_IO_PAIRS},
+    "equidistribution": {
+        "--moduli": (["--moduli", "3"], ["--moduli", "5"]),
+        "--checkpoints": (["--checkpoints", "20,40"], ["--checkpoints", "20,60"]),
+        **_IO_PAIRS},
+    "logconcavity-scan": {
+        "--a": (["--c", "3", "--a", "0"], ["--c", "3", "--a", "1"]),
+        "--c": (["--c", "1"], ["--c", "3"]),
+        "--n-max": (["--n-max", "20"], ["--n-max", "21"]), **_IO_PAIRS},
+    "lemma-ratios": {
+        "--moduli": (["--moduli", "3"], ["--moduli", "5"]),
+        "--t-values": (["--t-values", "0.1,0.05"], ["--t-values", "0.1,0.025"]),
+        **_IO_PAIRS},
+}
+
+
+def test_every_option_takes_effect(tmp_path):
+    # an option whose value no run reads is not an option: each pair of
+    # settings must change the exit code, stdout, stderr or --output file
+    assert {command: sorted(pairs) for command, pairs in _OPTION_PAIRS.items()} == \
+        {command: sorted(cli._options(command)) for command in cli.COMMANDS}
+    output, grid = tmp_path / "out.txt", tmp_path / "grid.json"
+    z, tau, order = decomposition.DEFAULT_GRID[0]
+    grid.write_text(json.dumps([{"z_re": z.real, "z_im": z.imag, "tau_re": tau.real,
+                                 "tau_im": tau.imag, "order": order}]))
+
+    def effect(command, fragment):
+        output.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        argv = [command, *(w.format(output=output, grid=grid) for w in fragment)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue(), output.exists() and output.read_text()
+
+    dead = [(command, flag) for command, pairs in _OPTION_PAIRS.items()
+            for flag, (one, other) in pairs.items()
+            if effect(command, one) == effect(command, other)]
+    assert dead == []
 
 
 def _child(code, tmp_path):
@@ -766,7 +828,7 @@ def test_help_lists_every_command_and_flag(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    names = sorted(_FLAGS) if len(argv) == 1 else [*_FLAGS[argv[0]], *_COMMON]
+    names = sorted(_FLAGS) if len(argv) == 1 else cli._options(argv[0])
     for name in names:
         assert name in out, name
     if len(argv) == 2:

@@ -28,6 +28,18 @@ def test_known_small_coefficients():
     assert table.residue_sequence(0, 1) == [1, 2, 5]
 
 
+def test_rank_support_bound_is_the_largest_admitted_rank():
+    # the largest m with m(m+3)/2 <= N, walking m up with N
+    m = 0
+    for order in range(10 ** 5):
+        while (m + 1) * (m + 4) // 2 <= order:
+            m += 1
+        assert rank_support_bound(order) == m, order
+    for order in (10 ** 12, 10 ** 18):
+        m = rank_support_bound(order)
+        assert m * (m + 3) // 2 <= order < (m + 1) * (m + 4) // 2
+
+
 def test_rank_symmetry(rank_table_60):
     for m, col in rank_table_60.columns.items():
         assert col == rank_table_60.columns[-m]
