@@ -121,39 +121,32 @@ def lemma_main_term(z, tau):
     """Closed-form main term of V(e^(2*pi*i*z*); q) as tau -> 0, for real
     z in (0,1) away from {1/4, 1/2, 3/4}.
 
-    All four intervals share the prefactor
-        pref = w^(-1/2)/(1+w^(-1)) * q^(-7/8),
-    where q^(-7/8) collects the exact nome powers of the dominant term (it
-    tends to 1 on vertical rays but matters at finite t: without it the
-    ratio tests lose monotonicity).  The interval shapes are
+    With pref = w^(-1/2)/(1+w^(-1)) * q^(-7/8), where q^(-7/8) collects
+    the exact nome powers of the dominant term (it tends to 1 on vertical
+    rays but matters at finite t: without it the ratio tests lose
+    monotonicity), the two shapes are
 
-        (0,1/4):   pref * (sqrt2/4) h(2z;2tau)   * q0^(z^2/2 - 1/16)
-        (1/4,1/2): pref * 1/(2 sqrt(-i tau))     * q0^(-z^2/2 + z/2 - 1/8)
-        (1/2,3/4): -pref * 1/(2 sqrt(-i tau))    * q0^(-z^2/2 + z/2 - 1/8)
-        (3/4,1):   -pref * (sqrt2/4) h(2-2z;2tau) * q0^(z^2/2 - z + 7/16)
+        (0,1/4):   pref * (sqrt2/4) h(2z;2tau) * q0^(z^2/2 - 1/16)
+        (1/4,1/2): pref * 1/(2 sqrt(-i tau))   * q0^(-z^2/2 + z/2 - 1/8)
 
-    with h the Mordell integral.  The two middle intervals carry the
-    quotient-of-thetas term; the outer ones the Appell/Mordell term.  The
-    sign alternation makes the whole expression symmetric under z -> 1-z,
-    matching the w <-> 1/w symmetry of V itself.
+    with h the Mordell integral: the Appell/Mordell term, then the
+    quotient-of-thetas term.  The right half folds onto them: V(w;q) =
+    V(1/w;q) pairs z with 1 - z, so a z in (1/2,1) is taken at 1 - z,
+    pref included (pref(1 - z) = -pref(z)).
     """
     from .modular import DomainError, mordell, q0pow, qpow, sqrt_neg_itau
 
     z = float(z)
     if not 0 < z < 1 or z in (0.25, 0.5, 0.75):
         raise DomainError(f"z={z} outside the four open intervals")
+    if z > 0.5:
+        z = 1 - z
     w = cmath.exp(2j * math.pi * z)
     pref = cmath.exp(-1j * math.pi * z) / (1 + 1 / w) * qpow(tau, -7.0 / 8.0)
-    root = sqrt_neg_itau(tau)
     if z < 0.25:
         return (pref * math.sqrt(2) / 4 * mordell(2 * z, 2 * tau).value
                 * q0pow(tau, z * z / 2 - 1.0 / 16.0))
-    if z < 0.5:
-        return pref / (2 * root) * q0pow(tau, -z * z / 2 + z / 2 - 0.125)
-    if z < 0.75:
-        return -pref / (2 * root) * q0pow(tau, -z * z / 2 + z / 2 - 0.125)
-    return (-pref * math.sqrt(2) / 4 * mordell(2 - 2 * z, 2 * tau).value
-            * q0pow(tau, z * z / 2 - z + 7.0 / 16.0))
+    return pref / (2 * sqrt_neg_itau(tau)) * q0pow(tau, -z * z / 2 + z / 2 - 0.125)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +247,12 @@ def logconcavity_scan(a, c, n_max, table, overpartitions):
 # Ratio tests against the interval main terms
 # ---------------------------------------------------------------------------
 
-class LemmaRatioRow(namedtuple("LemmaRatioRow", "modulus j t series_value main_term "
-                                               "series_tail_bound")):
-    __slots__ = ()
-
-    @property
-    def deviation(self):
-        return abs(self.series_value / self.main_term - 1.0)
+# One row of lemma_ratio_report, in the columns lemma-ratios prints: the
+# modulus c, the point z = j/c, the ray tau = i*t, the series value of
+# V(e^(2*pi*i*z); e^(-2*pi*t)), the interval main term, the deviation
+# |series_value / main_term - 1| and the series' truncation bound.
+LemmaRatioRow = namedtuple("LemmaRatioRow", "c j t series_value main_term deviation "
+                                            "series_tail_bound")
 
 
 def lemma_ratio_report(moduli, t_values):
@@ -276,8 +268,9 @@ def lemma_ratio_report(moduli, t_values):
             for t in sorted(t_values, reverse=True):
                 val = evaluate_V_bounded(cmath.exp(2j * math.pi * z),
                                          math.exp(-2 * math.pi * t))
+                main = lemma_main_term(z, 1j * t)
                 rows.append(LemmaRatioRow(
-                    modulus=c, j=j, t=t,
-                    series_value=val.value, main_term=lemma_main_term(z, 1j * t),
+                    c=c, j=j, t=t, series_value=val.value, main_term=main,
+                    deviation=abs(val.value / main - 1.0),
                     series_tail_bound=val.truncation_bound))
     return rows

@@ -17,7 +17,9 @@ UsageError, and main alone turns it into the one-line message and exit 2.
 
 Each option's range has one home, the domain column of COMMANDS: dispatch
 checks every value against it before the handler runs, and --help prints
-it.  The handlers keep only the rules that tie two values together.
+it.  A list option's domain holds its least length too.  The handlers
+keep only the rules that tie two values together: a < c, an even c only
+with --allow-even, and genfunc's packed-size budget.
 
 Each command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads no other module of the package and nothing
@@ -262,12 +264,7 @@ def cmd_asym_report(config):
 def cmd_equidistribution(config):
     from . import asymptotics, genfunc
 
-    if not config.moduli:
-        raise UsageError("no moduli given, so there is nothing to check")
     checkpoints = config.checkpoints or RESIDUE_CHECKPOINTS
-    if len(checkpoints) < 2:
-        raise UsageError("the statistic must shrink between checkpoints, "
-                         "so at least two distinct ones are needed")
     _check_size(max(checkpoints), max(config.moduli))  # the widest expansion
     rows = []
     failures = []  # the moduli whose statistic did not shrink
@@ -319,22 +316,14 @@ def cmd_logconcavity_scan(config):
 def cmd_lemma_ratios(config):
     from . import asymptotics
 
-    if not config.moduli:
-        raise UsageError("no moduli given, so there is nothing to check")
-    ts = sorted(config.t_values, reverse=True)
-    if len(ts) < 2:
-        raise UsageError("the ratio test needs at least two distinct t-values")
-    rows_raw = _numeric_domain(asymptotics.lemma_ratio_report,
-                               config.moduli, config.t_values)
-    rows = [(r.modulus, r.j, r.t, r.series_value, r.main_term, r.deviation,
-             r.series_tail_bound) for r in rows_raw]
+    rows = _numeric_domain(asymptotics.lemma_ratio_report,
+                           config.moduli, config.t_values)
     devs = {}  # (c, j) -> {t: deviation}, in the order of the rows
-    for r in rows_raw:
-        devs.setdefault((r.modulus, r.j), {})[r.t] = r.deviation
+    for r in rows:
+        devs.setdefault((r.c, r.j), {})[r.t] = r.deviation
     failures = [{"c": c, "j": j, "devs": d} for (c, j), d in devs.items()
-                if not d[ts[-1]] < d[ts[0]]]
-    return _rows_text(rows, ["c", "j", "t", "series_value", "main_term", "deviation",
-                             "series_tail_bound"], config), failures
+                if not d[min(d)] < d[max(d)]]
+    return _rows_text(rows, asymptotics.LemmaRatioRow._fields, config), failures
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +337,7 @@ def dispatch(config):
     else 0."""
     for flag, (dest, _, _, domain) in _options(config.command).items():
         value = getattr(config, dest)
-        if domain and not all(x is None or domain[1](x)
-                              for x in (value if isinstance(value, tuple) else (value,))):
+        if domain and value is not None and not domain[1](value):
             raise UsageError(f"{flag} must be {domain[0]}, got {_typed(value)}")
     # the handler is looked up when it runs, so a wrapper put on a cmd_*
     # attribute of this module sees the call
@@ -399,10 +387,19 @@ def _within(lo, hi=math.inf):
     return (f"{lo}..{hi}" if hi < math.inf else f">= {lo}"), lambda x: lo <= x <= hi
 
 
+def _list_of(entry, least=1):
+    """The domain of a list option: at least `least` values, each in the
+    domain entry.  The parser keeps a repeated value once, so the values
+    counted are distinct."""
+    text, test = entry
+    return (f"{least} or more distinct values, each {text}",
+            lambda values: len(values) >= least and all(map(test, values)))
+
+
 # Every command's help line and options, {flag: (dest, parse, default,
 # domain)}.  A parse of None marks a bare flag, which sets True.  A domain
-# is None or (text, test): dispatch refuses a value, or an entry of a list
-# value, that fails the test.  _COMMON follows every command's own
+# is None or (text, test): dispatch refuses a value that fails the test,
+# a list value as a whole (_list_of).  _COMMON follows every command's own
 # options, but for a flag the command maps to None (enumerate's --format).
 _COMMON = {
     "--format": ("fmt", _format, "csv", None),
@@ -431,12 +428,12 @@ COMMANDS = {
         "to 151145 at c = 1 and to 2308 at c = 1000)", {
             "--a": ("residue", int, 0, _within(0)),
             "--c": ("modulus", int, 1, _within(1, MAX_MODULUS)),
-            "--checkpoints": ("checkpoints", _int_list, (), _within(1)),
+            "--checkpoints": ("checkpoints", _int_list, None, _list_of(_within(1))),
             "--allow-even": ("allow_even", None, False, None),
             "--precision": ("precision", int, 50, _within(30, MAX_PRECISION))}),
     "equidistribution": ("max_a |c v(a,c;n)/v(n) - 1| at checkpoints", {
-        "--moduli": ("moduli", _int_list, (3, 5, 7), _within(2, MAX_MODULUS)),
-        "--checkpoints": ("checkpoints", _int_list, (), _within(1))}),
+        "--moduli": ("moduli", _int_list, (3, 5, 7), _list_of(_within(2, MAX_MODULUS))),
+        "--checkpoints": ("checkpoints", _int_list, None, _list_of(_within(1), 2))}),
     "logconcavity-scan": (
         "product inequalities and the overpartition bound (the 2^28-bit "
         "budget admits --n-max to 151144 at c = 1)", {
@@ -445,10 +442,10 @@ COMMANDS = {
         "--n-max": ("n_max", int, 600, _within(1))}),
     # an odd c >= 3 puts no z = j/c at 1/4, 1/2 or 3/4
     "lemma-ratios": ("series value over interval main term at z=j/c", {
-        "--moduli": ("moduli", _int_list, (3, 5), (f"odd, 3..{MAX_MODULUS}",
-                     lambda c: 3 <= c <= MAX_MODULUS and c % 2)),
-        "--t-values": ("t_values", _float_list, (0.1, 0.05, 0.025),
-                       ("positive and finite", lambda t: 0 < t < math.inf))}),
+        "--moduli": ("moduli", _int_list, (3, 5), _list_of((
+            f"odd, 3..{MAX_MODULUS}", lambda c: 3 <= c <= MAX_MODULUS and c % 2))),
+        "--t-values": ("t_values", _float_list, (0.1, 0.05, 0.025), _list_of((
+            "positive and finite", lambda t: 0 < t < math.inf), 2))}),
 }
 
 
@@ -459,8 +456,8 @@ def _options(command):
 
 
 def _typed(value):
-    """A value as it is typed on the command line."""
-    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    """A value as it is typed on the command line ("" for an empty list)."""
+    return (",".join(map(str, value)) or '""') if isinstance(value, tuple) else str(value)
 
 
 # --help's words for an option whose default is no value
@@ -472,13 +469,13 @@ def _default_text(command, flag, parse, default):
     the default is no value."""
     if parse is None:
         return "(a bare flag)"
-    if default is None:
-        return _NO_VALUE[flag]
     if flag == "--checkpoints":  # none given: the command's own checkpoints
         text = _typed(RESIDUE_CHECKPOINTS)
         if command == "asym-report":
             text = f"{_typed(TOTAL_CHECKPOINTS)} at --c 1, else {text}"
         return text
+    if default is None:
+        return _NO_VALUE[flag]
     return _typed(default)
 
 

@@ -31,13 +31,12 @@ bounded by 3: max |h(n)| is 3 for n <= 1200 and 6 for n <= 2*10^4, and
 h(n) = 0 whenever 8n+7 has a prime = +-3 (mod 8) to an odd power.  At
 w = -1 it gives phi(-q) V(-1;q) = sum_t (-1)^t (2t+1) G_t.
 
-The identity is verified, not proved: it agrees exactly with the
-three-term decomposition read as a q-series identity (the route it
-replaced) for c = 1 to N = 40000, c = 3 to N = 10000 and c = 5 to
-N = 6000, and with the outer-sum recurrence for every c <= 16 at orders
-below 8 and for the even c of 2..16 at N = 200 to 600.  The recurrence,
-O(c N^2), lives in the tests (tests/reference.py), which repeat these
-comparisons; it shares no code with this module.  The cost is O(c N)
+The identity is verified, not proved: tests/test_genfunc.py holds it to
+the outer-sum recurrence (O(c N^2), in tests/reference.py) for c <= 16 at
+orders to 150 and for chosen c at 600 and 3600, and to the outer sum
+taken at a point in mpmath for c = 1 and 3 at N = 2*10^4 and c = 7 at
+N = 5000 (test_classes_equal_the_outer_sum_at_a_point).  Neither route
+shares code with this module.  The cost is O(c N)
 plus one division: the c//2 + 1 class numerators (class -a equals class
 a) are packed into one integer per power of q and divided by phi(-q)
 together, O(N^1.5) operations on integers of about c/2 times the width

@@ -251,20 +251,19 @@ _APPELL_MAX_TERMS = 20000
 
 
 def _appell_term(ell, n, u, v, tau):
-    """One bilateral term, arranged so no intermediate overflows: for large
-    |e^{2pi i u} q^n| the geometric factor is folded into the exponent."""
+    """One bilateral term, arranged so no intermediate overflows: where
+    |d| = |e^{2pi i u} q^n| > 1 the term is taken in the reciprocal form
+    1/(1-d) = -d^-1/(1-d^-1), the geometric factor folded into the
+    exponent."""
     sign = -1.0 if (ell * n) % 2 else 1.0
     log_num = 2j * math.pi * (n * v + tau * ell * n * (n + 1) / 2.0)
-    d = cmath.exp(2j * math.pi * (u + n * tau))
-    if abs(d) <= 1.0:
-        if abs(1.0 - d) < _POLE_TOL:
-            raise PoleError(f"Appell denominator vanishes at n={n} (u={u}, tau={tau})")
-        return sign * cmath.exp(log_num) / (1.0 - d)
-    dinv = cmath.exp(-2j * math.pi * (u + n * tau))
-    if abs(1.0 - dinv) < _POLE_TOL:
+    x = 2j * math.pi * (u + n * tau)
+    d = cmath.exp(x)
+    if abs(d) > 1.0:
+        sign, log_num, d = -sign, log_num - x, cmath.exp(-x)
+    if abs(1.0 - d) < _POLE_TOL:
         raise PoleError(f"Appell denominator vanishes at n={n} (u={u}, tau={tau})")
-    # 1/(1-d) = -d^-1/(1-d^-1)
-    return -sign * cmath.exp(log_num - 2j * math.pi * (u + n * tau)) / (1.0 - dinv)
+    return sign * cmath.exp(log_num) / (1.0 - d)
 
 
 def appell(ell, u, v, tau):

@@ -67,7 +67,7 @@ def build_parser():
     sp = sub.add_parser("asym-report", help="exact counts vs main term at checkpoints")
     sp.add_argument("--a", dest="residue", type=int, default=0)
     sp.add_argument("--c", dest="modulus", type=int, default=1)
-    sp.add_argument("--checkpoints", type=_int_list, default=())
+    sp.add_argument("--checkpoints", type=_int_list, default=None)
     sp.add_argument("--allow-even", action="store_true",
                     help="tabulate exact counts for even c (no main-term column)")
     sp.add_argument("--precision", type=int, default=50,
@@ -77,7 +77,7 @@ def build_parser():
     sp = sub.add_parser("equidistribution",
                         help="max_a |c v(a,c;n)/v(n) - 1| at checkpoints")
     sp.add_argument("--moduli", type=_int_list, default=(3, 5, 7))
-    sp.add_argument("--checkpoints", type=_int_list, default=())
+    sp.add_argument("--checkpoints", type=_int_list, default=None)
     common(sp)
 
     sp = sub.add_parser("logconcavity-scan",

@@ -171,7 +171,7 @@ def test_criterion_8_lemma_ratio_tests(acceptance_log):
     failures = []
     for c in (3, 5):
         for j in range(1, c):
-            devs = {r.t: r.deviation for r in rows if r.modulus == c and r.j == j}
+            devs = {r.t: r.deviation for r in rows if r.c == c and r.j == j}
             if not devs[0.025] < devs[0.1]:
                 failures.append((c, j, devs))
     ok = not failures

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 from decimal import Context, Decimal
@@ -20,7 +21,7 @@ from oddbalanced.asymptotics import (
     main_term_v,
     nstr,
 )
-from oddbalanced.modular import DomainError
+from oddbalanced.modular import DomainError, mordell, q0pow, qpow, sqrt_neg_itau
 from exponents import (
     CRITICAL_EXPONENT,
     GAP_POLYNOMIALS,
@@ -174,6 +175,18 @@ def test_lemma_main_term_dispatch():
             lemma_main_term(z, tau)
 
 
+def _right_half_main_term(z, tau):
+    """The (1/2,3/4) and (3/4,1) shapes written out, not folded onto the
+    left half: -pref over 2 sqrt(-i tau), and -pref times the Mordell term
+    at 2 - 2z."""
+    w = cmath.exp(2j * math.pi * z)
+    pref = cmath.exp(-1j * math.pi * z) / (1 + 1 / w) * qpow(tau, -7.0 / 8.0)
+    if z < 0.75:
+        return -pref / (2 * sqrt_neg_itau(tau)) * q0pow(tau, -z * z / 2 + z / 2 - 0.125)
+    return (-pref * math.sqrt(2) / 4 * mordell(2 - 2 * z, 2 * tau).value
+            * q0pow(tau, z * z / 2 - z + 7.0 / 16.0))
+
+
 def test_lemma_main_term_mirror_symmetry():
     # V(w;q) = V(1/w;q) forces main(z) = main(1-z)
     for z in (0.15, 0.3, 0.4, 0.6):
@@ -181,6 +194,11 @@ def test_lemma_main_term_mirror_symmetry():
         a = lemma_main_term(z, tau)
         b = lemma_main_term(1 - z, tau)
         assert abs(a - b) < 1e-10 * abs(a)
+    # the fold agrees with the right half's own closed forms
+    for z in (0.6, 0.7, 0.8, 0.9):
+        for t in (0.04, 0.01, 0.001):
+            want = _right_half_main_term(z, 1j * t)
+            assert abs(lemma_main_term(z, 1j * t) - want) < 1e-12 * abs(want), (z, t)
 
 
 def test_lemma_ratio_quick():
@@ -214,7 +232,9 @@ def test_main_term_v_at_high_precision(dps):
 
 
 def _mp_nstr(x, digits):
-    with mp.workdps(len(x.as_tuple().digits) + 10):
+    # the working digits cover both the mantissa and the printed digits: a
+    # short mantissa at its own length would print binary noise
+    with mp.workdps(max(len(x.as_tuple().digits), digits) + 10):
         return mp.nstr(mp.mpf(str(x)), digits)
 
 
@@ -279,6 +299,9 @@ def test_nstr_matches_mpmath(case):
     ("9995e4", 3, "1.0e+8"),
     ("0.125", 2, "0.13"),
     ("0.0625", 2, "0.063"),
+    # a mantissa shorter than the digits printed
+    ("0.95", 15, "0.95"),
+    ("1.1", 30, "1.1"),
 ])
 def test_nstr_hand_cases(text, digits, printed):
     x = Decimal(text)

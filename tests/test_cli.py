@@ -138,7 +138,7 @@ FORCED_FAILURES = [
         "lemma_ratio_report",
         # the deviation |series / main term - 1| grows as t shrinks at j = 1 only
         lambda moduli, t_values: [
-            LemmaRatioRow(3, j, t, complex(value), 1 + 0j, 0.0)
+            LemmaRatioRow(3, j, t, complex(value), 1 + 0j, value - 1.0, 0.0)
             for j, values in ((1, (2, 3)), (2, (3, 2))) for t, value in zip((0.1, 0.05), values)],
         "c,j,t,series_value,main_term,deviation,series_tail_bound\n"
         "3,1,0.1,(2+0j),(1+0j),1.0,0.0\n3,1,0.05,(3+0j),(1+0j),2.0,0.0\n"
@@ -240,6 +240,29 @@ def test_bad_lemma_inputs_are_usage_errors(tmp_path, capsys, args):
                               "--output", str(tmp_path / "lr.csv")], capsys)
     assert code == 2
     assert_one_line_usage_error(captured.err)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("equidistribution", "--moduli", ""),
+    ("equidistribution", "--checkpoints", "150"),  # nothing to shrink between
+    ("lemma-ratios", "--moduli", ""),
+    ("lemma-ratios", "--t-values", "0.1"),
+    ("lemma-ratios", "--t-values", "0.05,0.05"),  # one distinct value
+    ("asym-report", "--checkpoints", ""),  # not the default checkpoints
+    ("asym-report", "--checkpoints", ","),
+])
+def test_a_short_list_is_refused_by_its_domain(capsys, command, flag, value):
+    # a list option's least length is part of its domain: the one line
+    # names the flag and that domain, and --help prints the same domain
+    domain = cli._options(command)[flag][3][0]
+    assert cli.main([command, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert_one_line_usage_error(err)
+    assert f"{flag} must be {domain}, got " in err
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert any(line.split()[0] == flag and line.endswith(f" ({domain})")
+               for line in capsys.readouterr().out.splitlines())
 
 
 def test_verify_decomposition_default_grid(tmp_path):
@@ -594,6 +617,27 @@ def _child(code, tmp_path):
                           capture_output=True, text=True)
 
 
+@pytest.mark.parametrize("args", [
+    ["expand", "--n-max", "40", "--format", "json"],
+    ["enumerate", "--n", "6"],
+    ["asym-report", "--c", "3"],
+    ["verify-transforms"],
+    ["lemma-ratios", "--moduli", "3", "--t-values", "0.1,0.05"],
+], ids=lambda args: args[0])
+def test_a_run_without_site_prints_the_same_bytes(tmp_path, args):
+    # the program needs nothing that the site module adds to the path, so
+    # python -S runs each command to the same stdout, stderr and exit code
+    def run(*flags):
+        return subprocess.run([sys.executable, *flags, "-m", "oddbalanced.cli", *args],
+                              cwd=tmp_path, capture_output=True,
+                              env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
+
+    plain, bare = run(), run("-S")
+    assert plain.returncode == 0 and plain.stdout, plain.stderr
+    assert (bare.stdout, bare.stderr, bare.returncode) == \
+        (plain.stdout, plain.stderr, plain.returncode)
+
+
 def test_cli_import_loads_only_the_standard_library(tmp_path):
     # each command is a fresh process, so what the import loads is paid by
     # every command: no other module of the package, and none of the
@@ -683,7 +727,7 @@ def test_every_command_runs_without_mpmath(tmp_path, args):
 
 @pytest.mark.parametrize("record, field", [
     (EvalResult(1j, 0.0), "value"),
-    (LemmaRatioRow(3, 1, 0.1, 1j, 1j, 0.0), "t"),
+    (LemmaRatioRow(3, 1, 0.1, 1j, 1j, 0.0, 0.0), "t"),
     (OddBalancedSequence(4, (2,), (), (1,)), "peak"),
     (ReportRow(2, 5, None, None, None), "exact"),
     (LogConcavityReport(*range(13)), "square_threshold"),

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,6 +261,76 @@ def test_full_table_equals_recurrence():
 
 def test_full_table_equals_recurrence_at_200():
     assert expand_V_rank(200).columns == full_recurrence_table(200)
+
+
+def _outer_sum_on_the_circle(w_sum, q, eps):
+    """V(w;q) for |w| = 1 and real 0 < q < 1, given w_sum = w + 1/w: the
+    outer sum sum_n (-wq;q)_n (-q/w;q)_n q^n / (q;q^2)_{n+1} in mpmath.
+    Each term is the last times q |1 + w q^(n+1)|^2 / (1 - q^(2n+3)), so
+    all are positive and every later ratio is at most
+    r = q (1 + q^(n+1))^2 / (1 - q^(2n+3)), which falls with n: once r < 1
+    the tail is at most term r / (1 - r), and the sum stops when that is
+    below eps of it."""
+    term = total = 1 / (1 - q)
+    qn, odd, n = q, q ** 3, 0  # q^(n+1) and q^(2n+3)
+    while True:
+        term *= (1 + qn * (w_sum + qn)) * q / (1 - odd)
+        total += term
+        qn, odd, n = qn * q, odd * q * q, n + 1
+        if n % 64 == 0:
+            r = q * (1 + qn) ** 2 / (1 - odd)
+            if r < 1 and term * r / (1 - r) < eps * total:
+                return total
+
+
+def _count_tail(order, t):
+    """A bound on sum_{n > order} v(a,c;n) e^(-2 pi t n), from
+    v(a,c;n) <= v(n) <= (1 + 2 sqrt(n)/pi) e^(pi sqrt n): the log of the
+    bound's terms falls by at least -g = 2 pi t - pi/(2 sqrt n) - 1/(2n)
+    a step past n = order + 1, so the tail is at most its first term over
+    1 - e^g."""
+    n = order + 1
+    g = 1 / (2 * n) + mp.pi / (2 * mp.sqrt(n)) - 2 * mp.pi * t
+    assert g < 0
+    return ((1 + 2 * mp.sqrt(n) / mp.pi) * mp.exp(mp.pi * mp.sqrt(n) - 2 * mp.pi * t * n)
+            / (1 - mp.exp(g)))
+
+
+@pytest.mark.parametrize("order, c, t", [(20_000, 1, 0.005), (20_000, 3, 0.005),
+                                         (5000, 7, 0.01)])
+def test_classes_equal_the_outer_sum_at_a_point(order, c, t):
+    # An independent route at orders the recurrence cannot reach: for
+    # q = e^(-2 pi t) and zeta = e^(2 pi i/c), sum_n v(a,c;n) q^n equals
+    # (1/c) sum_j zeta^(-aj) V(zeta^j;q), where each V(zeta^j;q) is real
+    # and equals V(zeta^(c-j);q).  The count at n = order weighs about
+    # e^(pi sqrt N - 2 pi t N) against the sum's e^(pi/(8t)); the digits
+    # cover that with 10 to spare, so a count off by its own size at any
+    # n <= order shows, and the table runs past order until the tail
+    # beyond it is below the digits.  The row (10^5, 1, 0.002) passes too,
+    # at 210 digits, but takes about 8 s, so it is not run here.
+    digits = math.ceil((2 * math.pi * t * order + math.pi / (8 * t)
+                        - math.pi * math.sqrt(order)) / math.log(10)) + 10
+    with mp.workdps(digits + 10):
+        q, eps = mp.exp(-2 * mp.pi * t), mp.mpf(10) ** -(digits + 5)
+        V = [_outer_sum_on_the_circle(2 * mp.cospi(mp.mpf(2 * j) / c), q, eps)
+             for j in range(c // 2 + 1)]
+        V += V[1:(c + 1) // 2][::-1]
+        # the classes -a and a are equal
+        classes = [mp.fsum(mp.cospi(mp.mpf(2 * a * j) / c) * V[j] for j in range(c)) / c
+                   for a in range(c // 2 + 1)]
+        top = order
+        while _count_tail(top, t) > eps * min(classes):
+            top += 100
+        table = expand_V_rank(top, c)
+        # Horner's rule in fixed point: each step truncates by less than
+        # one unit of 2^-bits, far below the digits compared
+        bits = mp.mp.prec + 20
+        q_fixed = int(mp.ldexp(q, bits))
+        for a, want in enumerate(classes):
+            total = 0
+            for count in reversed(table.residue_sequence(a, c)):
+                total = (total * q_fixed >> bits) + (count << bits)
+            assert abs(mp.ldexp(total, -bits) / want - 1) < mp.mpf(10) ** -digits, a
 
 
 @pytest.mark.parametrize("modulus,top", [(None, 6373), (1, 151145), (3, 95191),
