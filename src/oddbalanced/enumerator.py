@@ -19,10 +19,11 @@ records and 0.038 s as `enumerate`'s 2.29 MB of JSON lines.  A fresh
 Python, 2 vCPU, Python 3.11).
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import add
+from types import SimpleNamespace
 
 
 class OddBalancedSequence(namedtuple("OddBalancedSequence",
@@ -202,19 +203,7 @@ def json_lines(n):
     return "".join([texts[0], *reversed(texts[1:])])
 
 
-class EnumeratedTable:
-    """Exact v(m,n) counts gathered from enumeration."""
-
-    def __init__(self, max_n):
-        self.max_n = max_n
-        self.counts = {}  # (m, n) -> count
-
-
 def count_rank_table(n_max):
-    """Exact v(m,n) for all n <= n_max via enumeration."""
-    table = EnumeratedTable(max_n=n_max)
-    for n in range(n_max + 1):
-        for seq in enumerate_sequences(n):
-            key = (seq.rank, n)
-            table.counts[key] = table.counts.get(key, 0) + 1
-    return table
+    """Exact v(m,n) for all n <= n_max via enumeration, as .counts[(m, n)]."""
+    return SimpleNamespace(counts=Counter((seq.rank, n) for n in range(n_max + 1)
+                                          for seq in enumerate_sequences(n)))

@@ -11,12 +11,12 @@ Implements, for tau in the upper half-plane:
   one numeric evaluator of V that the decomposition check and the lemma
   ratios share.
 
-Each evaluator returns an EvalResult carrying the value and a bound on the
-discarded tail.  The truncation bounds of theta, eta and V are rigorous.
-The Mordell integral is the trapezoidal rule, whose error for an integrand
-analytic in a strip has an a-priori bound (see mordell); its bound adds the
-strip term, the tail beyond the truncation point and a rounding allowance,
-and is checked against 30-digit quadrature in the tests.
+Each evaluator returns an EvalResult: the value and a bound on its error.
+theta and the Appell sums stop where a Gaussian majorant of their terms is
+below e^LOG_EPS (gaussian_window) and bound the rest by a geometric series
+(gaussian_tail); the Mordell integral is the trapezoidal rule (see mordell).
+The bounds of mordell, theta, appell and mu cover float rounding too; those
+of eta and evaluate_V_bounded cover truncation only.
 sqrt(-i*tau) always means the principal branch, which is the convention
 validated by the transformation-law tests.
 
@@ -29,7 +29,11 @@ import math
 from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
+LN2 = math.log(2.0)
 LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
+# exp turns an exponent's absolute error into a relative one: a term built from magnitudes
+# summing to s is good to ROUND_TERM (1 + s) UNITs, K such terms to K + ROUND_SUM times that
+UNIT, ROUND_TERM, ROUND_SUM = 2.0 ** -53, 4.0, 4.0
 
 
 class DomainError(ValueError):
@@ -70,38 +74,38 @@ def _require_upper_half(tau):
 # Jacobi theta
 # ---------------------------------------------------------------------------
 
-def theta_window(z, tau):
-    """J of the smallest half-integer window [-J, J) making the Gaussian
-    tail of the theta sum fall below exp(LOG_EPS)."""
-    t = tau.imag
-    b = abs(complex(z).imag)
-    # solve pi*t*n^2 - 2*pi*b*n + LOG_EPS = 0 for the positive root
-    disc = (TWO_PI * b) ** 2 - 4.0 * math.pi * t * LOG_EPS
-    j = (TWO_PI * b + math.sqrt(disc)) / (2.0 * math.pi * t)
-    return int(j) + 4
+def gaussian_window(alpha, beta, gamma):
+    """The x past which g(x) = e^(-alpha x^2 + beta x + gamma) is below e^LOG_EPS and
+    falls: the larger root of g(x) = e^LOG_EPS, or the vertex where there is none."""
+    disc = beta * beta + 4.0 * alpha * (gamma - LOG_EPS)
+    return (beta + math.sqrt(max(disc, 0.0))) / (2.0 * alpha)
+
+
+def gaussian_tail(alpha, beta, gamma, x):
+    """g(x) + g(x+1) + ... <= g(x)/(1 - g(x+1)/g(x)) for x past gaussian_window."""
+    ratio = math.exp(-alpha * (2.0 * x + 1.0) + beta)
+    return math.exp((-alpha * x + beta) * x + gamma) / (1.0 - ratio)
 
 
 def theta(z, tau):
-    """Jacobi theta with half-integer characteristics; odd in z.  Sums the
-    half-integer window [-J, J) of theta_window, with its tail bound."""
+    """Jacobi theta with half-integer characteristics; odd in z.  Sums the half-integers
+    in [-J, J), J = int(gaussian_window) + 4 for g(|n|), alpha = pi Im tau, beta = 2 pi |Im z|."""
     tau = _require_upper_half(tau)
     z = complex(z)
-    J = theta_window(z, tau)
+    alpha, beta = math.pi * tau.imag, TWO_PI * abs(z.imag)
+    J = int(gaussian_window(alpha, beta, 0.0)) + 4
     a = 1j * math.pi * tau
     b = 2j * math.pi * (z + 0.5)
+    size_a, size_b = abs(a), abs(b)
     exp = cmath.exp
-    value = 0j
+    value, weight = 0j, 0.0
     for k in range(-J, J):
         n = k + 0.5
-        value += exp((a * n + b) * n)
-    # tail bound: 2 * sum_{n >= J+1/2} exp(-pi t n^2 + 2 pi b n), geometric from
-    # the first omitted term
-    t, b = tau.imag, abs(z.imag)
-    n0 = J + 0.5
-    g0 = math.exp(-math.pi * t * n0 * n0 + TWO_PI * b * n0)
-    ratio = math.exp(-math.pi * t * (2 * n0 + 1) + TWO_PI * b)
-    tail = 2.0 * g0 / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return EvalResult(value, tail)
+        term = exp((a * n + b) * n)
+        value += term
+        weight += abs(term) * (1.0 + size_a * n * n + size_b * abs(n))
+    return EvalResult(value, 2.0 * gaussian_tail(alpha, beta, 0.0, J + 0.5)
+                      + (2 * J + ROUND_SUM) * ROUND_TERM * UNIT * weight)
 
 
 # ---------------------------------------------------------------------------
@@ -251,59 +255,66 @@ _APPELL_MAX_TERMS = 20000
 
 
 def _appell_term(ell, n, u, v, tau):
-    """One bilateral term, arranged so no intermediate overflows: where
-    |d| = |e^{2pi i u} q^n| > 1 the term is taken in the reciprocal form
-    1/(1-d) = -d^-1/(1-d^-1), the geometric factor folded into the
-    exponent."""
+    """Term n of the sum in A_ell and the size of its exponents, e^(pi i ell u)'s included
+    (1/(1-d) scales the error of d by 1/|1-d|).  No intermediate overflows: where
+    |d| = |e^{2pi i u} q^n| > 1 the term is taken as -d^-1/(1-d^-1)."""
     sign = -1.0 if (ell * n) % 2 else 1.0
     log_num = 2j * math.pi * (n * v + tau * ell * n * (n + 1) / 2.0)
     x = 2j * math.pi * (u + n * tau)
+    size_x = TWO_PI * (abs(u) + abs(n) * abs(tau))
+    size = math.pi * (2 * abs(n * v) + ell * (abs(tau) * abs(n * (n + 1)) + abs(u))) + size_x
     d = cmath.exp(x)
     if abs(d) > 1.0:
         sign, log_num, d = -sign, log_num - x, cmath.exp(-x)
-    if abs(1.0 - d) < _POLE_TOL:
+    gap = abs(1.0 - d)
+    if gap < _POLE_TOL:
         raise PoleError(f"Appell denominator vanishes at n={n} (u={u}, tau={tau})")
-    return sign * cmath.exp(log_num) / (1.0 - d)
+    return sign * cmath.exp(log_num) / (1.0 - d), size + abs(d) * (1.0 + size_x) / gap
 
 
 def appell(ell, u, v, tau):
     """Level-ell Appell sum
     A_ell(u,v,tau) = e^(pi*i*ell*u) * sum_n (-1)^(ell*n) e^(2*pi*i*n*v)
                      q^(ell*n(n+1)/2) / (1 - e^(2*pi*i*u) q^n),
-    truncated symmetrically once terms drop below 1e-18 of the running
-    magnitude."""
+    over -bottom < n < top.  With t = Im tau and s = Im u, |e^(2 pi i u) q^n| is <= 1/2
+    for n >= (ln 2/(2 pi) - s)/t and >= 2 for n = -m, m >= (ln 2/(2 pi) + s)/t; past
+    those points terms n and -m times |e^(pi i ell u)| are at most g(n) and g(m), with
+    alpha = pi ell t and beta, gamma below; top and bottom pass gaussian_window too.
+        n:  beta = -(pi ell t + 2 pi Im v),        gamma = ln 2 - pi ell s,
+        m:  beta = pi ell t - 2 pi t + 2 pi Im v,  gamma = ln 2 + (2 - ell) pi s."""
     if ell < 1:
         raise DomainError("Appell level must be a positive integer")
     tau = _require_upper_half(tau)
     u, v = complex(u), complex(v)
-    total = 0j
-    scale = 1.0
-    last = 0.0  # the sum of the last term of each side
-    for side, terms in (("positive", range(_APPELL_MAX_TERMS)),
-                        ("negative", range(-1, -_APPELL_MAX_TERMS, -1))):
-        for i, n in enumerate(terms):
-            term = _appell_term(ell, n, u, v, tau)
-            total += term
-            scale = max(scale, abs(total))
-            if i > 2 and abs(term) < 1e-18 * scale:
-                last += abs(term)
-                break
-        else:
-            raise DomainError(f"Appell sum did not converge ({side} side)")
-    value = cmath.exp(1j * math.pi * ell * u) * total
-    return EvalResult(value, last * 10.0)
+    t, alpha = tau.imag, math.pi * ell * tau.imag
+    pos = (alpha, -(alpha + TWO_PI * v.imag), LN2 - math.pi * ell * u.imag)
+    neg = (alpha, alpha - TWO_PI * (t - v.imag), LN2 + math.pi * (2 - ell) * u.imag)
+    top = max((LN2 / TWO_PI - u.imag) / t, gaussian_window(*pos), 0.0)
+    bottom = max((LN2 / TWO_PI + u.imag) / t, gaussian_window(*neg), 1.0)
+    if not max(top, bottom) <= _APPELL_MAX_TERMS:
+        raise DomainError(f"Appell sum needs over {_APPELL_MAX_TERMS} terms a side (tau={tau})")
+    top, bottom = math.ceil(top), math.ceil(bottom)
+    total, weight = 0j, 0.0
+    for n in [*range(top), *range(-1, -bottom, -1)]:
+        term, size = _appell_term(ell, n, u, v, tau)
+        total += term
+        weight += abs(term) * (1.0 + size)
+    prefactor = cmath.exp(1j * math.pi * ell * u)
+    rounding = (top + bottom - 1 + ROUND_SUM) * ROUND_TERM * UNIT * weight
+    return EvalResult(prefactor * total, gaussian_tail(*pos, top) + gaussian_tail(*neg, bottom)
+                      + abs(prefactor) * rounding)
 
 
 def mu(u, v, tau):
-    """mu(u,v;tau) = A_1(u,v,tau) / theta(v;tau)."""
+    """A_1(u,v,tau)/theta(v;tau), good to (a + |mu| b)/(|theta| - b) + 4 |mu| UNITs."""
     th = theta(v, tau)
     # compare against the natural q^(1/8) scale of theta, not an absolute cut
     if abs(th.value) < 1e-10 * abs(qpow(tau, 0.125)):
         raise PoleError(f"theta({v};{tau}) vanishes; mu undefined")
     ap = appell(1, u, v, tau)
     value = ap.value / th.value
-    bound = (ap.truncation_bound + abs(value) * th.truncation_bound) / abs(th.value)
-    return EvalResult(value, bound)
+    a, b = ap.truncation_bound, th.truncation_bound
+    return EvalResult(value, (a + abs(value) * b) / (abs(th.value) - b) + abs(value) * 4 * UNIT)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""mpmath references for main terms that no command evaluates.
+"""mpmath references for main terms that no command evaluates, and for the
+Gaussian sums of modular.
 
 The general Tauberian transfer and the partition and overpartition main
 terms check the program's decimal main_term_v from an independent
 arithmetic.  Each is evaluated, as main_term_v is, with GUARD_DIGITS digits
-beyond max(dps, 30).
+beyond max(dps, 30).  appell_sum and theta_sum check the float sums and
+their error bounds at 40 digits.
 """
 
 import mpmath as mp
@@ -48,3 +50,44 @@ def overpartition_asym(n, dps=DEFAULT_DPS):
     with workdps(dps):
         nn = mp.mpf(n)
         return mp.e ** (mp.pi * mp.sqrt(nn)) / (8 * nn)
+
+
+def _past(alpha, beta, gamma, log_eps):
+    """The larger x with -alpha x^2 + beta x + gamma = log_eps (the vertex if
+    there is none): past it the majorant e^(...) is below e^log_eps and falls."""
+    disc = beta * beta + 4 * alpha * (gamma - log_eps)
+    return (beta + mp.sqrt(max(disc, 0))) / (2 * alpha)
+
+
+def appell_sum(ell, u, v, tau, dps=40):
+    """A_ell(u,v,tau) = e^(pi i ell u) sum_n (-1)^(ell n) e^(2 pi i n v)
+    q^(ell n(n+1)/2)/(1 - e^(2 pi i u) q^n) at dps digits.  Past the n where
+    |e^(2 pi i u) q^n| is at most 1/2 (or the -m where it is at least 2),
+    term n (or -m) times |e^(pi i ell u)| is at most
+    2 e^(-alpha k^2 + beta k + gamma) at k = n (or m), alpha = pi ell Im tau;
+    each side runs until that majorant is below 10^-(dps + 10)."""
+    with mp.workdps(dps + 10):
+        u, v, tau = mp.mpc(u), mp.mpc(v), mp.mpc(tau)
+        t, y, ln2 = tau.imag, u.imag, mp.ln(2)
+        alpha, log_eps = mp.pi * ell * t, -(dps + 10) * mp.ln(10)
+        top = max((ln2 / (2 * mp.pi) - y) / t,
+                  _past(alpha, -(alpha + 2 * mp.pi * v.imag), ln2 - mp.pi * ell * y, log_eps))
+        bottom = max((ln2 / (2 * mp.pi) + y) / t,
+                     _past(alpha, alpha - 2 * mp.pi * t + 2 * mp.pi * v.imag,
+                           ln2 + (2 - ell) * mp.pi * y, log_eps))
+        q, e = mp.exp(2j * mp.pi * tau), mp.exp(2j * mp.pi * u)
+        return mp.exp(1j * mp.pi * ell * u) * mp.fsum(
+            (-1) ** (ell * n) * mp.exp(2j * mp.pi * n * v) * q ** (ell * n * (n + 1) // 2)
+            / (1 - e * q ** n)
+            for n in range(-int(mp.ceil(bottom)), int(mp.ceil(top)) + 1))
+
+
+def theta_sum(z, tau, dps=40):
+    """theta(z;tau) = sum over half-integers n of e^(pi i n^2 tau + 2 pi i n (z + 1/2))
+    at dps digits, over the |n| at which the majorant
+    e^(-pi Im(tau) n^2 + 2 pi |Im z| |n|) is at least 10^-(dps + 10)."""
+    with mp.workdps(dps + 10):
+        z, tau = mp.mpc(z), mp.mpc(tau)
+        J = int(_past(mp.pi * tau.imag, 2 * mp.pi * abs(z.imag), 0, -(dps + 10) * mp.ln(10)))
+        return mp.fsum(mp.exp(1j * mp.pi * tau * n * n + 2j * mp.pi * n * (z + mp.mpf(1) / 2))
+                       for k in range(-J - 1, J + 1) for n in [k + mp.mpf(1) / 2])

@@ -296,8 +296,9 @@ def _count_tail(order, t):
             / (1 - mp.exp(g)))
 
 
-@pytest.mark.parametrize("order, c, t", [(20_000, 1, 0.005), (20_000, 3, 0.005),
-                                         (5000, 7, 0.01)])
+@pytest.mark.parametrize("order, c, t", [
+    (20_000, 1, 0.005), (20_000, 3, 0.005), (5000, 7, 0.01),
+    pytest.param(100_000, 1, 0.002, marks=pytest.mark.slow)])
 def test_classes_equal_the_outer_sum_at_a_point(order, c, t):
     # An independent route at orders the recurrence cannot reach: for
     # q = e^(-2 pi t) and zeta = e^(2 pi i/c), sum_n v(a,c;n) q^n equals
@@ -306,8 +307,8 @@ def test_classes_equal_the_outer_sum_at_a_point(order, c, t):
     # e^(pi sqrt N - 2 pi t N) against the sum's e^(pi/(8t)); the digits
     # cover that with 10 to spare, so a count off by its own size at any
     # n <= order shows, and the table runs past order until the tail
-    # beyond it is below the digits.  The row (10^5, 1, 0.002) passes too,
-    # at 210 digits, but takes about 8 s, so it is not run here.
+    # beyond it is below the digits.  The row (10^5, 1, 0.002) needs 210
+    # digits and about 8 s, so it runs in the slow tier only.
     digits = math.ceil((2 * math.pi * t * order + math.pi / (8 * t)
                         - math.pi * math.sqrt(order)) / math.log(10)) + 10
     with mp.workdps(digits + 10):
@@ -331,6 +332,51 @@ def test_classes_equal_the_outer_sum_at_a_point(order, c, t):
             for count in reversed(table.residue_sequence(a, c)):
                 total = (total * q_fixed >> bits) + (count << bits)
             assert abs(mp.ldexp(total, -bits) / want - 1) < mp.mpf(10) ** -digits, a
+
+
+def _factorizations(top):
+    """For each n <= top, the prime powers (p, e) of 8n + 7, by a
+    smallest-prime-factor sieve."""
+    size = 8 * top + 8
+    spf = list(range(size))
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if spf[p] == p:
+            for k in range(p * p, size, p):
+                if spf[k] == k:
+                    spf[k] = p
+    out = []
+    for n in range(top + 1):
+        rest, powers = 8 * n + 7, []
+        while rest > 1:
+            p, e = spf[rest], 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            powers.append((p, e))
+        out.append(powers)
+    return out
+
+
+def test_totals_obey_the_congruences_at_the_inert_primes():
+    # Write 8n+7 = p^e m with p not dividing m, and call p = +-3 (mod 8)
+    # inert (it stays prime in Z[sqrt 2]).  v(n) = 0 (mod 4) when an inert p
+    # divides 8n+7 to an odd power e with e = 3 (mod 4) or m a square mod p;
+    # v(n) = 0 (mod 3) when 3 divides it to an odd power e >= 3 and
+    # m = 1 (mod 3).  Neither rule shares code with the packed division.
+    top = 20_000
+    totals = expand_V_rank(top, 1).residue_sequence(0, 1)
+    by_four, by_three = [], []
+    for n, powers in enumerate(_factorizations(top)):
+        for p, e in powers:
+            m = (8 * n + 7) // p ** e
+            if p % 8 in (3, 5) and e % 2 and (e % 4 == 3 or pow(m, (p - 1) // 2, p) == 1):
+                by_four.append(n)
+            if p == 3 and e % 2 and e >= 3 and m % 3 == 1:
+                by_three.append(n)
+    by_four = sorted(set(by_four))
+    assert (len(by_four), len(by_three)) == (7712, 277)
+    assert [n for n in by_four if totals[n] % 4] == []
+    assert [n for n in by_three if totals[n] % 3] == []
 
 
 @pytest.mark.parametrize("modulus,top", [(None, 6373), (1, 151145), (3, 95191),

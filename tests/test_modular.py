@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -22,6 +23,8 @@ from oddbalanced.modular import (
     sqrt_neg_itau,
     theta,
 )
+
+from mpmath_references import appell_sum, theta_sum
 
 PI_I = 1j * math.pi
 
@@ -57,20 +60,19 @@ def _theta_sum(z, tau, J):
 
 
 def test_theta_cutoff_stability():
-    from oddbalanced.modular import theta_window
     for z, tau in ((0.3, 0.4j), (0.2 + 0.4j, 0.15j), (0.8, 1.5j)):
-        J = theta_window(complex(z), complex(tau))
+        # theta's own window: its Gaussian majorant, with 4 terms to spare
+        J = int(modular.gaussian_window(math.pi * tau.imag, 2 * math.pi * abs(z.imag), 0.0)) + 4
         a = theta(z, tau).value
         b = _theta_sum(z, tau, 2 * J)
         assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
 
 def test_theta_tail_bound_is_honest():
-    # the bound covers the discarded tail; allow summation roundoff on top
+    # the bound covers the discarded tail and the rounding
     r = theta(0.3 + 0.2j, 0.5j)
     exact = _theta_sum(0.3 + 0.2j, 0.5j, 200)
-    roundoff = 1e-14 * (1.0 + abs(exact))
-    assert abs(r.value - exact) <= r.truncation_bound + roundoff
+    assert abs(r.value - exact) <= r.truncation_bound
 
 
 def test_eta_transformations():
@@ -193,6 +195,20 @@ MORDELL_POINTS = st.one_of(
 def test_mordell_bound_holds_against_mpmath(point):
     z, tau = point
     _assert_within_bound(z, tau, mordell(z, tau))
+
+
+def test_appell_and_theta_bounds_hold_against_mpmath():
+    # each sum's window, tail and rounding budget, against 40-digit sums over
+    # windows from the same majorants: levels 1 to 3, Im tau down to 0.05
+    rng = random.Random(2002)
+    for _ in range(64):
+        ell = rng.choice((1, 2, 3))
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.5))
+        u, v = (complex(rng.uniform(0, 1), rng.uniform(-0.2, 0.2)) for _ in "uv")
+        with mp.workdps(40):
+            for got, want in ((appell(ell, u, v, tau), appell_sum(ell, u, v, tau)),
+                              (theta(v, tau), theta_sum(v, tau))):
+                assert abs(got.value - want) <= got.truncation_bound, (ell, u, v, tau)
 
 
 def test_appell_transformation_example():
