@@ -3,7 +3,7 @@
 Implements, for tau in the upper half-plane:
 
 * theta(z;tau) = sum over half-integers n of exp(pi*i*n^2*tau + 2*pi*i*n*(z+1/2)),
-* Dedekind eta(tau) = q^(1/24) * prod_{k>=1} (1-q^k),
+* Dedekind eta(tau) = q^(1/24) * prod_{k>=1} (1-q^k) = -i q^(1/6) theta(-tau;3tau),
 * the Mordell integral h(z;tau) = int exp(pi*i*tau*x^2 - 2*pi*z*x)/cosh(pi*x) dx,
 * level-ell Appell sums A_ell(u,v,tau) and the normalised quotient
   mu(u,v,tau) = A_1(u,v,tau)/theta(v;tau),
@@ -12,11 +12,11 @@ Implements, for tau in the upper half-plane:
   ratios share.
 
 Each evaluator returns an EvalResult: the value and a bound on its error.
-theta and the Appell sums stop where a Gaussian majorant of their terms is
-below e^LOG_EPS (gaussian_window) and bound the rest by a geometric series
-(gaussian_tail); the Mordell integral is the trapezoidal rule (see mordell).
-The bounds of mordell, theta, appell and mu cover float rounding too; those
-of eta and evaluate_V_bounded cover truncation only.
+theta, the Appell sums and the Mordell rule's nodes stop where a Gaussian
+majorant of their terms is below e^LOG_EPS (gaussian_window) and bound the
+rest by a geometric series (gaussian_tail); eta is a theta value.  Every
+bound covers float rounding too, by one rule (ROUND_TERM, ROUND_SUM), except
+that of evaluate_V_bounded, which covers truncation only.
 sqrt(-i*tau) always means the principal branch, which is the convention
 validated by the transformation-law tests.
 
@@ -76,8 +76,11 @@ def _require_upper_half(tau):
 
 def gaussian_window(alpha, beta, gamma):
     """The x past which g(x) = e^(-alpha x^2 + beta x + gamma) is below e^LOG_EPS and
-    falls: the larger root of g(x) = e^LOG_EPS, or the vertex where there is none."""
+    falls: the larger root of g(x) = e^LOG_EPS, or the vertex where there is none.  For
+    beta < 0 the root is taken rationalised, which loses no digits and holds at alpha = 0."""
     disc = beta * beta + 4.0 * alpha * (gamma - LOG_EPS)
+    if beta < 0 < disc:
+        return 2.0 * (gamma - LOG_EPS) / (math.sqrt(disc) - beta)
     return (beta + math.sqrt(max(disc, 0.0))) / (2.0 * alpha)
 
 
@@ -113,49 +116,27 @@ def theta(z, tau):
 # ---------------------------------------------------------------------------
 
 def eta(tau):
-    """eta(tau) = q^(1/24) * prod (1-q^k), truncated once |q|^k < e^LOG_EPS."""
+    """eta(tau) = sum_n (-1)^n q^((6n-1)^2/24) = -i q^(1/6) theta(-tau; 3tau) (the
+    pentagonal number theorem), good to |q^(1/6)| times theta's bound plus ROUND_TERM
+    (1 + |2 pi tau/6|) UNITs of |eta| for the prefactor."""
     tau = _require_upper_half(tau)
-    q = qpow(tau, 1)
-    absq = abs(q)
-    K = int(LOG_EPS / math.log(absq)) + 2
-    prod = 1.0 + 0j
-    qk = 1.0 + 0j
-    for _ in range(K):
-        qk *= q
-        prod *= 1.0 - qk
-    # log-product tail: |log prod_{k>K}(1-q^k)| <= sum_{k>K} |q|^k / (1-|q|)
-    tail_log = absq ** (K + 1) / ((1.0 - absq) ** 2)
-    value = qpow(tau, 1.0 / 24.0) * prod
-    return EvalResult(value, abs(value) * 2.0 * tail_log)
+    th = theta(-tau, 3 * tau)
+    prefactor = qpow(tau, 1.0 / 6.0)
+    value = -1j * prefactor * th.value
+    return EvalResult(value, abs(prefactor) * th.truncation_bound
+                      + ROUND_TERM * (1.0 + abs(TWO_PI * tau / 6.0)) * UNIT * abs(value))
 
 
 # ---------------------------------------------------------------------------
 # Mordell integral
 # ---------------------------------------------------------------------------
 
-def _mordell_range(z, tau):
-    """X with |integrand| < e^LOG_EPS outside [-X, X], and a bound on the
-    integral over |x| > X of a majorant of |integrand| that decreases there."""
-    a = math.pi * tau.imag  # Gaussian decay
-    b = TWO_PI * abs(z.real) - math.pi  # worst-case exponential growth vs cosh
-    X = 1.0
-    while -a * X * X + b * X > LOG_EPS:
-        X += 0.5
-        if X > 1e4:
-            raise DomainError(
-                f"integrand decays too slowly for quadrature (z={z}, tau={tau})")
-    # |integrand| <= 2 e^(-a x^2 + b |x|), and beyond X the exponent falls
-    # at least as fast as its slope at X, so each side is below
-    # 2 e^(-a X^2 + b X)/slope
-    return X, 4.0 * math.exp(-a * X * X + b * X) / (2.0 * a * X - b)
-
-
 # half-widths a of the strips |Im x| < a in which the trapezoidal rule may
 # bound the integrand; the poles of 1/cosh(pi x) sit at +-i/2
 STRIP_WIDTHS = (0.1, 0.2, 0.3, 0.4, 0.45, 0.49)
 # the strip term's target, relative to the bound on the integral of
-# |integrand| along the real axis: a sixteenth of the rounding allowance
-STRIP_REL = 2.0 ** -50
+# |integrand| along the real axis: the least that the rounding budget can be
+STRIP_REL = (ROUND_TERM + ROUND_SUM) * UNIT
 
 
 def _strip_l1(z, tau, a):
@@ -193,23 +174,25 @@ def mordell(z, tau):
     """h(z;tau) = int f, f(x) = exp(pi i tau x^2 - 2 pi z x)/cosh(pi x), by
     the trapezoidal rule folded onto x >= 0,
 
-        h * [f(0) + sum_{k=1..n} (f(kh) + f(-kh))],   n = ceil(X/h),
+        h * [f(0) + sum_{k=1..n} (f(kh) + f(-kh))].
 
-    with X and the tail bound from _mordell_range.  f is analytic in every
-    strip |Im x| < a < 1/2, so the infinite rule h sum_k f(kh) differs from
-    the integral by at most 2M/(e^(2 pi a/h) - 1), where M bounds
-    int |f(u+iy)| du for |y| <= a (Trefethen and Weideman, SIAM Review 56,
-    2014, Theorem 5.1; M in closed form from _strip_l1).  Each a of
-    STRIP_WIDTHS with a finite M gives the h at which that term is
+    f is analytic in every strip |Im x| < a < 1/2, so the infinite rule
+    h sum_k f(kh) differs from the integral by at most 2M/(e^(2 pi a/h) - 1),
+    where M bounds int |f(u+iy)| du for |y| <= a (Trefethen and Weideman,
+    SIAM Review 56, 2014, Theorem 5.1; M in closed form from _strip_l1).
+    Each a of STRIP_WIDTHS with a finite M gives the h at which that term is
     STRIP_REL of M(0), and the widest such h is taken; DomainError if no M
-    is finite.  The terms of the infinite rule past n sum to at most the
-    tail bound of _mordell_range, since nh >= X.
+    is finite.  Then |f(+-kh)| <= g(k) = 2 e^(-A k^2 + B k), A = pi Im(tau) h^2,
+    B = (2 pi |Re z| - pi) h, so n = ceil(gaussian_window) and the nodes past n
+    on both sides sum to at most 2h gaussian_tail(n + 1); DomainError where
+    nh would pass 1e4.
 
-    The bound is the strip term, plus that tail, plus 64 ulps of
-    h * sum |f(kh)| for rounding; the sum is compensated, so that its own
-    error does not grow with the number of nodes.  Allows Im(tau) = 0 (the boundary case)
-    when |Re z| < 1/2, where the 1/cosh factor alone makes the integral
-    converge.
+    The bound is the strip term, plus that tail, plus ROUND_TERM + ROUND_SUM
+    UNITs of h times the rounding weight: each node adds |f| (1 + s), s the
+    magnitudes |pi i tau| x^2 + |pi (1 +- 2z)| x that form its exponent.  The
+    sum is compensated, so that its own error does not grow with the number
+    of nodes.  Allows Im(tau) = 0 (the boundary case) when |Re z| < 1/2,
+    where the 1/cosh factor alone makes the integral converge.
     """
     z, tau = complex(z), complex(tau)
     if tau.imag < 0:
@@ -217,7 +200,6 @@ def mordell(z, tau):
     if tau.imag == 0 and abs(z.real) >= 0.5:
         raise DomainError(
             f"divergent parameter regime: Im(tau)=0 needs |Re z| < 1/2, got z={z}")
-    X, tail = _mordell_range(z, tau)
     target = STRIP_REL * _strip_l1(z, tau, 0.0)
     rules = [(TWO_PI * a / math.log1p(2.0 * M / target), a, M)
              for a in STRIP_WIDTHS for M in [_strip_l1(z, tau, a)]
@@ -226,15 +208,21 @@ def mordell(z, tau):
         raise DomainError(f"no strip bound is finite (z={z}, tau={tau})")
     h, a, M = max(rules)
     strip = 2.0 * M / math.expm1(TWO_PI * a / h)
+    majorant = (math.pi * tau.imag * h * h, (TWO_PI * abs(z.real) - math.pi) * h, LN2)
+    window = gaussian_window(*majorant)
+    if not window * h <= 1e4:
+        raise DomainError(f"integrand decays too slowly for quadrature (z={z}, tau={tau})")
+    n = math.ceil(window)
     alpha = 1j * math.pi * tau
     # f(+-x) = e^((alpha x - pi (1 +- 2z)) x) w with w = e^(pi x)/cosh(pi x)
     # = 2/(1 + e^(-2 pi x)), which cannot overflow; 1 +- 2z is exact where it
     # is small (Re z near -+1/2), where pi +- 2 pi z would lose the digits
     # that the slow decay needs.  The sum is Kahan's.
     plus, minus = math.pi * (1 + 2 * z), math.pi * (1 - 2 * z)
+    size_a, size_p, size_m = abs(alpha), abs(plus), abs(minus)
     pi, exp, cexp = math.pi, math.exp, cmath.exp
-    value, carry, l1 = 1.0, 0.0, 1.0  # f(0) = 1
-    for k in range(1, math.ceil(X / h) + 1):
+    value, carry, weight = 1.0, 0.0, 1.0  # f(0) = 1
+    for k in range(1, n + 1):
         x = k * h
         w = 2.0 / (1.0 + exp(-2.0 * pi * x))
         fp, fm = cexp((alpha * x - plus) * x) * w, cexp((alpha * x - minus) * x) * w
@@ -242,8 +230,10 @@ def mordell(z, tau):
         total = value + term
         carry = (total - value) - term
         value = total
-        l1 += abs(fp) + abs(fm)
-    return EvalResult(h * value, strip + tail + 2.0 ** -46 * h * l1)
+        common = 1.0 + size_a * x * x
+        weight += abs(fp) * (common + size_p * x) + abs(fm) * (common + size_m * x)
+    return EvalResult(h * value, strip + 2.0 * h * gaussian_tail(*majorant, n + 1)
+                      + (ROUND_TERM + ROUND_SUM) * UNIT * h * weight)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Gaussian sums of modular.
 The general Tauberian transfer and the partition and overpartition main
 terms check the program's decimal main_term_v from an independent
 arithmetic.  Each is evaluated, as main_term_v is, with GUARD_DIGITS digits
-beyond max(dps, 30).  appell_sum and theta_sum check the float sums and
-their error bounds at 40 digits.
+beyond max(dps, 30).  appell_sum, theta_sum, eta_product and mordell_integral
+check the float evaluators and their error bounds at 30 to 40 digits.
 """
 
 import mpmath as mp
@@ -54,8 +54,11 @@ def overpartition_asym(n, dps=DEFAULT_DPS):
 
 def _past(alpha, beta, gamma, log_eps):
     """The larger x with -alpha x^2 + beta x + gamma = log_eps (the vertex if
-    there is none): past it the majorant e^(...) is below e^log_eps and falls."""
+    there is none): past it the majorant e^(...) is below e^log_eps and falls.
+    For beta < 0 the root is rationalised, which holds at alpha = 0 too."""
     disc = beta * beta + 4 * alpha * (gamma - log_eps)
+    if beta < 0 < disc:
+        return 2 * (gamma - log_eps) / (mp.sqrt(disc) - beta)
     return (beta + mp.sqrt(max(disc, 0))) / (2 * alpha)
 
 
@@ -91,3 +94,24 @@ def theta_sum(z, tau, dps=40):
         J = int(_past(mp.pi * tau.imag, 2 * mp.pi * abs(z.imag), 0, -(dps + 10) * mp.ln(10)))
         return mp.fsum(mp.exp(1j * mp.pi * tau * n * n + 2j * mp.pi * n * (z + mp.mpf(1) / 2))
                        for k in range(-J - 1, J + 1) for n in [k + mp.mpf(1) / 2])
+
+
+def eta_product(tau, dps=40):
+    """eta(tau) = q^(1/24) prod_{k>=1} (1 - q^k) at dps digits, by mpmath's
+    q-Pochhammer symbol: the product form, independent of the pentagonal
+    number theorem that the float evaluator sums."""
+    with mp.workdps(dps + 10):
+        tau = mp.mpc(tau)
+        return mp.exp(2j * mp.pi * tau / 24) * mp.qp(mp.exp(2j * mp.pi * tau))
+
+
+def mordell_integral(z, tau, dps=30):
+    """h(z;tau) = int e^(pi i tau x^2 - 2 pi z x)/cosh(pi x) dx at dps digits
+    by mpmath's quadrature on unit subintervals of [-X, X], X the first
+    integer past which the majorant e^(-pi Im(tau) x^2 + (2 pi |Re z| - pi) x)
+    is below e^-80."""
+    with mp.workdps(dps):
+        z, tau = mp.mpc(z), mp.mpc(tau)
+        X = int(mp.ceil(_past(mp.pi * tau.imag, 2 * mp.pi * abs(z.real) - mp.pi, 0, -80)))
+        return mp.quad(lambda x: mp.exp(mp.pi * 1j * tau * x * x - 2 * mp.pi * z * x)
+                       / mp.cosh(mp.pi * x), mp.linspace(-X, X, 2 * X + 1))

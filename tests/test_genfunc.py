@@ -362,11 +362,16 @@ def test_totals_obey_the_congruences_at_the_inert_primes():
     # inert (it stays prime in Z[sqrt 2]).  v(n) = 0 (mod 4) when an inert p
     # divides 8n+7 to an odd power e with e = 3 (mod 4) or m a square mod p;
     # v(n) = 0 (mod 3) when 3 divides it to an odd power e >= 3 and
-    # m = 1 (mod 3).  Neither rule shares code with the packed division.
+    # m = 1 (mod 3).  And v(n) is odd exactly when one prime divides 8n+7 to
+    # an odd power, and that power is 1 (mod 4).  No rule shares code with
+    # the packed division.
     top = 20_000
     totals = expand_V_rank(top, 1).residue_sequence(0, 1)
-    by_four, by_three = [], []
+    by_four, by_three, odd = [], [], []
     for n, powers in enumerate(_factorizations(top)):
+        odd_powers = [e for p, e in powers if e % 2]
+        if len(odd_powers) == 1 and odd_powers[0] % 4 == 1:
+            odd.append(n)
         for p, e in powers:
             m = (8 * n + 7) // p ** e
             if p % 8 in (3, 5) and e % 2 and (e % 4 == 3 or pow(m, (p - 1) // 2, p) == 1):
@@ -374,9 +379,10 @@ def test_totals_obey_the_congruences_at_the_inert_primes():
             if p == 3 and e % 2 and e >= 3 and m % 3 == 1:
                 by_three.append(n)
     by_four = sorted(set(by_four))
-    assert (len(by_four), len(by_three)) == (7712, 277)
+    assert (len(by_four), len(by_three), len(odd)) == (7712, 277, 4971)
     assert [n for n in by_four if totals[n] % 4] == []
     assert [n for n in by_three if totals[n] % 3] == []
+    assert [n for n, v in enumerate(totals) if v % 2] == odd
 
 
 @pytest.mark.parametrize("modulus,top", [(None, 6373), (1, 151145), (3, 95191),

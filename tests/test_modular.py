@@ -24,7 +24,7 @@ from oddbalanced.modular import (
     theta,
 )
 
-from mpmath_references import appell_sum, theta_sum
+from mpmath_references import appell_sum, eta_product, mordell_integral, theta_sum
 
 PI_I = 1j * math.pi
 
@@ -84,7 +84,7 @@ def test_eta_transformations():
 
 def test_eta_ratio_at_i():
     # eta(2i)/eta(i) = 2^(-3/8), reachable from the inversion/shift chain;
-    # both values computed directly from the product to < 1e-12
+    # both values computed directly from the pentagonal sum to < 1e-12
     ratio = eta(2j).value / eta(1j).value
     assert abs(ratio - 2.0 ** -0.375) < 1e-12
     assert eta(2j).truncation_bound < 1e-12
@@ -131,22 +131,9 @@ def test_mordell_divergent_domain():
     assert abs(mordell(0.6, 1j).value) > 0
 
 
-def _mordell_reference(z, tau):
-    """h(z;tau) to 30 digits by mpmath's quadrature on unit subintervals of
-    a range outside which the integrand is below e^-80."""
-    g, c = math.pi * tau.imag, 2 * math.pi * abs(z.real) - math.pi
-    X = 1
-    while -g * X * X + c * X > -80:
-        X += 1
-    with mp.workdps(30):
-        zz, tt = mp.mpc(z), mp.mpc(tau)
-        return mp.quad(lambda x: mp.exp(mp.pi * 1j * tt * x * x - 2 * mp.pi * zz * x)
-                       / mp.cosh(mp.pi * x), mp.linspace(-X, X, 2 * X + 1))
-
-
 def _assert_within_bound(z, tau, result):
     with mp.workdps(30):
-        err = abs(mp.mpc(result.value) - _mordell_reference(z, tau))
+        err = abs(mp.mpc(result.value) - mordell_integral(z, tau))
     assert err <= result.truncation_bound, (z, tau, float(err), result.truncation_bound)
 
 
@@ -188,6 +175,7 @@ MORDELL_POINTS = st.one_of(
 
 @given(MORDELL_POINTS)
 @example((0.3, 5 + 0.5j))  # a fast-turning Gaussian
+@example((0.2, -6 + 0.4j))  # the same, turning the other way
 @example((0, 0))  # the boundary tau = 0, where only 1/cosh damps
 @example((0.45, 0))  # the same, with the slowest decay the commands meet
 @example(_lemma_point(0.48, 0.0125))  # the smallest lemma point
@@ -199,15 +187,21 @@ def test_mordell_bound_holds_against_mpmath(point):
 
 def test_appell_and_theta_bounds_hold_against_mpmath():
     # each sum's window, tail and rounding budget, against 40-digit sums over
-    # windows from the same majorants: levels 1 to 3, Im tau down to 0.05
+    # windows from the same majorants (eta against its product, mu against
+    # the quotient of the two sums): levels 1 to 3, Im tau down to 0.05
     rng = random.Random(2002)
     for _ in range(64):
         ell = rng.choice((1, 2, 3))
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.5))
         u, v = (complex(rng.uniform(0, 1), rng.uniform(-0.2, 0.2)) for _ in "uv")
         with mp.workdps(40):
-            for got, want in ((appell(ell, u, v, tau), appell_sum(ell, u, v, tau)),
-                              (theta(v, tau), theta_sum(v, tau))):
+            cases = [(appell(ell, u, v, tau), appell_sum(ell, u, v, tau)),
+                     (theta(v, tau), theta_sum(v, tau)), (eta(tau), eta_product(tau))]
+            try:
+                cases.append((mu(u, v, tau), appell_sum(1, u, v, tau) / theta_sum(v, tau)))
+            except PoleError:
+                pass
+            for got, want in cases:
                 assert abs(got.value - want) <= got.truncation_bound, (ell, u, v, tau)
 
 
