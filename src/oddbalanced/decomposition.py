@@ -54,11 +54,14 @@ def T1(z, tau):
 
 def T_mid(z, tau):
     """-q^(-1/8) w^(-1/2) (theta(1/2+z;tau)/theta(tau;2tau)) mu(2z+1/2,1/2;2tau)."""
-    den = theta(tau, 2 * tau).value
-    if abs(den) < 1e-14:
-        raise PoleError(f"theta(tau;2tau) vanishes at tau={tau}")
+    # theta(tau;2tau) has no zero on the upper half-plane (theta(z;t)
+    # vanishes only on Z + tZ), but at tau = it it falls like e^(-pi/8t),
+    # and below theta's absolute bound the quotient has no correct digit
+    den = theta(tau, 2 * tau)
+    if not abs(den.value) > den.truncation_bound:
+        raise DomainError(f"theta(tau;2tau) is below its error bound at Im tau={tau.imag}")
     return (-qpow(tau, -0.125) * w_half_power(z, -1)
-            * theta(0.5 + z, tau).value / den
+            * theta(0.5 + z, tau).value / den.value
             * mu(2 * z + 0.5, 0.5, 2 * tau).value)
 
 

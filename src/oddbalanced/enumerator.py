@@ -7,22 +7,28 @@ counted by the rank generating function, so the enumeration here serves as
 the independent oracle for the series expansion.
 
 One engine (_peak_groups) generates the sequences in groups that share
-the peak and both sides' even parts.  enumerate_sequences flattens the
-groups into records; json_lines writes the `enumerate` command's text
-from the same groups, one join per group.
+the peak and both sides' even parts; at each peak it pairs a left side
+only with the right sides that fit in the room it leaves.
+enumerate_sequences flattens the groups into records; json_lines writes
+the `enumerate` command's text from the same groups, one join per peak.
+Its sides come from two tables (ascending, descending) keyed by the even
+parts, whose row r holds the side texts for the odd multisets of sum r
+that some peak admits, largest part first.  Each row is built once, at
+the cap of the largest peak that reads it, each text from a shorter one
+(_side_rows), and a smaller peak reads the row's suffix.
 
 The number of sequences grows like e^(pi sqrt(n)) times a power of n;
-n = 24 (size 50, 32 769 sequences) takes about 0.017 s in process as
-records and 0.038 s as `enumerate`'s 2.29 MB of JSON lines.  A fresh
-`enumerate --n 24` takes 0.06 s above a bare interpreter (0.045 s):
-0.007 s to compile the package, the rest the work (medians of 31, pure
-Python, 2 vCPU, Python 3.11).
+n = 24 (size 50, 32 769 sequences) takes about 0.007 s in process as
+records and 0.010 s as `enumerate`'s 2.29 MB of JSON lines.  A fresh
+`enumerate --n 24` takes 0.043 s, 0.021 s above a bare interpreter
+(0.022 s): 0.0035 s to compile the package, the rest imports and work
+(medians of 31, pure Python, 2 vCPU, Python 3.11.7).
 """
 
+from bisect import bisect
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain
-from operator import add
 from types import SimpleNamespace
 
 
@@ -103,13 +109,16 @@ def _odd_partitions(total, max_part):
 def _peak_groups(n):
     """The sequences of size 2n+2 peak by peak, in groups that share the
     peak and both sides' even parts.  For each peak, ascending, it yields
-    (peak, lefts, rights, odds, groups): the left sides' even parts
+    (peak, lefts, rights, odds, fits): the left sides' even parts
     (increasing), the right sides' (decreasing, lefts reversed), odds[r]
-    the odd multisets of one side with sum r (descending), and the
-    (i, j, r) of every group, whose sequences are
-    (peak, lefts[i], rights[j], o) for o in odds[r].  The groups come
-    left side first, then right side, with the odd multiset innermost in
-    its group: the order of enumerate_sequences."""
+    the odd multisets of one side with sum r (descending), and fits[i]
+    the (j, r) of every group with left side i, whose sequences are
+    (peak, lefts[i], rights[j], o) for o in odds[r].  fits[i] lists the
+    rights whose even parts fit in the room that left i leaves, in the
+    rights' order, and is one list shared by every left that leaves the
+    same room.  The groups come left side first, then right side, with
+    the odd multiset innermost in its group: the order of
+    enumerate_sequences."""
     if n < 0:
         raise ValueError("n must be >= 0")
     size = 2 * n + 2
@@ -132,38 +141,62 @@ def _peak_groups(n):
         assert max(chain.from_iterable(chain(lefts, rights, *odds)), default=0) < peak
         # a subset list for a smaller bound is this one filtered by sum, in
         # the same order, so the right side runs through lefts too; what
-        # the two sides leave is even, twice the odd parts' sum r
+        # the two sides leave is even, twice the odd parts' sum r, so the
+        # room is counted in halves
         sums = [t for _, t in subsets]
         assert budget % 2 == 0 and all(t % 2 == 0 for t in sums)
-        yield peak, lefts, rights, odds, [
-            (i, j, (budget - lsum - rsum) // 2) for i, lsum in enumerate(sums)
-            for j, rsum in enumerate(sums) if rsum <= budget - lsum]
+        halves = [t // 2 for t in sums]
+        fits = [[(j, room - half) for j, half in enumerate(halves) if half <= room]
+                for room in range(budget // 2 + 1)]
+        yield peak, lefts, rights, odds, [fits[budget // 2 - half] for half in halves]
 
 
 def enumerate_sequences(n):
     """All odd-balanced unimodal sequences of size 2n+2, each exactly once."""
     make = tuple.__new__
     out = []
-    for peak, lefts, rights, odds, groups in _peak_groups(n):
-        out += [make(OddBalancedSequence, (peak, lefts[i], rights[j], o))
-                for i, j, r in groups for o in odds[r]]
+    for peak, lefts, rights, odds, fits in _peak_groups(n):
+        out += [make(OddBalancedSequence, (peak, left, rights[j], o))
+                for left, fit in zip(lefts, fits) for j, r in fit for o in odds[r]]
     return out
 
 
-def _sides(cache, evens, odds, text, reverse):
-    """Every side with these even parts, as text, by the sum r of its odd
-    parts: entry r holds evens merged with each multiset of odds[r],
-    sorted (descending if reverse), each part written as text[part].
+def _side_rows(ascending, descending, evens, size, before, after):
+    """Enter every side with these even parts (increasing) in both tables,
+    as text by the sum r of its odd parts: row r holds evens merged with
+    each multiset of _odd_partitions(r, cap), in that order (largest part
+    first), sorted ascending (each part written as before[part]) or
+    descending (after[part]).  The cap is that of the largest peak that
+    reads row r, the one with an empty other side, so a smaller peak
+    reads a suffix of the row; the rows run to the largest r that the
+    smallest peak above the evens reads.
 
-    The entries are cached per evens and built for the first odds[r]
-    asked for.  The peaks run from the top down, so that is the largest
-    cap on the odd parts, and a smaller cap keeps a suffix of the
-    multisets (they come largest part first): entry r ends with the
-    len(odds[r]) sides asked for."""
-    row = cache.setdefault(evens, [])
-    row += [["".join([text[k] for k in sorted(evens + o, reverse=reverse)]) for o in parts]
-            for parts in odds[len(row):]]
-    return row
+    Each side is built from a smaller one: with p the largest odd part,
+    the ascending side is the side of the evens below p and the rest of
+    the multiset, then p, then the evens above p, and the descending side
+    is its mirror image.  The evens below p are a prefix of evens, a side
+    of the same peak or a smaller one, so its rows are in the tables
+    already (or, for the whole of evens, are the rows below r)."""
+    total = sum(evens)
+    rows = (size - total - max(evens, default=0)) // 2
+    above_asc = ["".join([before[e] for e in evens[k:]]) for k in range(len(evens) + 1)]
+    above_desc = ["".join([after[e] for e in reversed(evens[k:])]) for k in range(len(evens) + 1)]
+    asc = ascending[evens] = [[above_asc[0]]]
+    desc = descending[evens] = [[above_desc[0]]]
+    below_asc = [ascending[evens[:k]] for k in range(len(evens) + 1)]
+    below_desc = [descending[evens[:k]] for k in range(len(evens) + 1)]
+    for r in range(1, rows):
+        cap = min(r, size - total - 2 * r - 1)
+        asc_row, desc_row = [], []
+        for p in range(cap - 1 + cap % 2, 0, -2):
+            k = bisect(evens, p)
+            count = -len(_odd_partitions(r - p, p))
+            middle = before[p] + above_asc[k]
+            asc_row += [side + middle for side in below_asc[k][r - p][count:]]
+            middle = above_desc[k] + after[p]
+            desc_row += [middle + side for side in below_desc[k][r - p][count:]]
+        asc.append(asc_row)
+        desc.append(desc_row)
 
 
 def json_lines(n):
@@ -172,35 +205,55 @@ def json_lines(n):
     "peak", "rank"} per sequence, "sequence" the parts as written.
 
     A line is a head, the ascending side, the peak, the descending side
-    and a tail that holds the peak and the rank.  The sides are built
-    once per even parts and odd multiset and shared by every peak (see
-    _sides); per peak the ascending sides gain the peak, and each group's
-    lines are one join of its sides, paired in order."""
+    and a tail that holds the peak and the rank.  Each side is built once,
+    when its even parts first come up (see _side_rows), and read by every
+    peak as the suffix of its row that the peak's odd multisets admit,
+    after _peak_groups has checked them.  At a peak, the lefts of one sum
+    leave one room and meet the same rights, so a room's descending sides
+    are listed once, in the order of its lines; each left adds its
+    ascending sides and the tails of its ranks.  A peak's text is one join
+    of every line's four parts, with no string per line or group."""
     size = 2 * n + 2
     before = [str(k) + "," for k in range(size + 1)]
     after = ["," + str(k) for k in range(size + 1)]
     head = '{"size":%d,"sequence":[' % size
     ascending, descending = {}, {}
     texts = [head]
-    for peak, lefts, rights, odds, groups in reversed(list(_peak_groups(n))):
-        top = str(peak)
-        budget = size - peak
-        # this peak's sides by the position of the even parts and by r;
-        # each list ends with "", so that a group's join ends with a tail
-        asc = [[[s + top for s in side[-len(parts):]] + [""] for side, parts in zip(
-            _sides(ascending, left, odds[:(budget - sum(left)) // 2 + 1], before, False),
-            odds)] for left in lefts]
-        desc = [[side[-len(parts):] + [""] for side, parts in zip(
-            _sides(descending, right, odds[:(budget - sum(right)) // 2 + 1], after, True),
-            odds)] for right in rights]
+    for peak, lefts, rights, odds, fits in _peak_groups(n):
+        for left in lefts:
+            if left not in ascending:
+                _side_rows(ascending, descending, left, size, before, after)
+        # each row ends with the len(odds[r]) sides this peak admits
+        counts = [-len(parts) for parts in odds]
         sizes = [len(left) for left in lefts]
-        tails = {rank: '],"peak":%d,"rank":%d}\n%s' % (peak, rank, head)
-                 for rank in range(-max(sizes), max(sizes) + 1)}
-        texts.append("".join([tails[sizes[j] - sizes[i]].join(map(add, asc[i][r], desc[j][r]))
-                              for i, j, r in groups]))
-    # the top peak's text comes last, and its last tail starts no line
-    texts[1] = texts[1][:-len(head)]
-    return "".join([texts[0], *reversed(texts[1:])])
+        tails = [['],"peak":%d,"rank":%d}\n%s' % (peak, right - left, head)
+                  for right in range(max(sizes) + 1)] for left in range(max(sizes) + 1)]
+        # per room (the sum of the lefts that leave it): the descending
+        # sides of its lines, their even parts' sizes, and each group's r
+        rooms = {}
+        asc_sides, desc_sides, line_tails = [], [], []
+        for left, fit in zip(lefts, fits):
+            total = sum(left)
+            if total not in rooms:
+                rooms[total] = (
+                    [side for j, r in fit for side in descending[lefts[j]][r][counts[r]:]],
+                    [sizes[j] for j, r in fit for _ in odds[r]],
+                    [r for _, r in fit])
+            desc, right_sizes, sums = rooms[total]
+            asc = [row[count:] for row, count in zip(ascending[left], counts)]
+            asc_sides += chain.from_iterable(map(asc.__getitem__, sums))
+            desc_sides += desc
+            line_tails += map(tails[len(left)].__getitem__, right_sizes)
+        # a line's parts: its ascending side, the peak, its descending side
+        # and its tail
+        parts = [str(peak)] * (4 * len(asc_sides))
+        parts[0::4] = asc_sides
+        parts[2::4] = desc_sides
+        parts[3::4] = line_tails
+        texts.append("".join(parts))
+    # the top peak's last tail starts no line
+    texts[-1] = texts[-1][:-len(head)]
+    return "".join(texts)
 
 
 def count_rank_table(n_max):

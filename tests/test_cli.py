@@ -205,6 +205,7 @@ def assert_one_line_usage_error(err):
     {"z_re": 0.2, "tau_im": 0.9, "order": 2.5},
     {"z_re": 0.2, "tau_im": 0.2, "order": 3},  # order too low for the tail gate
     {"z_re": 0.25, "tau_im": 0.9, "order": 200},  # on a T2 pole
+    {"z_re": 0.2, "tau_im": 0.012, "order": 3000},  # theta(tau;2tau) below its bound
     {"z_re": 0.2, "tau_im": -0.5},  # |q| > 1
     {"z_re": 1e308, "z_im": 0, "tau_re": 0, "tau_im": 0.5, "order": 50},  # w is not a float
 ])
@@ -396,6 +397,11 @@ def test_enumerate_lines_are_compact_json(capsys, n):
 @pytest.mark.parametrize("args, digest", [
     (["enumerate", "--n", "24"],
      "2413f6c4b844ff4b05088b050cafdf3573b6456efc7ac8bf06b07ca80859b657"),
+    # the top of enumerate's domain, where every side table runs deep
+    (["enumerate", "--n", "30"],
+     "f353caa59f0e180226e8208e8ad9c8f8d3681afc21241a008c317d7f94c06246"),
+    (["enumerate", "--n", "36"],
+     "e72e750ea03afb8bc5fcf10f8102070fa653e2c8a36a25929ab906d735386b8d"),
     (["expand", "--n-max", "300"],
      "4446cc3ab0a343bef68b2b0374ce4a502d86f202a559f24149fbaab56f9e0569"),
     (["expand", "--n-max", "300", "--format", "json"],

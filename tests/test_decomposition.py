@@ -14,7 +14,7 @@ from oddbalanced.decomposition import (
     series_lhs,
     verify_decomposition,
 )
-from oddbalanced.modular import PoleError, eta, q0pow, qpow, theta
+from oddbalanced.modular import DomainError, PoleError, eta, q0pow, qpow, theta
 
 SQRT2_OVER_4 = math.sqrt(2) / 4
 
@@ -77,6 +77,14 @@ def test_T_mid_tracks_its_main_term_at_third():
         devs.append(abs(T_mid(z, tau) / main - 1))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-4
+
+
+def test_T_mid_refuses_a_divisor_below_its_bound():
+    # theta(tau;2tau) has no zero, but at Im tau = 0.012 it is 8.1e-14,
+    # under theta's error bound of 1.4e-12, and at 0.01 it is 1.3e-16
+    for t in (0.012, 0.01):
+        with pytest.raises(DomainError, match=f"Im tau={t}"):
+            T_mid(0.2, t * 1j)
 
 
 def test_T2_pole_at_zero():

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -199,6 +200,18 @@ def test_json_lines_check_the_peak_bound(monkeypatch):
     inject_large_part(monkeypatch)
     with pytest.raises(AssertionError):
         enumerator.json_lines(4)
+
+
+def test_json_lines_leave_no_garbage():
+    # the side tables are freed by reference counting alone: a reference
+    # cycle would keep them alive until the next collection
+    gc.disable()
+    try:
+        gc.collect()
+        enumerator.json_lines(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def clear_check_caches():
