@@ -52,7 +52,7 @@ evaluate_V here is a thin caller of it.
 
 from functools import reduce
 from math import isqrt, log, log2, pi, sqrt
-from operator import or_
+from operator import itemgetter, or_
 
 
 def rank_support_bound(order):
@@ -133,19 +133,38 @@ class RankTable:
 # Expansions
 # ---------------------------------------------------------------------------
 
+def _reader(offsets):
+    """The function y -> the items y[o] for o in offsets: one itemgetter,
+    read at C level, once there are two offsets (an itemgetter of one
+    index returns the bare item, and of none is an error)."""
+    if len(offsets) > 1:
+        return itemgetter(*offsets)
+    return lambda y: [y[o] for o in offsets]
+
+
 def _div_phi_minus_q(x):
     """The q-series x divided by phi(-q) = 1 + 2 sum_{j>=1} (-1)^j q^{j^2},
     truncated to len(x):
 
-        y[k] = x[k] + 2 (sum_{j odd} y[k-j^2] - sum_{j even >= 2} y[k-j^2])."""
-    y = [0] * len(x)
-    odd, even = [], []  # the squares j^2 <= k, by the parity of j
+        y[k] = x[k] + 2 (sum_{j odd} y[k-j^2] - sum_{j even >= 2} y[k-j^2]).
+
+    y grows by one term a step, so at step k it holds k terms and y[k-j^2]
+    is y[-j^2]: the odd-j and the even-j terms are each read by one reader
+    of those offsets, rebuilt only when a square enters (sqrt(N) times)."""
+    y = []
+    odd, even = [], []  # the offsets -j^2, j^2 <= k, by the parity of j
+    read_odd = read_even = _reader(())
     j = 1
     for k, xk in enumerate(x):
         if k == j * j:
-            (odd if j & 1 else even).append(k)
+            if j & 1:
+                odd.append(-k)
+                read_odd = _reader(odd)
+            else:
+                even.append(-k)
+                read_even = _reader(even)
             j += 1
-        y[k] = xk + 2 * (sum([y[k - e] for e in odd]) - sum([y[k - e] for e in even]))
+        y.append(xk + 2 * (sum(read_odd(y)) - sum(read_even(y))))
     return y
 
 

@@ -1,6 +1,10 @@
+import ast
+import errno
 import hashlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -373,15 +377,52 @@ def test_no_expansion_starts_past_a_ceiling(monkeypatch, capsys, args):
     assert_one_line_usage_error(captured.err)
 
 
+class _FullStream(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("args", [["enumerate", "--n", "2"], ["verify-transforms"]],
                          ids=lambda args: args[0])
-@pytest.mark.parametrize("target", ["directory", "missing-dir/out.txt"])
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys, args, target):
-    output = tmp_path if target == "directory" else tmp_path / target
-    code, captured = run_cli([*args, "--output", str(output)], capsys)
+@pytest.mark.parametrize("target", ["directory", "missing-dir/out.txt", "empty path",
+                                    "closed stdout", "full stdout"])
+def test_unwritable_output_is_a_usage_error(tmp_path, args, target):
+    argv, stdout = args, io.StringIO()
+    if target == "closed stdout":  # a process started with fd 1 closed
+        stdout = None
+    elif target == "full stdout":
+        stdout = _FullStream()
+    else:  # an --output no file can be opened at; --output= names the empty path
+        output = {"directory": tmp_path, "empty path": ""}.get(target, tmp_path / target)
+        argv = [*args, f"--output={output}"]
+    err = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
+        code = cli.main(argv)
     assert code == 2
-    assert_one_line_usage_error(captured.err)
-    assert captured.out == ""
+    assert_one_line_usage_error(err.getvalue())
+    if isinstance(stdout, io.StringIO):
+        assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize("args", [["asym-report", "--c", "3"], ["--help"]], ids=" ".join)
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed"])
+def test_an_unwritable_stdout_exits_2_in_a_child(tmp_path, args, stdout):
+    # the stdout of a fresh process is written and flushed before main
+    # returns, so a full disk or a closed fd 1 is one line and exit 2, not
+    # a traceback
+    if stdout == "/dev/full" and not Path(stdout).exists():
+        pytest.skip("no /dev/full")
+    with open(os.devnull if stdout == "closed" else stdout, "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddbalanced.cli", *args],
+            cwd=tmp_path, stdout=sink, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None)
+    assert proc.returncode == 2
+    assert_one_line_usage_error(proc.stderr)
+    assert ": error: cannot write stdout: " in proc.stderr
 
 
 @pytest.mark.parametrize("n", range(15))
@@ -394,9 +435,12 @@ def test_enumerate_lines_are_compact_json(capsys, n):
         for s in enumerate_sequences(n))
 
 
+# the sha256 of enumerate --n 24's output
+_ENUMERATE_24 = "2413f6c4b844ff4b05088b050cafdf3573b6456efc7ac8bf06b07ca80859b657"
+
+
 @pytest.mark.parametrize("args, digest", [
-    (["enumerate", "--n", "24"],
-     "2413f6c4b844ff4b05088b050cafdf3573b6456efc7ac8bf06b07ca80859b657"),
+    (["enumerate", "--n", "24"], _ENUMERATE_24),
     # the top of enumerate's domain, where every side table runs deep
     (["enumerate", "--n", "30"],
      "f353caa59f0e180226e8208e8ad9c8f8d3681afc21241a008c317d7f94c06246"),
@@ -644,6 +688,65 @@ def test_a_run_without_site_prints_the_same_bytes(tmp_path, args):
         (plain.stdout, plain.stderr, plain.returncode)
 
 
+@pytest.mark.parametrize("args", [
+    ["expand", "--n-max", "40", "--format", "json"],
+    ["enumerate", "--n", "24"],
+    ["verify-transforms", "--max-residual", "0"],  # a failed check: exit 1, a record
+    ["verify-decomposition", "--grid", "default"],
+    ["asym-report", "--c", "3", "--checkpoints", "20,40"],
+    ["equidistribution", "--moduli", "3", "--checkpoints", "20,60"],
+    ["logconcavity-scan", "--c", "3", "--n-max", "60"],
+    ["lemma-ratios", "--moduli", "3"],
+    ["asym-report", "--c", "3", "--a", "5"],  # a usage error: exit 2
+    ["--help"],
+    ["asym-report", "--help"],
+], ids=" ".join)
+@pytest.mark.parametrize("sink", ["stdout", "--output"])
+def test_a_fresh_process_loses_no_byte(tmp_path, args, sink):
+    # a fresh `python -m oddbalanced.cli` ends in os._exit, with no flush
+    # at exit; its stdout through a pipe (block-buffered, as no
+    # PYTHONUNBUFFERED is set), its --output file, its stderr and its exit
+    # code are those of cli.main in this process
+    child_dir, here_dir = tmp_path / "child", tmp_path / "here"
+    child_dir.mkdir()
+    here_dir.mkdir()
+    extra = ["--output", "out.txt"] if sink == "--output" and "--help" not in args else []
+    child = subprocess.run([sys.executable, "-m", "oddbalanced.cli", *args, *extra],
+                           cwd=child_dir, capture_output=True,
+                           env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(here_dir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main([*args, *extra])
+            except SystemExit as exc:  # --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert (child.returncode, child.stdout, child.stderr) == \
+        (code, out.getvalue().encode(), err.getvalue().encode())
+    written = [(d / "out.txt").read_bytes() if (d / "out.txt").exists() else None
+               for d in (child_dir, here_dir)]
+    assert written[0] == written[1]
+    assert child.stdout or written[0] or child.stderr
+    if args == ["enumerate", "--n", "24"]:
+        assert hashlib.sha256(written[0] or child.stdout).hexdigest() == _ENUMERATE_24
+
+
+def test_both_entry_routes_call_one_process_end():
+    # the `oddbalanced` script and `python -m oddbalanced.cli` both end in
+    # cli.run, the one function that calls os._exit
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    script = re.search(r'^oddbalanced = "oddbalanced\.cli:(\w+)"$', pyproject, re.M)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{script.group(1)}()"]
+    assert getattr(cli, script.group(1)) is cli.run
+
+
 def test_cli_import_loads_only_the_standard_library(tmp_path):
     # each command is a fresh process, so what the import loads is paid by
     # every command: no other module of the package, and none of the
@@ -680,7 +783,10 @@ def test_each_command_loads_only_its_layers(tmp_path, args, absent):
     # run as `python -m oddbalanced.cli` runs it; the names are package
     # submodules, or json
     code = "\n".join([
-        "import runpy, sys",
+        "import os, runpy, sys",
+        # cli.run ends the process with os._exit; raising SystemExit in its
+        # place lets the check below run after the command
+        "os._exit = sys.exit",
         f"sys.argv = ['oddbalanced', *{args!r}, '--output', 'out.csv']",
         "try:",
         "    runpy.run_module('oddbalanced.cli', run_name='__main__')",
