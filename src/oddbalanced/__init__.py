@@ -27,4 +27,11 @@ __version__ = "0.1.0"
 # lane probe still read this flag.
 USING_COMPILED = False
 
-__all__ = ["USING_COMPILED", "__version__"]
+
+class InputError(ValueError):
+    """Input a command cannot run on, refused by the layer that owns the
+    rule (modular's DomainError and PoleError are two); cli.main turns it
+    into one stderr line and exit code 2."""
+
+
+__all__ = ["InputError", "USING_COMPILED", "__version__"]

@@ -13,12 +13,11 @@ mod 1, the totals), logconcavity_scan one LogConcavityReport.  The
 settings of each report come from its caller (cli.COMMANDS); only
 asym_report's dps has a default, DEFAULT_DPS.  No third-party
 package is needed, and decimal is imported inside the functions that
-evaluate a main term, so only asym-report loads it.  modular is imported
-inside the lemma functions, so the exact reports (asym-report,
-equidistribution, logconcavity-scan) never load it.
+evaluate a main term, so only asym-report loads it.  modular and cmath
+are imported inside the lemma functions, so the exact reports
+(asym-report, equidistribution, logconcavity-scan) never load them.
 """
 
-import cmath
 import math
 from collections import namedtuple
 from functools import cache
@@ -134,6 +133,8 @@ def lemma_main_term(z, tau):
     V(1/w;q) pairs z with 1 - z, so a z in (1/2,1) is taken at 1 - z,
     pref included (pref(1 - z) = -pref(z)).
     """
+    import cmath
+
     from .modular import DomainError, mordell, q0pow, qpow, sqrt_neg_itau
 
     z = float(z)
@@ -259,6 +260,8 @@ def lemma_ratio_report(moduli, t_values):
     """For every z=j/c, compare the series value V(e^(2*pi*i*z); e^(-2*pi*t))
     with the interval main term along the vertical ray tau = i*t.  The series
     is summed to convergence and its truncation bound kept in each row."""
+    import cmath
+
     from .modular import evaluate_V_bounded
 
     rows = []

@@ -1,4 +1,6 @@
-"""Batch command-line front end.
+"""Batch command-line front end: argv, output formats, streams and exit
+codes.  The layers it calls own their limits, their input formats and
+their refusals.
 
 Every verification and report is a subcommand with machine-readable output
 (CSV or JSON) and a deterministic evaluation order, so identical invocations
@@ -10,17 +12,19 @@ Each handler cmd_<command>(config) returns (text, failure): the
 command's whole output, and the detail of its failure record when a
 check failed (None or empty when every check passed).  dispatch alone
 writes the text to --output or stdout (through _write, as --help writes
-its text), then the failure record to stderr, and returns the exit code.  Every usage error takes one path: a
-word the parser cannot read, a value outside its option's domain, input
-a handler cannot run on, or an --output or stdout that cannot be written
-(a full disk, a closed fd 1, the empty path) raises UsageError, and main
-alone turns it into the one-line message and exit 2.
+its text), then the failure record to stderr, and returns the exit code.
+Every refusal is one InputError, from the parser, an option's domain,
+_write (an --output or stdout that cannot take every byte) or a layer
+(genfunc.check_budget, decomposition.load_grid, modular); main alone
+turns it, or a value that leaves the float range, into the one-line
+message and exit 2.  stderr is written best effort.
 
 Each option's range has one home, the domain column of COMMANDS: dispatch
 checks every value against it before the handler runs, and --help prints
 it.  A list option's domain holds its least length too.  The handlers
-keep only the rules that tie two values together: a < c, an even c only
-with --allow-even, and genfunc's packed-size budget.
+keep only the rules that tie two values together: a < c and an even c
+only with --allow-even.  The per-law ceilings of verify-transforms are
+transforms.THRESHOLDS.
 
 Each command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads no other module of the package and nothing
@@ -34,17 +38,18 @@ record, decimal only for asym-report's main terms, and no command loads
 a third-party package or the kernels.
 
 The end of the process is part of the cost too.  run, the entry of
-`python -m oddbalanced.cli` and of the `oddbalanced` script, flushes
-stderr and ends the process with os._exit(main's code).  That skips the
-interpreter's finalization, two full garbage collections over every live
-object and the teardown of every module, which nothing here needs:
-_write flushes stdout inside the try that makes a failed write a usage
-error, an --output file is closed by its with block, and no atexit
-handler is registered.  Per workload command the teardown took 2.5-5.5
-ms of 26-39 ms, 3.4 ms of it the bare interpreter's own
-(`python -c pass` takes 20.7 ms, and `os._exit(0)` 17.5 ms; medians of
-21 fresh runs, 2 vCPU, Python 3.11.7).  main(argv) returns its code and
-never ends the process, so in-process callers see no change.
+`python -m oddbalanced.cli` and of the `oddbalanced` script, ends the
+process with os._exit(main's code).  That skips the interpreter's
+finalization, two full garbage collections over every live object and
+the teardown of every module, which nothing here needs: _write flushes
+stdout inside the try that makes a failed write a usage error, _stderr
+flushes each line it writes, an --output file is closed by its with
+block, and no atexit handler is registered.  Per workload command the
+teardown took 2.5-5.5 ms of 26-39 ms, 3.4 ms of it the bare
+interpreter's own (`python -c pass` takes 20.7 ms, and `os._exit(0)`
+17.5 ms; medians of 21 fresh runs, 2 vCPU, Python 3.11.7).  main(argv)
+returns its code and never ends the process, so in-process callers see
+no change.
 
 The argv grammar: a command, then its options in any order, each written
 --flag value or --flag=value; --allow-even alone takes no value.  Every
@@ -64,28 +69,11 @@ import os
 import sys
 from itertools import chain
 
+from . import InputError
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-class UsageError(ValueError):
-    """Input the command cannot run on; main turns it into exit code 2."""
-
-
-def _numeric_domain(fn, *args):
-    """Run fn, reporting a point outside the evaluators' domain (or on a
-    pole) as a usage error."""
-    from .modular import DomainError, PoleError
-
-    try:
-        return fn(*args)
-    except (DomainError, PoleError) as exc:
-        raise UsageError(str(exc)) from exc
-    except (OverflowError, ValueError) as exc:
-        # cmath/math reject arguments whose result leaves the float range
-        # (an overflow) or is undefined there (a "math domain error")
-        raise UsageError(f"a value leaves the float range ({exc})") from exc
 
 
 class RunConfig:
@@ -135,21 +123,10 @@ def _rows_text(rows, header, config):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _check_size(order, modulus=None):
-    """Refuse an expansion past genfunc's budget on its packed division
-    before any of it is allocated."""
-    from . import genfunc
-
-    if not genfunc.within_budget(order, modulus):
-        at = f" at c = {modulus}" if modulus else ""
-        raise UsageError(f"n = {order}{at} is not supported: the exact expansion "
-                         f"would pack more than 2^{genfunc.MAX_PACKED_BITS.bit_length() - 1} bits")
-
-
 def cmd_expand(config):
     from . import genfunc
 
-    _check_size(config.n_max)
+    genfunc.check_budget(config.n_max)
     table = genfunc.expand_V_rank(config.n_max)
     return _rows_text(table.nonzero_items(), ["n", "m", "count"], config), None
 
@@ -160,71 +137,21 @@ def cmd_enumerate(config):
     return enumerator.json_lines(config.n), None
 
 
-# per-law residual ceilings; --max-residual overrides all of them
-TRANSFORM_THRESHOLDS = {
-    "theta_shift_z_plus_1": 1e-9,
-    "theta_shift_z_plus_tau": 1e-9,
-    "theta_shift_tau_plus_1": 1e-9,
-    "theta_inversion": 1e-9,
-    "eta_inversion": 1e-9,
-    "eta_shift_tau_plus_1": 1e-9,
-    "appell_level1_inversion": 1e-8,
-    "mordell_inversion": 1e-8,
-    "mordell_value_at_origin": 1e-10,
-}
-
-
 def cmd_verify_transforms(config):
     from . import transforms
 
     rows = transforms.all_rows(seed=config.seed)
-    limits = (TRANSFORM_THRESHOLDS if config.max_residual is None
-              else dict.fromkeys(TRANSFORM_THRESHOLDS, config.max_residual))
+    limits = (transforms.THRESHOLDS if config.max_residual is None
+              else dict.fromkeys(transforms.THRESHOLDS, config.max_residual))
     failures = [{"law": r.law, "point": r.point, "residual": r.residual,
                  "limit": limits[r.law]} for r in rows if not r.residual < limits[r.law]]
     return _rows_text(rows, transforms.LawResidual._fields, config), failures
 
 
-def _grid_number(point, key, default=None):
-    value = point.get(key, default)
-    if value is None:
-        raise UsageError(f"grid point {point} has no {key!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise UsageError(f"grid point {point}: {key!r} must be a finite number")
-    return value
-
-
-def _load_grid(source):
-    from . import decomposition
-
-    if source == "default":
-        return decomposition.DEFAULT_GRID
-    import json
-
-    try:
-        with open(source, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read grid {source}: {exc}") from exc
-    if not isinstance(raw, list) or not raw or not all(isinstance(p, dict) for p in raw):
-        raise UsageError(f"grid {source} must be a non-empty JSON list of objects")
-    grid = []
-    for p in raw:
-        order = _grid_number(p, "order", decomposition.DEFAULT_ORDER)
-        if order != int(order) or order < 1:
-            raise UsageError(f"grid point {p}: 'order' must be a positive integer")
-        grid.append((complex(_grid_number(p, "z_re"), _grid_number(p, "z_im", 0.0)),
-                     complex(_grid_number(p, "tau_re", 0.0), _grid_number(p, "tau_im")),
-                     int(order)))
-    return grid
-
-
 def cmd_verify_decomposition(config):
     from . import decomposition
 
-    grid = _load_grid(config.grid)
-    samples = _numeric_domain(decomposition.run_grid, grid)
+    samples = decomposition.run_grid(decomposition.load_grid(config.grid))
     rows = [(s.z, s.tau, s.order, s.lhs, s.rhs, s.residual, s.lhs_tail) for s in samples]
     bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual}
            for s in samples if not s.residual < config.max_residual]
@@ -234,20 +161,21 @@ def cmd_verify_decomposition(config):
 
 def _check_residue(config):
     if config.residue >= config.modulus:
-        raise UsageError(f"need a < c, got a={config.residue}, c={config.modulus}")
+        raise InputError(f"need a < c, got a={config.residue}, c={config.modulus}")
 
 
-# a fresh asym-report --c 3 takes about 1.2 s at 10 000 digits and 3.5 s at
-# 20 000 (2 vCPU, Python 3.11): the main terms cost what the digits do
+# the digits of asym-report's main terms and ratios; each main term is
+# computed to this many digits plus decimal's guard digits, and its cost
+# grows with them
 MAX_PRECISION = 10_000
-# enumerate holds its whole text in memory, ~70 bytes a line: a fresh --n 36
-# (747 672 lines) takes about 0.3 s and 140 MB peak RSS (2 vCPU, Python
-# 3.11.7); --n 50 would need over 1 GB
+# enumerate holds its whole text in memory, about 78 bytes a line at the
+# top: --n 36 is v(36) = 747 672 lines, 58 MB of text, while --n 50 would
+# be 16 585 564 lines, over 1 GB
 MAX_ENUMERATE_N = 36
 # an expansion mod c reads its c//2 + 1 classes back out of one packed
-# integer per power of q, O(c^2) per power: 0.15 s of the 0.3 s (33 MB) a
-# fresh equidistribution --moduli 1000 --checkpoints 1,2308 takes (2308 is
-# the largest n genfunc's packed-size budget admits there)
+# integer per power of q, each read a shift of that integer, so O(c^2)
+# words a power: at c = 1000 the packed-size budget admits n to 2308,
+# where each power packs 501 fields of 29 bytes
 MAX_MODULUS = 1000
 
 # the checkpoints of a report given none: the residue classes of
@@ -261,12 +189,12 @@ def cmd_asym_report(config):
 
     _check_residue(config)
     if config.modulus % 2 == 0 and not config.allow_even:
-        raise UsageError(f"c={config.modulus} is even, so no main term applies; "
+        raise InputError(f"c={config.modulus} is even, so no main term applies; "
                          "pass --allow-even to tabulate the exact counts only")
     c = config.modulus
     checkpoints = config.checkpoints or (TOTAL_CHECKPOINTS if c == 1
                                          else RESIDUE_CHECKPOINTS)
-    _check_size(max(checkpoints), c)
+    genfunc.check_budget(max(checkpoints), c)
     # the table reduced mod c; at c = 1 its one column is the totals v(n)
     table = genfunc.expand_V_rank(max(checkpoints), c)
     rows = asymptotics.asym_report(config.residue, c, checkpoints, table,
@@ -281,7 +209,7 @@ def cmd_equidistribution(config):
     from . import asymptotics, genfunc
 
     checkpoints = config.checkpoints or RESIDUE_CHECKPOINTS
-    _check_size(max(checkpoints), max(config.moduli))  # the widest expansion
+    genfunc.check_budget(max(checkpoints), max(config.moduli))  # the widest expansion
     rows = []
     failures = []  # the moduli whose statistic did not shrink
     for c in config.moduli:
@@ -299,7 +227,7 @@ def cmd_logconcavity_scan(config):
 
     _check_residue(config)
     n_max = config.n_max
-    _check_size(n_max + 1, config.modulus)
+    genfunc.check_budget(n_max + 1, config.modulus)
     table = genfunc.expand_V_rank(n_max + 1, config.modulus)
     pbar = genfunc.expand_overpartition(n_max + 1)
     report = asymptotics.logconcavity_scan(config.residue, config.modulus,
@@ -332,8 +260,7 @@ def cmd_logconcavity_scan(config):
 def cmd_lemma_ratios(config):
     from . import asymptotics
 
-    rows = _numeric_domain(asymptotics.lemma_ratio_report,
-                           config.moduli, config.t_values)
+    rows = asymptotics.lemma_ratio_report(config.moduli, config.t_values)
     devs = {}  # (c, j) -> {t: deviation}, in the order of the rows
     for r in rows:
         devs.setdefault((r.c, r.j), {})[r.t] = r.deviation
@@ -354,7 +281,7 @@ def dispatch(config):
     for flag, (dest, _, _, domain) in _options(config.command).items():
         value = getattr(config, dest)
         if domain and value is not None and not domain[1](value):
-            raise UsageError(f"{flag} must be {domain[0]}, got {_typed(value)}")
+            raise InputError(f"{flag} must be {domain[0]}, got {_typed(value)}")
     # the handler is looked up when it runs, so a wrapper put on a cmd_*
     # attribute of this module sees the call
     text, failure = globals()["cmd_" + config.command.replace("-", "_")](config)
@@ -364,27 +291,52 @@ def dispatch(config):
     import json
 
     record = {"status": "fail", "check": config.command, "detail": failure}
-    sys.stderr.write(json.dumps(record) + "\n")
+    _stderr(json.dumps(record) + "\n")
     return EXIT_CHECK_FAILED
 
 
 def _write(text, output=None):
-    """Write text to the file output, or to stdout where output is None;
-    a target that cannot be written raises UsageError."""
+    """Write text to the file output, or to stdout where output is None,
+    and flush it; a target that cannot take every byte raises InputError.
+    The flush is made here, where a failure is a usage error, because run
+    ends the process without the interpreter's flush at exit."""
     try:
-        if output is None:
-            if sys.stdout is None:  # the process started with fd 1 closed
-                raise OSError("it is closed")
-            sys.stdout.write(text)
-            # flushed here, where a failure is a usage error: run ends the
-            # process without the interpreter's flush at exit
-            sys.stdout.flush()
-        else:
+        if output is not None:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("it is closed")
+        elif not hasattr(sys.stdout, "buffer"):  # a text stream in process
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            # through the binary stream, looping on its count: under
+            # python -u it is the raw file, whose write may be short (a
+            # reader that closed early), and the text stream would drop
+            # the rest unseen
+            stdout = sys.stdout
+            stdout.flush()
+            data = memoryview(text.encode(stdout.encoding, stdout.errors))
+            while data:
+                written = stdout.buffer.write(data)
+                if written is None:  # a non-blocking fd that is full
+                    raise OSError("it would block")
+                data = data[written:]
+            stdout.buffer.flush()
     except OSError as exc:
         target = "stdout" if output is None else f"--output {output}"
-        raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+def _stderr(text):
+    """Write and flush text to stderr, best effort: a stderr that is
+    closed (None) or full loses the text, not the exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
 
 
 def _number_list(kind):
@@ -539,15 +491,15 @@ def _is_flag(word):
 def parse_args(argv):
     """The RunConfig of argv: a command, then its options, each --flag
     value or --flag=value (--allow-even takes no value); a flag given twice
-    keeps its last value.  A word it cannot read raises UsageError; -h or
+    keeps its last value.  A word it cannot read raises InputError; -h or
     --help prints help and exits 0."""
     if not argv or argv[0] in ("-h", "--help"):
         if argv:
             _help()
-        raise UsageError("the following arguments are required: command")
+        raise InputError("the following arguments are required: command")
     command = argv[0]
     if command not in COMMANDS:
-        raise UsageError(f"argument command: invalid choice: {command!r} "
+        raise InputError(f"argument command: invalid choice: {command!r} "
                          f"(choose from {', '.join(map(repr, COMMANDS))})")
     options = _options(command)
     config = RunConfig(command)
@@ -563,48 +515,47 @@ def parse_args(argv):
         dest, parse, _, _ = options[flag]
         if parse is None:
             if eq:
-                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+                raise InputError(f"argument {flag}: ignored explicit argument {value!r}")
             value = True
         else:
             if not eq:
                 value = next(words, None)
                 if value is None or _is_flag(value):
-                    raise UsageError(f"argument {flag}: expected one argument")
+                    raise InputError(f"argument {flag}: expected one argument")
             try:
                 value = parse(value)
             except ValueError as exc:
                 # int's and float's own messages, reworded as argparse did
                 reason = (f"invalid {parse.__name__} value: {value!r}"
                           if parse in (int, float) else exc)
-                raise UsageError(f"argument {flag}: {reason}") from None
+                raise InputError(f"argument {flag}: {reason}") from None
         setattr(config, dest, value)
     if unknown:
-        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+        raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
     return config
 
 
 def main(argv=None):
-    """Parse argv and dispatch it; the one writer of a usage error's
-    stderr line and exit 2."""
+    """Parse argv and dispatch it; the one place that turns a refusal into
+    its stderr line and exit 2."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         return dispatch(parse_args(argv))
-    except UsageError as exc:
+    except (OverflowError, ValueError) as exc:
+        # past an InputError, math's "math range error" or "math domain error"
+        reason = exc if isinstance(exc, InputError) else \
+            f"a value leaves the float range ({exc})"
         command = f" {argv[0]}" if argv and argv[0] in COMMANDS else ""
-        sys.stderr.write(f"oddbalanced{command}: error: {exc}\n")
+        _stderr(f"oddbalanced{command}: error: {reason}\n")
         return EXIT_USAGE
 
 
 def run():
     """The process entry of `python -m oddbalanced.cli` and of the
-    `oddbalanced` script: run main, flush stderr and end the process with
-    main's exit code, skipping the interpreter's teardown (see the module
-    docstring).  --help's SystemExit and an uncaught exception leave as
-    they would without it."""
-    code = main()
-    if sys.stderr is not None:
-        sys.stderr.flush()
-    os._exit(code)
+    `oddbalanced` script: end the process with main's exit code, skipping
+    the interpreter's teardown (see the module docstring).  --help's
+    SystemExit and an uncaught exception leave as they would without it."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -19,13 +19,15 @@ is O(1) on every grid point, with this one it sits at rounding level.
 verify_decomposition computes the left side by summing the outer series of V
 directly (modular.evaluate_V_bounded, whose ratio tail bound holds for
 complex z too) and the right side from the modular evaluators, and reports
-the normalised residual.
+the normalised residual.  load_grid reads and checks the grid that
+verify-decomposition's --grid names.
 """
 
 import cmath
 import math
 from collections import namedtuple
 
+from . import InputError
 from .modular import (
     DomainError,
     PoleError,
@@ -130,3 +132,39 @@ DEFAULT_GRID = tuple(
 def run_grid(grid):
     """Evaluate the decomposition residual on a grid of (z, tau, order)."""
     return [verify_decomposition(*p) for p in grid]
+
+
+def _grid_number(point, key, default=None):
+    value = point.get(key, default)
+    if value is None:
+        raise InputError(f"grid point {point} has no {key!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise InputError(f"grid point {point}: {key!r} must be a finite number")
+    return value
+
+
+def load_grid(source):
+    """The (z, tau, order) points of --grid source: DEFAULT_GRID for
+    "default", else a JSON file's non-empty list of finite {z_re, z_im = 0,
+    tau_re = 0, tau_im, order = DEFAULT_ORDER}, order a positive integer."""
+    if source == "default":
+        return DEFAULT_GRID
+    import json
+
+    try:
+        with open(source, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read grid {source}: {exc}") from exc
+    if not isinstance(raw, list) or not raw or not all(isinstance(p, dict) for p in raw):
+        raise InputError(f"grid {source} must be a non-empty JSON list of objects")
+    grid = []
+    for p in raw:
+        order = _grid_number(p, "order", DEFAULT_ORDER)
+        if order != int(order) or order < 1:
+            raise InputError(f"grid point {p}: 'order' must be a positive integer")
+        grid.append((complex(_grid_number(p, "z_re"), _grid_number(p, "z_im", 0.0)),
+                     complex(_grid_number(p, "tau_re", 0.0), _grid_number(p, "tau_im")),
+                     int(order)))
+    return grid

@@ -43,6 +43,9 @@ together, O(N^1.5) operations on integers of about c/2 times the width
 of v(N).  The route raises ArithmeticError if a count comes out negative
 or past the bound that sets the packing (see _expand_partial_theta).
 
+The packed division sets the budget: check_budget refuses an expansion
+that would pack more than MAX_PACKED_BITS bits, before it starts.
+
 Overpartitions are 1/phi(-q), one division by phi(-q), the module's
 only divisor (_div_phi_minus_q).  This module is exact only: numeric
 values of V come from modular.evaluate_V_bounded, the outer sum taken at
@@ -53,6 +56,8 @@ evaluate_V here is a thin caller of it.
 from functools import reduce
 from math import isqrt, log, log2, pi, sqrt
 from operator import itemgetter, or_
+
+from . import InputError
 
 
 def rank_support_bound(order):
@@ -191,19 +196,23 @@ def _field_bits(order):
 
 # The packed division holds (N+1)(c//2+1)B bits, B = _field_bits(N), and
 # the numerators, the quotients and the columns read back each take about
-# that much.  2^28 bits admits the totals (c = 1) to N = 151145 (a fresh
-# asym-report takes about 9 s and 72 MB there) and the full rank table to
-# 6373 (expand: 2.2 s, 270 MB); the README lists the other tops.
+# that much.  2^28 bits, 32 MiB a copy, admits the totals (c = 1) to
+# N = 151145 and the full rank table to 6373; the README lists the other
+# tops.
 MAX_PACKED_BITS = 1 << 28
 
 
-def within_budget(order, modulus=None):
-    """Whether expand_V_rank(order, modulus) packs at most MAX_PACKED_BITS
-    bits into its division.  A field is at least 8 bits, so an order past
+def check_budget(order, modulus=None):
+    """Refuse, with an InputError, an expand_V_rank(order, modulus) that
+    would pack more than MAX_PACKED_BITS bits into its division, before
+    any of it is allocated.  A field is at least 8 bits, so an order past
     the budget is refused before _field_bits takes its float root."""
     c = modulus or 2 * rank_support_bound(order) + 1
-    return (order < MAX_PACKED_BITS
-            and (order + 1) * (c // 2 + 1) * _field_bits(order) <= MAX_PACKED_BITS)
+    if not (order < MAX_PACKED_BITS
+            and (order + 1) * (c // 2 + 1) * _field_bits(order) <= MAX_PACKED_BITS):
+        at = f" at c = {modulus}" if modulus else ""
+        raise InputError(f"n = {order}{at} is not supported: the exact expansion "
+                         f"would pack more than 2^{MAX_PACKED_BITS.bit_length() - 1} bits")
 
 
 def _expand_partial_theta(order, c):

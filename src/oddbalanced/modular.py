@@ -28,6 +28,8 @@ import cmath
 import math
 from collections import namedtuple
 
+from . import InputError
+
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
 LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
@@ -36,11 +38,11 @@ LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
 UNIT, ROUND_TERM, ROUND_SUM = 2.0 ** -53, 4.0, 4.0
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """Parameters outside the evaluator's convergence region."""
 
 
-class PoleError(ArithmeticError):
+class PoleError(InputError, ArithmeticError):
     """Evaluation point sits on (or within tolerance of) a pole."""
 
 
@@ -301,6 +303,8 @@ def mu(u, v, tau):
     # compare against the natural q^(1/8) scale of theta, not an absolute cut
     if abs(th.value) < 1e-10 * abs(qpow(tau, 0.125)):
         raise PoleError(f"theta({v};{tau}) vanishes; mu undefined")
+    if not abs(th.value) > th.truncation_bound:  # no digit of the quotient is known
+        raise DomainError(f"theta({v};{tau}) is below its error bound; mu undefined")
     ap = appell(1, u, v, tau)
     value = ap.value / th.value
     a, b = ap.truncation_bound, th.truncation_bound

@@ -3,8 +3,8 @@
 Each law is checked as a residual |lhs - rhs| / max(|lhs|, |rhs|) on a
 deterministic pseudo-random grid: the caller's seed (verify-transforms
 --seed) fixes the points, so CLI output is byte-stable.  The grid sizes are
-the module constants below, 141 rows in all; the residual thresholds live
-with the callers; this module only produces the rows."""
+the module constants below, 141 rows in all, and THRESHOLDS holds each
+law's residual ceiling (verify-transforms --max-residual replaces them)."""
 
 import cmath
 import math
@@ -23,6 +23,18 @@ LawResidual = namedtuple("LawResidual", "law point residual")
 THETA_ETA_POINTS = 20
 APPELL_POINTS = 10
 MORDELL_POINTS = 10
+
+THRESHOLDS = {
+    "theta_shift_z_plus_1": 1e-9,
+    "theta_shift_z_plus_tau": 1e-9,
+    "theta_shift_tau_plus_1": 1e-9,
+    "theta_inversion": 1e-9,
+    "eta_inversion": 1e-9,
+    "eta_shift_tau_plus_1": 1e-9,
+    "appell_level1_inversion": 1e-8,
+    "mordell_inversion": 1e-8,
+    "mordell_value_at_origin": 1e-10,
+}
 
 
 def _residual(lhs, rhs):

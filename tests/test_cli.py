@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import asymptotics, cli, decomposition, genfunc, transforms
+from oddbalanced import InputError, asymptotics, cli, decomposition, genfunc, transforms
 from oddbalanced.asymptotics import LemmaRatioRow, LogConcavityReport, ReportRow
 from oddbalanced.enumerator import OddBalancedSequence, enumerate_sequences
 from oddbalanced.genfunc import expand_V_rank
@@ -387,21 +388,30 @@ class _FullStream(io.StringIO):
 @pytest.mark.parametrize("args", [["enumerate", "--n", "2"], ["verify-transforms"]],
                          ids=lambda args: args[0])
 @pytest.mark.parametrize("target", ["directory", "missing-dir/out.txt", "empty path",
-                                    "closed stdout", "full stdout"])
+                                    "closed stdout", "full stdout",
+                                    # an --output that is a directory, and a
+                                    # stderr that cannot take the line
+                                    "closed stderr", "full stderr"])
 def test_unwritable_output_is_a_usage_error(tmp_path, args, target):
-    argv, stdout = args, io.StringIO()
+    argv, stdout, err = args, io.StringIO(), io.StringIO()
     if target == "closed stdout":  # a process started with fd 1 closed
         stdout = None
     elif target == "full stdout":
         stdout = _FullStream()
     else:  # an --output no file can be opened at; --output= names the empty path
-        output = {"directory": tmp_path, "empty path": ""}.get(target, tmp_path / target)
+        output = {"missing-dir/out.txt": tmp_path / target, "empty path": ""}.get(target, tmp_path)
         argv = [*args, f"--output={output}"]
-    err = io.StringIO()
+        if target == "closed stderr":  # a process started with fd 2 closed
+            err = None
+        elif target == "full stderr":
+            err = _FullStream()
     with redirect_stdout(stdout), redirect_stderr(err):
         code = cli.main(argv)
+    # stderr is written best effort: where it loses the line, the exit
+    # code still tells a usage error
     assert code == 2
-    assert_one_line_usage_error(err.getvalue())
+    if type(err) is io.StringIO:
+        assert_one_line_usage_error(err.getvalue())
     if isinstance(stdout, io.StringIO):
         assert stdout.getvalue() == ""
 
@@ -423,6 +433,50 @@ def test_an_unwritable_stdout_exits_2_in_a_child(tmp_path, args, stdout):
     assert proc.returncode == 2
     assert_one_line_usage_error(proc.stderr)
     assert ": error: cannot write stdout: " in proc.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    pytest.param(["asym-report", "--c", "3", "--a", "7"], 2, id="usage error"),
+    pytest.param(["verify-transforms", "--max-residual", "0", "--output", "laws.csv"], 1,
+                 id="failed check"),
+])
+@pytest.mark.parametrize("stderr", ["/dev/full", "closed"])
+def test_an_unwritable_stderr_keeps_the_exit_code_in_a_child(tmp_path, args, code, stderr):
+    # with fd 2 closed or on a full disk the line or the record is lost,
+    # but the exit code still tells a usage error from a failed check.  The
+    # second child prints what main returned, so an exception escaping main
+    # (which would also end the process with 1) cannot pass for a record
+    if stderr == "/dev/full" and not Path(stderr).exists():
+        pytest.skip("no /dev/full")
+    returned = ("import os, sys; from oddbalanced.cli import main; "
+                "code = main(sys.argv[1:]); print(code, flush=True); os._exit(code)")
+    for entry in (["-m", "oddbalanced.cli"], ["-c", returned]):
+        with open(os.devnull if stderr == "closed" else stderr, "wb") as sink:
+            proc = subprocess.run(
+                [sys.executable, *entry, *args], cwd=tmp_path, stdout=subprocess.PIPE,
+                stderr=sink, env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+                preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+        assert proc.returncode == code, entry
+    assert proc.stdout == f"{code}\n".encode()
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "-u"])
+def test_a_reader_closing_early_is_exit_2(tmp_path, flags):
+    # enumerate --n 24 prints 2.3 MB, far more than a pipe holds, so the
+    # writer is still writing when the reader closes.  Under python -u
+    # stdout is the raw file, whose write then comes back short: the rest
+    # must fail as it does through the buffer, not be dropped unseen
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "oddbalanced.cli",
+                             "enumerate", "--n", "24"], cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert_one_line_usage_error(err)
+    assert ": error: cannot write stdout: Broken pipe" in err
 
 
 @pytest.mark.parametrize("n", range(15))
@@ -688,7 +742,7 @@ def test_a_run_without_site_prints_the_same_bytes(tmp_path, args):
         (plain.stdout, plain.stderr, plain.returncode)
 
 
-@pytest.mark.parametrize("args", [
+_FRESH_RUNS = [
     ["expand", "--n-max", "40", "--format", "json"],
     ["enumerate", "--n", "24"],
     ["verify-transforms", "--max-residual", "0"],  # a failed check: exit 1, a record
@@ -700,18 +754,25 @@ def test_a_run_without_site_prints_the_same_bytes(tmp_path, args):
     ["asym-report", "--c", "3", "--a", "5"],  # a usage error: exit 2
     ["--help"],
     ["asym-report", "--help"],
-], ids=" ".join)
-@pytest.mark.parametrize("sink", ["stdout", "--output"])
-def test_a_fresh_process_loses_no_byte(tmp_path, args, sink):
+]
+
+
+@pytest.mark.parametrize("sink, args", [
+    *((sink, args) for sink in ("stdout", "--output") for args in _FRESH_RUNS),
+    # python -u: stdout is the raw file, written through
+    ("stdout -u", ["enumerate", "--n", "24"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_fresh_process_loses_no_byte(tmp_path, sink, args):
     # a fresh `python -m oddbalanced.cli` ends in os._exit, with no flush
     # at exit; its stdout through a pipe (block-buffered, as no
-    # PYTHONUNBUFFERED is set), its --output file, its stderr and its exit
-    # code are those of cli.main in this process
+    # PYTHONUNBUFFERED is set, or unbuffered under -u), its --output file,
+    # its stderr and its exit code are those of cli.main in this process
     child_dir, here_dir = tmp_path / "child", tmp_path / "here"
     child_dir.mkdir()
     here_dir.mkdir()
     extra = ["--output", "out.txt"] if sink == "--output" and "--help" not in args else []
-    child = subprocess.run([sys.executable, "-m", "oddbalanced.cli", *args, *extra],
+    flags = sink.split()[1:]
+    child = subprocess.run([sys.executable, *flags, "-m", "oddbalanced.cli", *args, *extra],
                            cwd=child_dir, capture_output=True,
                            env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
     out, err = io.StringIO(), io.StringIO()
@@ -765,7 +826,7 @@ def test_cli_import_loads_only_the_standard_library(tmp_path):
 # asym-report loads decimal
 _NEVER = {"kernels", "argparse", "fractions"}
 _NUMERIC_ABSENT = {"genfunc", "enumerator", "json", "decimal"} | _NEVER
-_EXACT_ABSENT = {"modular", "json"} | _NEVER
+_EXACT_ABSENT = {"modular", "json", "cmath"} | _NEVER
 
 
 @pytest.mark.parametrize("args, absent", [
@@ -865,6 +926,9 @@ def _lists(items):
 
 _CHECKPOINTS = _lists(_INTS + ["12", "60", "abc", "nan"])
 _MODULI = _lists(_INTS + ["7", "9"] + _JUNK)
+# t near 0 puts |q| at 1, a large t sends the main term out of range
+_T_VALUES = _lists(["0.1", "0.05", "1", "0", "-0.1", "1e-5", "1e-300", "5e-324", "1e300",
+                    "1.7976931348623157e308"] + _JUNK)
 _COMMON = {
     "--format": st.sampled_from(["csv", "json", "xml", ""]),
     # unwritable only, so that no example leaves a file behind
@@ -878,7 +942,8 @@ _FLAGS = {
         "--max-residual": st.sampled_from(["0", "1e-7", "1", "-1"] + _JUNK),
     },
     "verify-decomposition": {
-        "--grid": st.sampled_from(["default", "", "missing.json"]),
+        # {grid} stands for a file of generated points (_GRIDS)
+        "--grid": st.sampled_from(["default", "", "missing.json", "{grid}"]),
         "--max-residual": st.sampled_from(["0", "1e-7", "1", "-1"] + _JUNK),
     },
     "asym-report": {
@@ -897,7 +962,7 @@ _FLAGS = {
     },
     "lemma-ratios": {
         "--moduli": _MODULI,
-        "--t-values": _lists(["0.1", "0.05", "1", "0", "-0.1"] + _JUNK),
+        "--t-values": _T_VALUES,
     },
 }
 
@@ -917,16 +982,34 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None)
-@given(argv=_argv())
-def test_exit_code_contract(argv):
+# grid files of finite points: any float or a past-the-float-range int
+# for each coordinate (huge |z|, a huge or tiny Im tau), or a small value;
+# an order from 1, or none (decomposition.DEFAULT_ORDER)
+_COORDINATE = st.one_of(st.floats(-1, 1), st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-10 ** 400, 10 ** 400))
+_GRID_POINT = st.fixed_dictionaries(
+    {"z_re": _COORDINATE, "tau_im": st.one_of(st.floats(1e-300, 0.05), _COORDINATE)},
+    optional={"z_im": _COORDINATE, "tau_re": _COORDINATE, "order": st.integers(1, 400)})
+_GRIDS = st.lists(_GRID_POINT, min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.one_of(_argv(), st.just(["verify-decomposition", "--grid", "{grid}"]),
+                      _T_VALUES.map(lambda t: ["lemma-ratios", "--t-values", t])),
+       grid=_GRIDS)
+def test_exit_code_contract(argv, grid):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-            assert code == 2, argv
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "grid.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(grid, fh)
+        argv = [word.replace("{grid}", path) for word in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, argv
     assert code in (0, 1, 2), argv
     if code == 2:
         assert_one_line_usage_error(err.getvalue())
@@ -936,7 +1019,7 @@ def test_exit_code_contract(argv):
 
 def _parsed(parse, argv):
     """The settings where parse accepts argv, None where it exits 2 (as
-    argparse does) or raises UsageError (as the table does).  Floats are
+    argparse does) or raises InputError (as the table does).  Floats are
     compared by repr, so that nan equals nan."""
     with redirect_stderr(io.StringIO()):
         try:
@@ -944,7 +1027,7 @@ def _parsed(parse, argv):
         except SystemExit as exc:
             assert exc.code == 2, argv
             return None
-        except cli.UsageError:
+        except InputError:
             return None
     return {k: repr(v) for k, v in vars(config).items()}
 

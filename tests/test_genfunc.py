@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import cli, genfunc
+from oddbalanced import InputError, cli, genfunc
 from oddbalanced.enumerator import count_rank_table
 from oddbalanced.genfunc import (
     evaluate_V,
@@ -71,6 +71,23 @@ def test_matches_enumeration():
     for n in range(9):
         for m in range(-(n + 2), n + 3):
             assert table.rank_polynomial(n).get(m, 0) == enum.counts.get((m, n), 0)
+
+
+def test_enumerator_holds_the_generating_function_at_30():
+    # the enumerator is the one route that checks the combinatorial
+    # definition itself: its 697 181 sequences of n <= 30 give the full
+    # rank table at every (m, n), and so every table reduced mod c
+    order = 30
+    counts = count_rank_table(order).counts
+    assert sum(counts.values()) == 697_181
+    table = expand_V_rank(order)
+    assert {(m, n): cnt for n in range(order + 1)
+            for m, cnt in table.rank_polynomial(n).items()} == counts
+    for c in range(2, 8):
+        buckets = [[0] * (order + 1) for _ in range(c)]
+        for (m, n), cnt in counts.items():
+            buckets[m % c][n] += cnt
+        assert expand_V_rank(order, c).columns == dict(enumerate(buckets)), c
 
 
 def test_residue_class_examples(rank_table_60):
@@ -391,9 +408,10 @@ def test_budget_admits_the_quoted_orders(modulus, top):
     # the largest orders the packed-size budget admits, as --help, the
     # README and the ceiling tests quote them; an order whose float root
     # would overflow is refused all the same
-    assert genfunc.within_budget(top, modulus)
-    assert not genfunc.within_budget(top + 1, modulus)
-    assert not genfunc.within_budget(10 ** 400, modulus)
+    genfunc.check_budget(top, modulus)
+    for past in (top + 1, 10 ** 400):
+        with pytest.raises(InputError, match="is not supported"):
+            genfunc.check_budget(past, modulus)
 
 
 def test_packed_width_bounds_every_count():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddbalanced import modular, transforms
+from oddbalanced import InputError, modular, transforms
 from oddbalanced.genfunc import evaluate_V
 from oddbalanced.modular import (
     DomainError,
@@ -120,6 +120,13 @@ def test_mordell_transformation_example():
 def test_mordell_grid():
     rows = transforms.mordell_grid(SEED)
     assert max(r.residual for r in rows) < 1e-8
+
+
+def test_every_law_has_one_threshold():
+    # verify-transforms holds each law's rows to transforms.THRESHOLDS
+    rows = transforms.all_rows(SEED)
+    assert {r.law for r in rows} == set(transforms.THRESHOLDS)
+    assert all(r.residual < transforms.THRESHOLDS[r.law] for r in rows)
 
 
 def test_mordell_divergent_domain():
@@ -258,6 +265,19 @@ def test_mu_half_half_limit():
 def test_mu_pole_on_theta_zero():
     with pytest.raises(PoleError):
         mu(0.2, 0.0, 0.8j)  # theta(0;tau) = 0
+
+
+def test_mu_refuses_a_theta_below_its_bound():
+    # at Im tau = 1e300 theta(1/2;tau) underflows to 0: no pole, but no
+    # digit of the quotient is known (it once divided by zero)
+    with pytest.raises(DomainError, match="below its error bound"):
+        mu(0.2, 0.5, 1e300j)
+
+
+def test_every_refusal_is_an_input_error():
+    # the CLI turns one error type into exit 2; a pole stays arithmetic
+    assert issubclass(DomainError, InputError) and issubclass(PoleError, InputError)
+    assert issubclass(PoleError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
