@@ -13,9 +13,10 @@ mod 1, the totals), logconcavity_scan one LogConcavityReport.  The
 settings of each report come from its caller (cli.COMMANDS); only
 asym_report's dps has a default, DEFAULT_DPS.  No third-party
 package is needed, and decimal is imported inside the functions that
-evaluate a main term, so only asym-report loads it.  modular and cmath
-are imported inside the lemma functions, so the exact reports
-(asym-report, equidistribution, logconcavity-scan) never load them.
+evaluate a main term, so only asym-report loads it.  modular is
+imported inside the lemma functions (every power of w there is
+modular.qpow), so the exact reports (asym-report, equidistribution,
+logconcavity-scan) never load it.
 """
 
 import math
@@ -133,8 +134,6 @@ def lemma_main_term(z, tau):
     V(1/w;q) pairs z with 1 - z, so a z in (1/2,1) is taken at 1 - z,
     pref included (pref(1 - z) = -pref(z)).
     """
-    import cmath
-
     from .modular import DomainError, mordell, q0pow, qpow, sqrt_neg_itau
 
     z = float(z)
@@ -142,8 +141,7 @@ def lemma_main_term(z, tau):
         raise DomainError(f"z={z} outside the four open intervals")
     if z > 0.5:
         z = 1 - z
-    w = cmath.exp(2j * math.pi * z)
-    pref = cmath.exp(-1j * math.pi * z) / (1 + 1 / w) * qpow(tau, -7.0 / 8.0)
+    pref = qpow(z, -0.5) / (1 + 1 / qpow(z, 1)) * qpow(tau, -7.0 / 8.0)
     if z < 0.25:
         return (pref * math.sqrt(2) / 4 * mordell(2 * z, 2 * tau).value
                 * q0pow(tau, z * z / 2 - 1.0 / 16.0))
@@ -260,16 +258,14 @@ def lemma_ratio_report(moduli, t_values):
     """For every z=j/c, compare the series value V(e^(2*pi*i*z); e^(-2*pi*t))
     with the interval main term along the vertical ray tau = i*t.  The series
     is summed to convergence and its truncation bound kept in each row."""
-    import cmath
-
-    from .modular import evaluate_V_bounded
+    from .modular import evaluate_V_bounded, qpow
 
     rows = []
     for c in moduli:
         for j in range(1, c):
             z = j / c
             for t in sorted(t_values, reverse=True):
-                val = evaluate_V_bounded(cmath.exp(2j * math.pi * z),
+                val = evaluate_V_bounded(qpow(z, 1),
                                          math.exp(-2 * math.pi * t))
                 main = lemma_main_term(z, 1j * t)
                 rows.append(LemmaRatioRow(

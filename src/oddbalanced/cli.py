@@ -15,7 +15,7 @@ writes the text to --output or stdout (through _write, as --help writes
 its text), then the failure record to stderr, and returns the exit code.
 Every refusal is one InputError, from the parser, an option's domain,
 _write (an --output or stdout that cannot take every byte) or a layer
-(genfunc.check_budget, decomposition.load_grid, modular); main alone
+(genfunc's expansions, decomposition.load_grid, modular); main alone
 turns it, or a value that leaves the float range, into the one-line
 message and exit 2.  stderr is written best effort.
 
@@ -44,12 +44,12 @@ finalization, two full garbage collections over every live object and
 the teardown of every module, which nothing here needs: _write flushes
 stdout inside the try that makes a failed write a usage error, _stderr
 flushes each line it writes, an --output file is closed by its with
-block, and no atexit handler is registered.  Per workload command the
-teardown took 2.5-5.5 ms of 26-39 ms, 3.4 ms of it the bare
-interpreter's own (`python -c pass` takes 20.7 ms, and `os._exit(0)`
-17.5 ms; medians of 21 fresh runs, 2 vCPU, Python 3.11.7).  main(argv)
-returns its code and never ends the process, so in-process callers see
-no change.
+block, and no atexit handler is registered.  The teardown grows with
+what a command leaves alive, since the collections visit every live
+object (a rank table's integers, the rows and text of the output) and
+the teardown every module the command loaded, and a bare interpreter
+pays its own share besides.  main(argv) returns its code and never ends
+the process, so in-process callers see no change.
 
 The argv grammar: a command, then its options in any order, each written
 --flag value or --flag=value; --allow-even alone takes no value.  Every
@@ -126,7 +126,6 @@ def _rows_text(rows, header, config):
 def cmd_expand(config):
     from . import genfunc
 
-    genfunc.check_budget(config.n_max)
     table = genfunc.expand_V_rank(config.n_max)
     return _rows_text(table.nonzero_items(), ["n", "m", "count"], config), None
 
@@ -194,7 +193,6 @@ def cmd_asym_report(config):
     c = config.modulus
     checkpoints = config.checkpoints or (TOTAL_CHECKPOINTS if c == 1
                                          else RESIDUE_CHECKPOINTS)
-    genfunc.check_budget(max(checkpoints), c)
     # the table reduced mod c; at c = 1 its one column is the totals v(n)
     table = genfunc.expand_V_rank(max(checkpoints), c)
     rows = asymptotics.asym_report(config.residue, c, checkpoints, table,
@@ -209,7 +207,7 @@ def cmd_equidistribution(config):
     from . import asymptotics, genfunc
 
     checkpoints = config.checkpoints or RESIDUE_CHECKPOINTS
-    genfunc.check_budget(max(checkpoints), max(config.moduli))  # the widest expansion
+    genfunc.check_budget(max(checkpoints), max(config.moduli))  # before any expansion
     rows = []
     failures = []  # the moduli whose statistic did not shrink
     for c in config.moduli:
@@ -227,7 +225,6 @@ def cmd_logconcavity_scan(config):
 
     _check_residue(config)
     n_max = config.n_max
-    genfunc.check_budget(n_max + 1, config.modulus)
     table = genfunc.expand_V_rank(n_max + 1, config.modulus)
     pbar = genfunc.expand_overpartition(n_max + 1)
     report = asymptotics.logconcavity_scan(config.residue, config.modulus,

@@ -12,18 +12,21 @@ holds, with
     T2 =  i q^(11/8) w^(-1/2) theta(4tau;12tau)^3/theta(2tau;6tau)^3
                               * theta(z;tau) theta(2z+tau;2tau)/theta(4z;4tau),
 
-and the half-integer powers fixed by w^(1/2) := e^(pi*i*z).  The sign of the
-T1 term is the one the numerics force: with the opposite sign the residual
-is O(1) on every grid point, with this one it sits at rounding level.
+and every power w^e, w^(-1/2) too, taken as modular.qpow(z, e) =
+e^(2*pi*i*z*e), so that w^(1/2) := e^(pi*i*z).  The sign of the T1 term
+is the one the numerics force: with the opposite sign the residual is
+O(1) on every grid point, with this one it sits at rounding level.
 
 verify_decomposition computes the left side by summing the outer series of V
 directly (modular.evaluate_V_bounded, whose ratio tail bound holds for
 complex z too) and the right side from the modular evaluators, and reports
-the normalised residual.  load_grid reads and checks the grid that
-verify-decomposition's --grid names.
+the normalised residual.  Both sides are 1-periodic in z, so it first
+reduces Re z mod 1 (math.fmod, exact in binary floating point): at a
+large Re z the float w = e^(2*pi*i*z) would carry no correct digit.
+load_grid reads and checks the grid that verify-decomposition's --grid
+names.
 """
 
-import cmath
 import math
 from collections import namedtuple
 
@@ -37,21 +40,14 @@ from .modular import (
     theta,
 )
 
-TWO_PI_I = 2j * math.pi
-
 # terms of the outer series summed on the default grid and, where a --grid
 # file gives no order, at each of its points
 DEFAULT_ORDER = 400
 
 
-def w_half_power(z, half_units):
-    """w^(half_units/2) with the branch w^(1/2) = e^(pi*i*z)."""
-    return cmath.exp(1j * math.pi * z * half_units)
-
-
 def T1(z, tau):
     """-i q^(1/8) w^(-1/2) mu(z+1/2, 1/2, tau); invariant under z -> z+1."""
-    return -1j * qpow(tau, 0.125) * w_half_power(z, -1) * mu(z + 0.5, 0.5, tau).value
+    return -1j * qpow(tau, 0.125) * qpow(z, -0.5) * mu(z + 0.5, 0.5, tau).value
 
 
 def T_mid(z, tau):
@@ -62,7 +58,7 @@ def T_mid(z, tau):
     den = theta(tau, 2 * tau)
     if not abs(den.value) > den.truncation_bound:
         raise DomainError(f"theta(tau;2tau) is below its error bound at Im tau={tau.imag}")
-    return (-qpow(tau, -0.125) * w_half_power(z, -1)
+    return (-qpow(tau, -0.125) * qpow(z, -0.5)
             * theta(0.5 + z, tau).value / den.value
             * mu(2 * z + 0.5, 0.5, 2 * tau).value)
 
@@ -78,7 +74,7 @@ def T2(z, tau):
     if abs(den) < 1e-10 * scale:
         raise PoleError(f"theta(4z;4tau) vanishes at z={z} (z = 0, 1/4, 1/2 or 3/4 mod 1)")
     ratio = (theta(4 * tau, 12 * tau).value / theta(2 * tau, 6 * tau).value) ** 3
-    return (1j * qpow(tau, 11.0 / 8.0) * w_half_power(z, -1) * ratio
+    return (1j * qpow(tau, 11.0 / 8.0) * qpow(z, -0.5) * ratio
             * theta(z, tau).value * theta(2 * z + tau, 2 * tau).value / den)
 
 
@@ -89,7 +85,7 @@ def T2(z, tau):
 def series_lhs(z, tau, order):
     """(1 + w^-1) q V(w;q) from at most `order` terms of the outer series,
     with the evaluator's truncation bound scaled by |(1 + w^-1) q|."""
-    w = cmath.exp(TWO_PI_I * z)
+    w = qpow(z, 1)
     q = qpow(tau, 1)
     v = evaluate_V_bounded(w, q, order)
     factor = (1 + 1 / w) * q
@@ -102,23 +98,36 @@ class DecompositionSample(namedtuple("DecompositionSample",
 
     @property
     def rhs(self):
-        w = cmath.exp(TWO_PI_I * complex(self.z))
-        return self.t1 + self.t - w * self.t2
+        return self.t1 + self.t - qpow(_mod_one(self.z), 1) * self.t2
 
     @property
     def residual(self):
         return abs(self.rhs - self.lhs) / max(1.0, abs(self.lhs))
 
 
+def _mod_one(z):
+    """z with Re z reduced mod 1 by math.fmod, which is exact."""
+    z = complex(z)
+    return complex(math.fmod(z.real, 1.0), z.imag)
+
+
 def verify_decomposition(z, tau, order):
-    """Evaluate both sides at one point and package the residual."""
-    lhs, tail = series_lhs(z, tau, order)
+    """Evaluate both sides at one point, z taken with Re z mod 1, and
+    package the residual; the sample, and a pole refused at a reduced
+    point, name the z given."""
+    point = _mod_one(z)
+    lhs, tail = series_lhs(point, tau, order)
     if tail > 1e-10 * max(1.0, abs(lhs)):
         raise DomainError(
             f"series tail bound {tail:.2e} too large at order {order}; increase it")
-    return DecompositionSample(
-        z=complex(z), tau=complex(tau), order=order,
-        lhs=lhs, t1=T1(z, tau), t=T_mid(z, tau), t2=T2(z, tau), lhs_tail=tail)
+    try:
+        t1, t, t2 = T1(point, tau), T_mid(point, tau), T2(point, tau)
+    except PoleError as exc:
+        if point == complex(z):
+            raise
+        raise PoleError(f"{exc}; z={complex(z)} given, Re z taken mod 1") from None
+    return DecompositionSample(z=complex(z), tau=complex(tau), order=order,
+                               lhs=lhs, t1=t1, t=t, t2=t2, lhs_tail=tail)
 
 
 # z values avoid 0, 1/4, 1/2, 3/4 (T2 theta zeros / mu poles)

@@ -17,14 +17,12 @@ that some peak admits, largest part first.  Each row is built once, at
 the cap of the largest peak that reads it, each text from a shorter one
 (_side_rows), and a smaller peak reads the row's suffix.
 
-The number of sequences grows like e^(pi sqrt(n)) times a power of n;
-n = 24 (size 50, 32 769 sequences) takes about 0.007 s in process as
-records and 0.010 s as `enumerate`'s 2.29 MB of JSON lines.  A fresh
-`enumerate --n 24` into a new --output file takes 0.034 s: a bare
-interpreter to its os._exit (0.0175 s), 0.003 s to compile the package
-and 0.013 s of imports and work; the interpreter's teardown, which the
-CLI skips, would add 0.0055 s (medians of 21, pure Python, 2 vCPU,
-Python 3.11.7).
+The number of sequences grows like e^(pi sqrt(n)) times a power of n:
+n = 24 (size 50) is 32 769 sequences, 2.29 MB of JSON lines.  Each
+sequence costs one join of texts built before it, so the work grows
+with the output's length; at such sizes a fresh `enumerate` spends more
+on the interpreter's start-up and on compiling the package than on the
+sequences.
 """
 
 from bisect import bisect

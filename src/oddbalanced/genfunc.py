@@ -43,8 +43,11 @@ together, O(N^1.5) operations on integers of about c/2 times the width
 of v(N).  The route raises ArithmeticError if a count comes out negative
 or past the bound that sets the packing (see _expand_partial_theta).
 
-The packed division sets the budget: check_budget refuses an expansion
-that would pack more than MAX_PACKED_BITS bits, before it starts.
+The packed division sets the budget: expand_V_rank and expand_v_totals
+call check_budget before they allocate, so no caller can pack more than
+MAX_PACKED_BITS bits.  expand_overpartition packs nothing and is not
+held to it; its one command caller expands the rank table to the same
+order first.
 
 Overpartitions are 1/phi(-q), one division by phi(-q), the module's
 only divisor (_div_phi_minus_q).  This module is exact only: numeric
@@ -285,9 +288,10 @@ def expand_V_rank(order, modulus=None):
     or even, and the full table run the partial theta route."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    if modulus is not None and modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    check_budget(order, modulus)
     if modulus is not None:
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
         return RankTable(max_n=order,
                          columns=dict(enumerate(_expand_partial_theta(order, modulus))),
                          modulus=modulus)
@@ -302,6 +306,7 @@ def expand_V_rank(order, modulus=None):
 
 def expand_v_totals(order):
     """Exact v(n) = coefficient of q^n in V(1;q), for n <= order."""
+    check_budget(order, 1)
     return _expand_partial_theta(order, 1)[0]
 
 

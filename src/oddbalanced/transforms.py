@@ -2,9 +2,11 @@
 
 Each law is checked as a residual |lhs - rhs| / max(|lhs|, |rhs|) on a
 deterministic pseudo-random grid: the caller's seed (verify-transforms
---seed) fixes the points, so CLI output is byte-stable.  The grid sizes are
-the module constants below, 141 rows in all, and THRESHOLDS holds each
-law's residual ceiling (verify-transforms --max-residual replaces them)."""
+--seed) fixes the points, so CLI output is byte-stable.  FAMILIES holds
+the grids: 6 theta/eta laws at each of 20 points, one Appell and one
+Mordell law at 10 points each, and h(0;0) = 1 makes 141 rows in all.
+THRESHOLDS holds each law's residual ceiling (verify-transforms
+--max-residual replaces them)."""
 
 import cmath
 import math
@@ -17,12 +19,6 @@ PI_I = 1j * math.pi
 
 
 LawResidual = namedtuple("LawResidual", "law point residual")
-
-# points per grid: 6 theta/eta laws at each of 20 points, one Appell and
-# one Mordell law at 10 points each
-THETA_ETA_POINTS = 20
-APPELL_POINTS = 10
-MORDELL_POINTS = 10
 
 THRESHOLDS = {
     "theta_shift_z_plus_1": 1e-9,
@@ -41,33 +37,23 @@ def _residual(lhs, rhs):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
-def _theta_eta_laws(z, tau):
-    th = theta(z, tau).value
-    e = eta(tau).value
-    yield "theta_shift_z_plus_1", theta(z + 1, tau).value, -th
-    yield ("theta_shift_z_plus_tau", theta(z + tau, tau).value,
-           -cmath.exp(-PI_I * tau - 2 * PI_I * z) * th)
-    yield ("theta_shift_tau_plus_1", theta(z, tau + 1).value,
-           cmath.exp(PI_I / 4) * th)
-    yield ("theta_inversion", theta(z / tau, -1 / tau).value,
-           -1j * sqrt_neg_itau(tau) * cmath.exp(PI_I * z * z / tau) * th)
-    yield "eta_inversion", e, eta(-1 / tau).value / sqrt_neg_itau(tau)
-    yield "eta_shift_tau_plus_1", eta(tau + 1).value, cmath.exp(PI_I / 12) * e
-
-
-def theta_eta_grid(seed):
-    """Prop-style theta and eta laws on a random grid with
-    Im tau in [0.3, 2], |Re tau| <= 1, |z| <= 1."""
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(THETA_ETA_POINTS):
-        tau = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2.0))
-        r, phi = rng.uniform(0.05, 1.0), rng.uniform(0, 2 * math.pi)
-        z = r * cmath.exp(1j * phi)
-        point = f"z={z:.6f};tau={tau:.6f}"
-        for law, lhs, rhs in _theta_eta_laws(z, tau):
-            rows.append(LawResidual(law, point, _residual(lhs, rhs)))
-    return rows
+def _theta_eta_point(rng):
+    """The six theta and eta laws at Im tau in [0.3, 2], |Re tau| <= 1,
+    |z| <= 1."""
+    tau = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2.0))
+    r, phi = rng.uniform(0.05, 1.0), rng.uniform(0, 2 * math.pi)
+    z = r * cmath.exp(1j * phi)
+    th, e = theta(z, tau).value, eta(tau).value
+    laws = (
+        ("theta_shift_z_plus_1", theta(z + 1, tau).value, -th),
+        ("theta_shift_z_plus_tau", theta(z + tau, tau).value,
+         -cmath.exp(-PI_I * tau - 2 * PI_I * z) * th),
+        ("theta_shift_tau_plus_1", theta(z, tau + 1).value, cmath.exp(PI_I / 4) * th),
+        ("theta_inversion", theta(z / tau, -1 / tau).value,
+         -1j * sqrt_neg_itau(tau) * cmath.exp(PI_I * z * z / tau) * th),
+        ("eta_inversion", e, eta(-1 / tau).value / sqrt_neg_itau(tau)),
+        ("eta_shift_tau_plus_1", eta(tau + 1).value, cmath.exp(PI_I / 12) * e))
+    return f"z={z:.6f};tau={tau:.6f}", [(law, _residual(lhs, rhs)) for law, lhs, rhs in laws]
 
 
 def appell_transformation_residual(u, v, tau):
@@ -81,44 +67,40 @@ def appell_transformation_residual(u, v, tau):
     return _residual(lhs, rhs)
 
 
-def appell_grid(seed):
-    """Appell inversion law on points kept away from the torsion poles."""
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(APPELL_POINTS):
-        u = complex(rng.uniform(0.08, 0.42), rng.uniform(0.02, 0.25))
-        v = rng.uniform(0.1, 0.45)
-        tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.5))
-        point = f"u={u:.6f};v={v:.6f};tau={tau:.6f}"
-        rows.append(LawResidual("appell_level1_inversion", point,
-                                appell_transformation_residual(u, v, tau)))
-    return rows
+def _appell_point(rng):
+    """The Appell inversion law at a point kept away from the torsion poles."""
+    u = complex(rng.uniform(0.08, 0.42), rng.uniform(0.02, 0.25))
+    v = rng.uniform(0.1, 0.45)
+    tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.5))
+    return (f"u={u:.6f};v={v:.6f};tau={tau:.6f}",
+            [("appell_level1_inversion", appell_transformation_residual(u, v, tau))])
 
 
-def mordell_grid(seed):
-    """Mordell inversion law h(z/tau;-1/tau) = sqrt(-i tau) e^(-pi i z^2/tau) h(z;tau)."""
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(MORDELL_POINTS):
-        z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1))
-        tau = complex(rng.uniform(-0.2, 0.2), rng.uniform(0.4, 1.5))
-        lhs = mordell(z / tau, -1 / tau).value
-        rhs = sqrt_neg_itau(tau) * cmath.exp(-PI_I * z * z / tau) * mordell(z, tau).value
-        point = f"z={z:.6f};tau={tau:.6f}"
-        rows.append(LawResidual("mordell_inversion", point, _residual(lhs, rhs)))
-    return rows
+def _mordell_point(rng):
+    """The Mordell inversion law
+    h(z/tau;-1/tau) = sqrt(-i tau) e^(-pi i z^2/tau) h(z;tau)."""
+    z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1))
+    tau = complex(rng.uniform(-0.2, 0.2), rng.uniform(0.4, 1.5))
+    lhs = mordell(z / tau, -1 / tau).value
+    rhs = sqrt_neg_itau(tau) * cmath.exp(-PI_I * z * z / tau) * mordell(z, tau).value
+    return f"z={z:.6f};tau={tau:.6f}", [("mordell_inversion", _residual(lhs, rhs))]
 
 
-def mordell_origin_row():
-    """h(0;0) = 1 exactly."""
-    val = mordell(0, 0).value
-    return LawResidual("mordell_value_at_origin", "z=0;tau=0", abs(val - 1.0))
+# The law families, each (points, draw): draw(rng) takes one point's
+# random numbers from rng and returns its label and its (law, residual)
+# pairs.  Each family draws from a random.Random(seed) of its own, so a
+# family's points do not move when another family changes.
+FAMILIES = ((20, _theta_eta_point), (10, _appell_point), (10, _mordell_point))
 
 
 def all_rows(seed):
+    """Every family's rows in FAMILIES order, then h(0;0) = 1 exactly."""
     rows = []
-    rows.extend(theta_eta_grid(seed))
-    rows.extend(appell_grid(seed))
-    rows.extend(mordell_grid(seed))
-    rows.append(mordell_origin_row())
+    for points, draw in FAMILIES:
+        rng = random.Random(seed)
+        for _ in range(points):
+            point, residuals = draw(rng)
+            rows += [LawResidual(law, point, residual) for law, residual in residuals]
+    rows.append(LawResidual("mordell_value_at_origin", "z=0;tau=0",
+                            abs(mordell(0, 0).value - 1.0)))
     return rows

@@ -291,6 +291,24 @@ def test_verify_decomposition_tampered(tmp_path, capsys):
     assert json.loads(captured.err.strip())["check"] == "verify-decomposition"
 
 
+@pytest.mark.parametrize("z_re, code", [(10000000000.2, 0), (1e15, 2), (1e300, 2)])
+def test_verify_decomposition_reduces_re_z_mod_1(tmp_path, capsys, z_re, code):
+    # both sides are 1-periodic in z, so Re z is reduced mod 1 before
+    # either is evaluated: a far point passes, and an integer Re z is the
+    # pole z = 0 of T2; the row keeps the z given
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"z_re": z_re, "tau_im": 0.5}]))
+    got, captured = run_cli(["verify-decomposition", "--grid", str(grid)], capsys)
+    assert got == code
+    if code:
+        assert_one_line_usage_error(captured.err)
+        assert captured.err.endswith(
+            f"vanishes at z=0j (z = 0, 1/4, 1/2 or 3/4 mod 1); z={complex(z_re)} given,"
+            " Re z taken mod 1\n")
+    else:
+        assert captured.out.splitlines()[1].startswith(f"{complex(z_re)},")
+
+
 def test_asym_report_c1(tmp_path):
     out = tmp_path / "rep.csv"
     code, _ = run_cli(["asym-report", "--c", "1", "--checkpoints", "2,10",
@@ -369,10 +387,13 @@ def test_bad_exact_command_inputs_are_usage_errors(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("args", PAST_CEILINGS, ids=lambda args: " ".join(args)[:80])
 def test_no_expansion_starts_past_a_ceiling(monkeypatch, capsys, args):
+    # expand_V_rank refuses past its budget before either division
+    # allocates; equidistribution refuses at its widest modulus first
     def refuse(*_):
-        raise AssertionError("expand_V_rank entered")
+        raise AssertionError("a division entered")
 
-    monkeypatch.setattr(genfunc, "expand_V_rank", refuse)
+    monkeypatch.setattr(genfunc, "_expand_partial_theta", refuse)
+    monkeypatch.setattr(genfunc, "_div_phi_minus_q", refuse)
     code, captured = run_cli(args, capsys)
     assert code == 2
     assert_one_line_usage_error(captured.err)

@@ -64,14 +64,13 @@ def test_T_mid_tracks_its_main_term_at_third():
     # on (1/4,1/2) the T piece itself follows
     # -w^(-1/2) (sqrt2/4) h(1-2z;2tau) q^(1/8) q0^(z^2/2-1/16)
     # even though the full generating function is dominated by T2 there
-    from oddbalanced.decomposition import w_half_power
     from oddbalanced.modular import mordell, qpow
 
     z = 1 / 3
     devs = []
     for t in (0.1, 0.05, 0.025):
         tau = t * 1j
-        main = (-w_half_power(z, -1) * SQRT2_OVER_4
+        main = (-qpow(z, -0.5) * SQRT2_OVER_4
                 * mordell(1 - 2 * z, 2 * tau).value
                 * q0pow(tau, z * z / 2 - 1 / 16) * qpow(tau, 0.125))
         devs.append(abs(T_mid(z, tau) / main - 1))

@@ -414,6 +414,21 @@ def test_budget_admits_the_quoted_orders(modulus, top):
             genfunc.check_budget(past, modulus)
 
 
+@pytest.mark.parametrize("expand,top", [
+    (genfunc.expand_V_rank, 6373),
+    (lambda order: genfunc.expand_V_rank(order, 1000), 2308),
+    (genfunc.expand_v_totals, 151145)])
+def test_each_packed_expansion_refuses_past_its_budget(monkeypatch, expand, top):
+    # the engine holds its own budget: one past the top is refused before
+    # the packed division allocates, whoever the caller is
+    def allocate(*args):
+        raise AssertionError("allocated past the budget")
+
+    monkeypatch.setattr(genfunc, "_expand_partial_theta", allocate)
+    with pytest.raises(InputError, match=f"n = {top + 1}.* is not supported"):
+        expand(top + 1)
+
+
 def test_packed_width_bounds_every_count():
     # the packed division puts each class in a field of _field_bits(N)
     # bits on the strength of v(n) <= (1 + 2 sqrt(n)/pi) e^(pi sqrt(n)).
