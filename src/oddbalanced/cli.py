@@ -23,8 +23,9 @@ Each option's range has one home, the domain column of COMMANDS: dispatch
 checks every value against it before the handler runs, and --help prints
 it.  A list option's domain holds its least length too.  The handlers
 keep only the rules that tie two values together: a < c and an even c
-only with --allow-even.  The per-law ceilings of verify-transforms are
-transforms.THRESHOLDS.
+only with --allow-even.  A check's limit is no option: verify-transforms
+holds each law to transforms.THRESHOLDS, verify-decomposition each point
+to decomposition.MAX_RESIDUAL.
 
 Each command starts in a fresh process, so start-up is part of its cost.
 Importing this module loads no other module of the package and nothing
@@ -140,8 +141,7 @@ def cmd_verify_transforms(config):
     from . import transforms
 
     rows = transforms.all_rows(seed=config.seed)
-    limits = (transforms.THRESHOLDS if config.max_residual is None
-              else dict.fromkeys(transforms.THRESHOLDS, config.max_residual))
+    limits = transforms.THRESHOLDS
     failures = [{"law": r.law, "point": r.point, "residual": r.residual,
                  "limit": limits[r.law]} for r in rows if not r.residual < limits[r.law]]
     return _rows_text(rows, transforms.LawResidual._fields, config), failures
@@ -153,7 +153,7 @@ def cmd_verify_decomposition(config):
     samples = decomposition.run_grid(decomposition.load_grid(config.grid))
     rows = [(s.z, s.tau, s.order, s.lhs, s.rhs, s.residual, s.lhs_tail) for s in samples]
     bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual}
-           for s in samples if not s.residual < config.max_residual]
+           for s in samples if not s.residual < decomposition.MAX_RESIDUAL]
     return _rows_text(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
                              "series_tail_bound"], config), bad
 
@@ -177,8 +177,8 @@ MAX_ENUMERATE_N = 36
 # where each power packs 501 fields of 29 bytes
 MAX_MODULUS = 1000
 
-# the checkpoints of a report given none: the residue classes of
-# equidistribution and asym-report, and asym-report's totals (--c 1)
+# the default checkpoints: equidistribution's and asym-report's at a
+# residue class, and asym-report's totals (--c 1)
 RESIDUE_CHECKPOINTS = (150, 600)
 TOTAL_CHECKPOINTS = (100, 400, 1600)
 
@@ -206,7 +206,7 @@ def cmd_asym_report(config):
 def cmd_equidistribution(config):
     from . import asymptotics, genfunc
 
-    checkpoints = config.checkpoints or RESIDUE_CHECKPOINTS
+    checkpoints = config.checkpoints
     genfunc.check_budget(max(checkpoints), max(config.moduli))  # before any expansion
     rows = []
     failures = []  # the moduli whose statistic did not shrink
@@ -388,16 +388,12 @@ COMMANDS = {
     "enumerate": ("list all sequences of size 2n+2 as JSON lines",
                   {"--n": ("n", int, 5, _within(0, MAX_ENUMERATE_N)),
                    "--format": None}),
-    "verify-transforms": (
-        "residual table for the transformation laws "
-        "(--max-residual overrides every per-law threshold)", {
-            "--seed": ("seed", int, 20260810, None),
-            "--max-residual": ("max_residual", float, None, _within(0))}),
+    "verify-transforms": ("residual table for the transformation laws", {
+        "--seed": ("seed", int, 20260810, None)}),
     "verify-decomposition": (
         "residuals of the three-term decomposition identity (--grid is "
         '"default" or a JSON file of {z_re, z_im, tau_re, tau_im, order})', {
-            "--grid": ("grid", str, "default", None),
-            "--max-residual": ("max_residual", float, 1e-7, _within(0))}),
+            "--grid": ("grid", str, "default", None)}),
     "asym-report": (
         "exact counts vs main term at checkpoints (--allow-even tabulates an "
         "even c without the main term; the 2^28-bit budget admits checkpoints "
@@ -409,7 +405,8 @@ COMMANDS = {
             "--precision": ("precision", int, 50, _within(30, MAX_PRECISION))}),
     "equidistribution": ("max_a |c v(a,c;n)/v(n) - 1| at checkpoints", {
         "--moduli": ("moduli", _int_list, (3, 5, 7), _list_of(_within(2, MAX_MODULUS))),
-        "--checkpoints": ("checkpoints", _int_list, None, _list_of(_within(1), 2))}),
+        "--checkpoints": ("checkpoints", _int_list, RESIDUE_CHECKPOINTS,
+                          _list_of(_within(1), 2))}),
     "logconcavity-scan": (
         "product inequalities and the overpartition bound (the 2^28-bit "
         "budget admits --n-max to 151144 at c = 1)", {
@@ -436,23 +433,16 @@ def _typed(value):
     return (",".join(map(str, value)) or '""') if isinstance(value, tuple) else str(value)
 
 
-# --help's words for an option whose default is no value
-_NO_VALUE = {"--output": "(stdout)", "--max-residual": "(the per-law thresholds)"}
-
-
-def _default_text(command, flag, parse, default):
+def _default_text(flag, parse, default):
     """An option's default for --help: as it is typed, or in words where
     the default is no value."""
     if parse is None:
         return "(a bare flag)"
-    if flag == "--checkpoints":  # none given: the command's own checkpoints
-        text = _typed(RESIDUE_CHECKPOINTS)
-        if command == "asym-report":
-            text = f"{_typed(TOTAL_CHECKPOINTS)} at --c 1, else {text}"
-        return text
-    if default is None:
-        return _NO_VALUE[flag]
-    return _typed(default)
+    if default is not None:
+        return _typed(default)
+    if flag == "--checkpoints":  # asym-report's, chosen by --c
+        return f"{_typed(TOTAL_CHECKPOINTS)} at --c 1, else {_typed(RESIDUE_CHECKPOINTS)}"
+    return "(stdout)"
 
 
 def _help(command=None):
@@ -466,7 +456,7 @@ def _help(command=None):
                      "enumerate take --format csv|json")
     else:
         lines = [usage, COMMANDS[command][0], "options, their defaults and domains:"]
-        lines += [f"  {flag:16}{_default_text(command, flag, parse, default)}"
+        lines += [f"  {flag:16}{_default_text(flag, parse, default)}"
                   + (f" ({domain[0]})" if domain else "")
                   for flag, (_, parse, default, domain) in _options(command).items()]
     _write("\n".join(lines) + "\n")

@@ -43,6 +43,8 @@ from .modular import (
 # terms of the outer series summed on the default grid and, where a --grid
 # file gives no order, at each of its points
 DEFAULT_ORDER = 400
+# the normalised residual each grid point must stay below; no option moves it
+MAX_RESIDUAL = 1e-7
 
 
 def T1(z, tau):

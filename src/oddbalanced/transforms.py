@@ -5,8 +5,7 @@ deterministic pseudo-random grid: the caller's seed (verify-transforms
 --seed) fixes the points, so CLI output is byte-stable.  FAMILIES holds
 the grids: 6 theta/eta laws at each of 20 points, one Appell and one
 Mordell law at 10 points each, and h(0;0) = 1 makes 141 rows in all.
-THRESHOLDS holds each law's residual ceiling (verify-transforms
---max-residual replaces them)."""
+THRESHOLDS holds each law's residual ceiling; no option moves it."""
 
 import cmath
 import math

@@ -53,15 +53,12 @@ def build_parser():
     sp = sub.add_parser("verify-transforms",
                         help="residual table for the transformation laws")
     sp.add_argument("--seed", type=int, default=20260810)
-    sp.add_argument("--max-residual", type=float, default=None,
-                    help="override every per-law threshold")
     common(sp)
 
     sp = sub.add_parser("verify-decomposition",
                         help="residuals of the three-term decomposition identity")
     sp.add_argument("--grid", default="default",
                     help='"default" or a JSON file of {z_re, z_im, tau_re, tau_im, order}')
-    sp.add_argument("--max-residual", type=float, default=1e-7)
     common(sp)
 
     sp = sub.add_parser("asym-report", help="exact counts vs main term at checkpoints")
@@ -77,7 +74,7 @@ def build_parser():
     sp = sub.add_parser("equidistribution",
                         help="max_a |c v(a,c;n)/v(n) - 1| at checkpoints")
     sp.add_argument("--moduli", type=_int_list, default=(3, 5, 7))
-    sp.add_argument("--checkpoints", type=_int_list, default=None)
+    sp.add_argument("--checkpoints", type=_int_list, default=(150, 600))
     common(sp)
 
     sp = sub.add_parser("logconcavity-scan",

@@ -60,6 +60,11 @@ def test_tauberian_validation():
         tauberian_apply(1, 0, 1, 0)
 
 
+def test_main_term_v_needs_n_at_least_1():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        main_term_v(0, 50)
+
+
 def _report_main_term(a, c, n, table):
     [row] = asym_report(a, c, (n,), table)
     return row.main_term
@@ -399,6 +404,15 @@ def test_asym_report_even_modulus(rank_table_60):
 def test_asym_report_checkpoint_bounds(rank_table_60):
     with pytest.raises(IndexError):
         asym_report(0, 3, (100,), table=rank_table_60)
+
+
+def test_logconcavity_scan_refuses_short_inputs(rank_table_60):
+    # the scan to n_max reads both sequences at n_max + 1: each input here
+    # ends one entry short, at n_max
+    with pytest.raises(IndexError, match="^need table up to 61, have 60$"):
+        logconcavity_scan(0, 1, 60, rank_table_60, genfunc.expand_overpartition(61))
+    with pytest.raises(IndexError, match="^need overpartition counts up to n_max\\+1$"):
+        logconcavity_scan(0, 1, 59, rank_table_60, genfunc.expand_overpartition(59))
 
 
 def test_logconcavity_scan_small(rank_table_60):

@@ -81,16 +81,6 @@ def test_verify_transforms_passes(tmp_path):
     assert any(line.startswith("mordell_value_at_origin") for line in lines)
 
 
-def test_verify_transforms_tampered_threshold(tmp_path, capsys):
-    out = tmp_path / "laws.csv"
-    code, captured = run_cli(
-        ["verify-transforms", "--max-residual", "1e-30", "--output", str(out)], capsys)
-    assert code == 1
-    record = json.loads(captured.err.strip())
-    assert record["status"] == "fail"
-    assert record["check"] == "verify-transforms"
-
-
 # Each check forced to fail through the report function its command calls:
 # (argv, module, name, the fake, the output, the failure record's detail).
 # The fakes' rows print as plain literals, so the expected text is written out.
@@ -180,20 +170,16 @@ def test_verify_decomposition_single_point(tmp_path):
     assert header.startswith("z,tau,order,lhs,rhs,residual")
 
 
-def test_verify_transforms_zero_max_residual_is_a_limit(tmp_path, capsys):
-    code, captured = run_cli(["verify-transforms", "--max-residual", "0",
-                              "--output", str(tmp_path / "laws.csv")], capsys)
-    assert code == 1
-    assert json.loads(captured.err.strip())["check"] == "verify-transforms"
-
-
 @pytest.mark.parametrize("command", ["verify-transforms", "verify-decomposition"])
-@pytest.mark.parametrize("value", ["-0.001", "nan"])
-def test_bad_max_residual_is_a_usage_error(tmp_path, capsys, command, value):
-    code, captured = run_cli([command, "--max-residual", value,
-                              "--output", str(tmp_path / "out.csv")], capsys)
+@pytest.mark.parametrize("value", ["0", "-0.001", "nan"])
+def test_bad_max_residual_is_a_usage_error(capsys, command, value):
+    # each check's limit is fixed in its layer (transforms.THRESHOLDS,
+    # decomposition.MAX_RESIDUAL), so no option moves it: --max-residual
+    # with any value is an unknown flag
+    code, captured = run_cli([command, "--max-residual", value], capsys)
     assert code == 2
-    assert_one_line_usage_error(captured.err)
+    assert captured.err == (f"oddbalanced {command}: error: "
+                            f"unrecognized arguments: --max-residual {value}\n")
 
 
 def assert_one_line_usage_error(err):
@@ -278,17 +264,6 @@ def test_verify_decomposition_default_grid(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 13  # header + 12 grid points
-
-
-def test_verify_decomposition_tampered(tmp_path, capsys):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps([
-        {"z_re": 0.2, "z_im": 0.0, "tau_re": 0.0, "tau_im": 0.9, "order": 250}]))
-    code, captured = run_cli(
-        ["verify-decomposition", "--grid", str(grid), "--max-residual", "1e-30"],
-        capsys)
-    assert code == 1
-    assert json.loads(captured.err.strip())["check"] == "verify-decomposition"
 
 
 @pytest.mark.parametrize("z_re, code", [(10000000000.2, 0), (1e15, 2), (1e300, 2)])
@@ -458,7 +433,8 @@ def test_an_unwritable_stdout_exits_2_in_a_child(tmp_path, args, stdout):
 
 @pytest.mark.parametrize("args, code", [
     pytest.param(["asym-report", "--c", "3", "--a", "7"], 2, id="usage error"),
-    pytest.param(["verify-transforms", "--max-residual", "0", "--output", "laws.csv"], 1,
+    # at n = 1 the overpartition bound fails to the top of the range
+    pytest.param(["logconcavity-scan", "--n-max", "1", "--output", "lc.csv"], 1,
                  id="failed check"),
 ])
 @pytest.mark.parametrize("stderr", ["/dev/full", "closed"])
@@ -498,6 +474,34 @@ def test_a_reader_closing_early_is_exit_2(tmp_path, flags):
     assert proc.wait() == 2
     assert_one_line_usage_error(err)
     assert ": error: cannot write stdout: Broken pipe" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "-u"])
+def test_a_full_non_blocking_stdout_is_exit_2(tmp_path, flags):
+    # a non-blocking pipe that is already full takes no byte: under
+    # python -u the raw write returns None, which must fail as the
+    # buffered write's BlockingIOError does, not loop or drop the text
+    if not hasattr(os, "set_blocking"):
+        pytest.skip("no os.set_blocking")
+    read_end, write_end = os.pipe()
+    try:
+        os.set_blocking(write_end, False)
+        try:
+            while True:
+                os.write(write_end, b"x" * 65536)
+        except BlockingIOError:
+            pass
+        proc = subprocess.run([sys.executable, *flags, "-m", "oddbalanced.cli",
+                               "enumerate", "--n", "5"], cwd=tmp_path, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert_one_line_usage_error(proc.stderr)
+    if flags:
+        assert proc.stderr.endswith(": error: cannot write stdout: it would block\n")
 
 
 @pytest.mark.parametrize("n", range(15))
@@ -685,12 +689,9 @@ _IO_PAIRS = {
 _OPTION_PAIRS = {
     "expand": {"--n-max": (["--n-max", "1"], ["--n-max", "2"]), **_IO_PAIRS},
     "enumerate": {"--n": (["--n", "1"], ["--n", "2"]), "--output": _IO_PAIRS["--output"]},
-    "verify-transforms": {
-        "--seed": (["--seed", "1"], ["--seed", "2"]),
-        "--max-residual": ([], ["--max-residual", "0"]), **_IO_PAIRS},
+    "verify-transforms": {"--seed": (["--seed", "1"], ["--seed", "2"]), **_IO_PAIRS},
     "verify-decomposition": {
-        "--grid": (["--grid", "default"], ["--grid", "{grid}"]),
-        "--max-residual": ([], ["--max-residual", "0"]), **_IO_PAIRS},
+        "--grid": (["--grid", "default"], ["--grid", "{grid}"]), **_IO_PAIRS},
     "asym-report": {
         "--a": (["--c", "3", "--a", "0"], ["--c", "3", "--a", "1"]),
         "--c": (["--c", "1"], ["--c", "3"]),
@@ -766,7 +767,7 @@ def test_a_run_without_site_prints_the_same_bytes(tmp_path, args):
 _FRESH_RUNS = [
     ["expand", "--n-max", "40", "--format", "json"],
     ["enumerate", "--n", "24"],
-    ["verify-transforms", "--max-residual", "0"],  # a failed check: exit 1, a record
+    ["logconcavity-scan", "--n-max", "1"],  # a failed check: exit 1, a record
     ["verify-decomposition", "--grid", "default"],
     ["asym-report", "--c", "3", "--checkpoints", "20,40"],
     ["equidistribution", "--moduli", "3", "--checkpoints", "20,60"],
@@ -958,14 +959,10 @@ _COMMON = {
 _FLAGS = {
     "expand": {"--n-max": st.sampled_from(_INTS + ["40"] + _JUNK)},
     "enumerate": {"--n": st.sampled_from(_INTS + ["8"] + _JUNK)},
-    "verify-transforms": {
-        "--seed": st.sampled_from(_INTS + _JUNK),
-        "--max-residual": st.sampled_from(["0", "1e-7", "1", "-1"] + _JUNK),
-    },
+    "verify-transforms": {"--seed": st.sampled_from(_INTS + _JUNK)},
     "verify-decomposition": {
         # {grid} stands for a file of generated points (_GRIDS)
         "--grid": st.sampled_from(["default", "", "missing.json", "{grid}"]),
-        "--max-residual": st.sampled_from(["0", "1e-7", "1", "-1"] + _JUNK),
     },
     "asym-report": {
         "--a": st.sampled_from(_INTS + _JUNK),
@@ -1059,7 +1056,7 @@ def _parsed(parse, argv):
 # unless it is a negative number or '-' alone), a repeated flag, a bare
 # flag given a value, a stray word, no command
 @example(argv=["asym-report", "--checkpoints", "-1,3"])
-@example(argv=["verify-transforms", "--max-residual", "-inf"])
+@example(argv=["lemma-ratios", "--t-values", "-inf"])
 @example(argv=["lemma-ratios", "--t-values", "-.5"])
 @example(argv=["expand", "--output", "-"])
 @example(argv=["expand", "--n-max", "3", "--n-max=4"])
@@ -1118,7 +1115,7 @@ def _check_printed_defaults(command, out, capsys):
             assert printed_domain == domain[0] + ")", flag
         if text.startswith("("):
             assert parse is None or default is None, flag
-        elif flag == "--checkpoints":  # none given: chosen by the command
+        elif flag == "--checkpoints":  # read back from what a run reports
             at_c1, _, otherwise = text.partition(" at --c 1, else ")
             assert parse(at_c1) == _run_checkpoints([command], capsys)
             if otherwise:

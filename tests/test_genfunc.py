@@ -213,6 +213,12 @@ def test_residue_classes_sum_to_totals_and_mirror(c, order):
         assert reduced.columns[a] == reduced.columns[-a % c]
 
 
+@pytest.mark.parametrize("expand", [expand_V_rank, expand_overpartition])
+def test_negative_order_rejected(expand):
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        expand(-1)
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(ValueError):
         expand_V_rank(4, 0)

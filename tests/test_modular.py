@@ -143,6 +143,22 @@ def test_mordell_divergent_domain():
     assert abs(mordell(0.6, 1j).value) > 0
 
 
+@pytest.mark.parametrize("z, tau, reason", [
+    (0, -1j, "below the real axis"),
+    (0.1, 5 + 0j, "no strip bound is finite"),  # |Re tau| a pushes every M to inf
+    # Im tau = 0 and Re z near 1/2: the nodes would reach x = 1.45e4
+    (0.4995, 0j, "integrand decays too slowly for quadrature"),
+], ids=["lower half-plane", "no strip", "slow decay"])
+def test_mordell_refusals(z, tau, reason):
+    with pytest.raises(DomainError, match=reason):
+        mordell(z, tau)
+
+
+def test_strip_bound_that_overflows_is_inf():
+    # e^(2 pi |Im z| a) at Im z = 300 is past the float range
+    assert modular._strip_l1(0.1 + 300j, 1j, 0.49) == math.inf
+
+
 def _assert_within_bound(z, tau, result):
     with mp.workdps(30):
         err = abs(mp.mpc(result.value) - mordell_integral(z, tau))
@@ -250,6 +266,12 @@ def test_appell_level2_converges():
 def test_appell_level_validation():
     with pytest.raises(DomainError):
         appell(0, 0.2, 0.3, 1j)
+
+
+def test_appell_refuses_a_sum_past_its_term_cap():
+    # at Im tau = 1e-6 the sum would need about 10^5 terms a side
+    with pytest.raises(DomainError, match="Appell sum needs over 20000 terms a side"):
+        appell(1, 0.3 + 0.1j, 0.2, 1e-6j)
 
 
 def test_mu_definition_and_antiperiodicity():
