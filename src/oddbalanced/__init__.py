@@ -30,7 +30,7 @@ USING_COMPILED = False
 
 class InputError(ValueError):
     """Input a command cannot run on, refused by the layer that owns the
-    rule (modular's DomainError and PoleError are two); cli.main turns it
+    rule (modular's DomainError is one, PoleError a DomainError); cli.main turns it
     into one stderr line and exit code 2."""
 
 

@@ -17,6 +17,12 @@ e^(2*pi*i*z*e), so that w^(1/2) := e^(pi*i*z).  The sign of the T1 term
 is the one the numerics force: with the opposite sign the residual is
 O(1) on every grid point, with this one it sits at rounding level.
 
+Every divisor of the three terms (theta in T, T2 and inside mu, and mu's
+Appell denominators) is refused by modular's one rule: where its error
+bound reaches its magnitude, it raises PoleError, a DomainError, with no
+hand-set cut.  So the poles z = 0, 1/4, 1/2, 3/4 (mod 1) are refused, and
+a point just off one evaluates once its divisor is above its bound.
+
 verify_decomposition computes the left side by summing the outer series of V
 directly (modular.evaluate_V_bounded, whose ratio tail bound holds for
 complex z too) and the right side from the modular evaluators, and reports
@@ -34,6 +40,7 @@ from . import InputError
 from .modular import (
     DomainError,
     PoleError,
+    divisor,
     evaluate_V_bounded,
     mu,
     qpow,
@@ -54,12 +61,9 @@ def T1(z, tau):
 
 def T_mid(z, tau):
     """-q^(-1/8) w^(-1/2) (theta(1/2+z;tau)/theta(tau;2tau)) mu(2z+1/2,1/2;2tau)."""
-    # theta(tau;2tau) has no zero on the upper half-plane (theta(z;t)
-    # vanishes only on Z + tZ), but at tau = it it falls like e^(-pi/8t),
-    # and below theta's absolute bound the quotient has no correct digit
-    den = theta(tau, 2 * tau)
-    if not abs(den.value) > den.truncation_bound:
-        raise DomainError(f"theta(tau;2tau) is below its error bound at Im tau={tau.imag}")
+    # theta(tau;2tau) has no zero, but at tau = it it falls like e^(-pi/8t)
+    den = divisor(theta(tau, 2 * tau),
+                  f"theta(tau;2tau) is below its error bound at Im tau={tau.imag}")
     return (-qpow(tau, -0.125) * qpow(z, -0.5)
             * theta(0.5 + z, tau).value / den.value
             * mu(2 * z + 0.5, 0.5, 2 * tau).value)
@@ -70,12 +74,14 @@ def T2(z, tau):
     * theta(z;tau) theta(2z+tau;2tau)/theta(4z;4tau).
 
     Undefined where theta(4z;4tau) vanishes, i.e. z in {0, 1/4, 1/2, 3/4}
-    mod 1 and lattice translates."""
-    den = theta(4 * z, 4 * tau).value
-    scale = abs(qpow(tau, 0.5))
-    if abs(den) < 1e-10 * scale:
-        raise PoleError(f"theta(4z;4tau) vanishes at z={z} (z = 0, 1/4, 1/2 or 3/4 mod 1)")
-    ratio = (theta(4 * tau, 12 * tau).value / theta(2 * tau, 6 * tau).value) ** 3
+    mod 1 and lattice translates.  Both divisors are refused (divisor) where
+    they are not above their error bounds; theta(2tau;6tau) has no zero but,
+    like T's theta(tau;2tau), falls fast as Im tau -> 0."""
+    den = divisor(theta(4 * z, 4 * tau),
+                  f"theta(4z;4tau) vanishes at z={z} (z = 0, 1/4, 1/2 or 3/4 mod 1)").value
+    den_ratio = divisor(theta(2 * tau, 6 * tau),
+                        f"theta(2tau;6tau) is below its error bound at Im tau={tau.imag}").value
+    ratio = (theta(4 * tau, 12 * tau).value / den_ratio) ** 3
     return (1j * qpow(tau, 11.0 / 8.0) * qpow(z, -0.5) * ratio
             * theta(z, tau).value * theta(2 * z + tau, 2 * tau).value / den)
 

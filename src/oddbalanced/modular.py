@@ -15,8 +15,18 @@ Each evaluator returns an EvalResult: the value and a bound on its error.
 theta, the Appell sums and the Mordell rule's nodes stop where a Gaussian
 majorant of their terms is below e^LOG_EPS (gaussian_window) and bound the
 rest by a geometric series (gaussian_tail); eta is a theta value.  Every
-bound covers float rounding too, by one rule (ROUND_TERM, ROUND_SUM), except
-that of evaluate_V_bounded, which covers truncation only.
+bound covers float rounding too, by one rule (ROUND_TERM, ROUND_SUM), and
+underflow, by one TINY = ulp(0.0) per summed term, per tail and per final
+product, except that of evaluate_V_bounded, which covers truncation only.
+
+One rule refuses a divisor, the ball rule of Arb (Johansson, IEEE TC 2017):
+a value whose error bound reaches its magnitude cannot divide, since no
+digit of the quotient would be known.  divisor() applies it to mu's theta
+and to the theta divisors of decomposition, and _appell_term inline to
+1 - e^(2 pi i u) q^n against that term's own rounding.  It raises PoleError,
+a DomainError, so the CLI's one refusal (exit 2) covers poles too; no cut
+is set by hand.
+
 sqrt(-i*tau) always means the principal branch, which is the convention
 validated by the transformation-law tests.
 
@@ -36,17 +46,26 @@ LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
 # exp turns an exponent's absolute error into a relative one: a term built from magnitudes
 # summing to s is good to ROUND_TERM (1 + s) UNITs, K such terms to K + ROUND_SUM times that
 UNIT, ROUND_TERM, ROUND_SUM = 2.0 ** -53, 4.0, 4.0
+# what a term, tail or product that underflows loses, beyond any relative budget
+TINY = math.ulp(0.0)
 
 
 class DomainError(InputError):
     """Parameters outside the evaluator's convergence region."""
 
 
-class PoleError(InputError, ArithmeticError):
-    """Evaluation point sits on (or within tolerance of) a pole."""
+class PoleError(DomainError, ArithmeticError):
+    """A divisor that is not above its own error bound: on a pole, or too near one."""
 
 
 EvalResult = namedtuple("EvalResult", "value truncation_bound")
+
+
+def divisor(result, message):
+    """result, if |value| > its bound; else PoleError(message): no digit of a quotient is known."""
+    if not abs(result.value) > result.truncation_bound:
+        raise PoleError(message)
+    return result
 
 
 def qpow(tau, exponent):
@@ -110,7 +129,7 @@ def theta(z, tau):
         value += term
         weight += abs(term) * (1.0 + size_a * n * n + size_b * abs(n))
     return EvalResult(value, 2.0 * gaussian_tail(alpha, beta, 0.0, J + 0.5)
-                      + (2 * J + ROUND_SUM) * ROUND_TERM * UNIT * weight)
+                      + (2 * J + ROUND_SUM) * ROUND_TERM * UNIT * weight + (2 * J + 2) * TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +210,9 @@ def mordell(z, tau):
 
     The bound is the strip term, plus that tail, plus ROUND_TERM + ROUND_SUM
     UNITs of h times the rounding weight: each node adds |f| (1 + s), s the
-    magnitudes |pi i tau| x^2 + |pi (1 +- 2z)| x that form its exponent.  The
-    sum is compensated, so that its own error does not grow with the number
-    of nodes.  Allows Im(tau) = 0 (the boundary case) when |Re z| < 1/2,
+    magnitudes |pi i tau| x^2 + |pi (1 +- 2z)| x that form its exponent; plus
+    a TINY for each node and for the tail.  The sum is compensated, so that
+    its own error does not grow with the number of nodes.  Allows Im(tau) = 0 (the boundary case) when |Re z| < 1/2,
     where the 1/cosh factor alone makes the integral converge.
     """
     z, tau = complex(z), complex(tau)
@@ -235,14 +254,13 @@ def mordell(z, tau):
         common = 1.0 + size_a * x * x
         weight += abs(fp) * (common + size_p * x) + abs(fm) * (common + size_m * x)
     return EvalResult(h * value, strip + 2.0 * h * gaussian_tail(*majorant, n + 1)
-                      + (ROUND_TERM + ROUND_SUM) * UNIT * h * weight)
+                      + (ROUND_TERM + ROUND_SUM) * UNIT * h * weight + (2 * n + 2) * TINY)
 
 
 # ---------------------------------------------------------------------------
 # Appell sums
 # ---------------------------------------------------------------------------
 
-_POLE_TOL = 1e-13
 _APPELL_MAX_TERMS = 20000
 
 
@@ -258,10 +276,10 @@ def _appell_term(ell, n, u, v, tau):
     d = cmath.exp(x)
     if abs(d) > 1.0:
         sign, log_num, d = -sign, log_num - x, cmath.exp(-x)
-    gap = abs(1.0 - d)
-    if gap < _POLE_TOL:
+    slack, gap = abs(d) * (1.0 + size_x), abs(1.0 - d)
+    if not gap > ROUND_TERM * UNIT * slack:  # divisor's rule, on d's own rounding
         raise PoleError(f"Appell denominator vanishes at n={n} (u={u}, tau={tau})")
-    return sign * cmath.exp(log_num) / (1.0 - d), size + abs(d) * (1.0 + size_x) / gap
+    return sign * cmath.exp(log_num) / (1.0 - d), size + slack / gap
 
 
 def appell(ell, u, v, tau):
@@ -292,19 +310,16 @@ def appell(ell, u, v, tau):
         total += term
         weight += abs(term) * (1.0 + size)
     prefactor = cmath.exp(1j * math.pi * ell * u)
-    rounding = (top + bottom - 1 + ROUND_SUM) * ROUND_TERM * UNIT * weight
+    terms = top + bottom - 1
+    rounding = (terms + ROUND_SUM) * ROUND_TERM * UNIT * weight + terms * TINY
     return EvalResult(prefactor * total, gaussian_tail(*pos, top) + gaussian_tail(*neg, bottom)
-                      + abs(prefactor) * rounding)
+                      + abs(prefactor) * rounding + 3 * TINY)
 
 
 def mu(u, v, tau):
-    """A_1(u,v,tau)/theta(v;tau), good to (a + |mu| b)/(|theta| - b) + 4 |mu| UNITs."""
-    th = theta(v, tau)
-    # compare against the natural q^(1/8) scale of theta, not an absolute cut
-    if abs(th.value) < 1e-10 * abs(qpow(tau, 0.125)):
-        raise PoleError(f"theta({v};{tau}) vanishes; mu undefined")
-    if not abs(th.value) > th.truncation_bound:  # no digit of the quotient is known
-        raise DomainError(f"theta({v};{tau}) is below its error bound; mu undefined")
+    """A_1(u,v,tau)/theta(v;tau), good to (a + |mu| b)/(|theta| - b) + 4 |mu| UNITs;
+    PoleError where theta(v;tau) is not above its bound (divisor)."""
+    th = divisor(theta(v, tau), f"theta({v};{tau}) is below its error bound; mu undefined")
     ap = appell(1, u, v, tau)
     value = ap.value / th.value
     a, b = ap.truncation_bound, th.truncation_bound

@@ -23,6 +23,7 @@ from oddbalanced.genfunc import expand_V_rank
 from oddbalanced.modular import EvalResult
 from reference_parser import build_parser
 from test_enumerator import flatten, is_unimodal_with_strict_evens, rank_of, size
+from test_modular import POLE_OFFSETS
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -282,6 +283,23 @@ def test_verify_decomposition_reduces_re_z_mod_1(tmp_path, capsys, z_re, code):
             " Re z taken mod 1\n")
     else:
         assert captured.out.splitlines()[1].startswith(f"{complex(z_re)},")
+
+
+@pytest.mark.parametrize("tau_re", [0.0, 0.5])
+@pytest.mark.parametrize("dz", POLE_OFFSETS)
+@pytest.mark.parametrize("pole", [0.0, 0.25, 0.5, 0.75])
+def test_a_point_in_a_pole_band_is_one_line_or_a_row(tmp_path, capsys, pole, dz, tau_re):
+    # at a pole, or just off one, a one-point grid is either refused (exit 2,
+    # one line) or evaluated (exit 0 or 1, with its row): never a traceback
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"z_re": pole + dz, "tau_re": tau_re, "tau_im": 0.8}]))
+    code, captured = run_cli(["verify-decomposition", "--grid", str(grid)], capsys)
+    if code == 2:
+        assert_one_line_usage_error(captured.err)
+        assert captured.out == ""
+    else:
+        assert code in (0, 1) and len(captured.out.splitlines()) == 2
+        assert len(captured.err.splitlines()) == code and "Traceback" not in captured.err
 
 
 def test_asym_report_c1(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from oddbalanced.decomposition import (
     verify_decomposition,
 )
 from oddbalanced.modular import DomainError, PoleError, eta, q0pow, qpow, theta
+from test_modular import POLE_OFFSETS, POLE_TAUS, appell_refused, refused
 
 SQRT2_OVER_4 = math.sqrt(2) / 4
 
@@ -91,6 +93,28 @@ def test_T2_pole_at_zero():
         T2(0.0, 0.8j)
     with pytest.raises(PoleError):
         T2(0.25, 0.8j)
+
+
+@pytest.mark.parametrize("tau", POLE_TAUS)
+@pytest.mark.parametrize("dz", POLE_OFFSETS)
+@pytest.mark.parametrize("pole", [0.0, 0.25, 0.5, 0.75])
+def test_each_term_refuses_exactly_where_a_divisor_is_not_above_its_bound(pole, dz, tau):
+    # the divisors: mu's theta(1/2) and Appell denominators in T1 and T,
+    # theta(tau;2tau) in T, theta(4z;4tau) and theta(2tau;6tau) in T2
+    z = pole + dz
+    expected = {
+        T1: refused(theta(0.5, tau)) or appell_refused(z + 0.5, tau),
+        T_mid: (refused(theta(tau, 2 * tau)) or refused(theta(0.5, 2 * tau))
+                or appell_refused(2 * z + 0.5, 2 * tau)),
+        T2: refused(theta(4 * z, 4 * tau)) or refused(theta(2 * tau, 6 * tau)),
+    }
+    assert any(expected.values()) or dz  # every pole of the band is refused
+    for term, refuses in expected.items():
+        if refuses:
+            with pytest.raises(PoleError):
+                term(z, tau)
+        else:
+            assert cmath.isfinite(term(z, tau))
 
 
 def test_T2_finite_generic():

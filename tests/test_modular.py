@@ -307,6 +307,87 @@ def test_every_refusal_is_an_input_error():
     assert issubclass(PoleError, ArithmeticError)
 
 
+def test_a_pole_is_a_domain_error():
+    assert issubclass(PoleError, DomainError)
+
+
+def _appell_direct(u, v, tau, N=30):
+    """A_1(u,v,tau) at 60 digits over -N <= n < N, with no window and no reciprocal."""
+    with mp.workdps(60):
+        u, v, tau = mp.mpc(u), mp.mpc(v), mp.mpc(tau)
+        q, e = mp.exp(2j * mp.pi * tau), mp.exp(2j * mp.pi * u)
+        return mp.exp(1j * mp.pi * u) * mp.fsum(
+            (-1) ** n * mp.exp(2j * mp.pi * n * v) * q ** (n * (n + 1) // 2) / (1 - e * q ** n)
+            for n in range(-N, N))
+
+
+def test_bounds_cover_underflow():
+    # theta(0.4; 1200i) is 9.25e-410 and A_1(0.3 + 300i, 0.2; 0.8i) 5.66e-410,
+    # below the least subnormal: every theta term, the Appell terms past
+    # n = -18 and the product with e^(pi i u) underflow, and both sums
+    # return 0 (with a bound of 0, before one ulp(0) per term and tail)
+    with mp.workdps(60):
+        cases = [(theta(0.4, 1200j), theta_sum(0.4, 1200j, dps=60)),
+                 (appell(1, 0.3 + 300j, 0.2, 0.8j), _appell_direct(0.3 + 300j, 0.2, 0.8j))]
+        for got, want in cases:
+            assert got.value == 0 and 0 < abs(want) < mp.mpf("1e-400")
+            assert abs(got.value - want) <= got.truncation_bound
+
+
+# the pole band: exact poles and points just off them, on the grids'
+# two tau; every refusal is recomputed by the divisor rule
+POLE_TAUS = (0.8j, 0.5 + 0.8j)
+POLE_OFFSETS = (0.0, 1e-13, 1e-12, 1e-9)
+
+
+def refused(result):
+    """The one divisor rule: no digit of a quotient by result is known."""
+    return not abs(result.value) > result.truncation_bound
+
+
+def appell_refused(u, tau):
+    """Whether a denominator 1 - d of A_1(u, v, tau), n in -3..3, is not above
+    d's rounding, d taken as _appell_term takes it (1/d where |d| > 1)."""
+    u = complex(u)
+    for n in range(-3, 4):
+        x = 2j * math.pi * (u + n * tau)
+        d = cmath.exp(x)
+        if abs(d) > 1.0:
+            d = cmath.exp(-x)
+        size_x = modular.TWO_PI * (abs(u) + abs(n) * abs(tau))
+        if not abs(1.0 - d) > modular.ROUND_TERM * modular.UNIT * abs(d) * (1.0 + size_x):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("tau", POLE_TAUS)
+@pytest.mark.parametrize("dv", POLE_OFFSETS)
+@pytest.mark.parametrize("pole", ["0", "1", "tau"])
+def test_mu_refuses_exactly_where_theta_is_not_above_its_bound(pole, dv, tau):
+    v = {"0": 0.0, "1": 1.0, "tau": tau}[pole] + dv
+    expected = refused(theta(v, tau))
+    assert expected or dv  # every zero of theta(v;tau) is refused
+    if expected:
+        with pytest.raises(PoleError, match="below its error bound"):
+            mu(0.23 + 0.1j, v, tau)
+    else:
+        assert cmath.isfinite(mu(0.23 + 0.1j, v, tau).value)
+
+
+@pytest.mark.parametrize("tau", POLE_TAUS)
+@pytest.mark.parametrize("du", POLE_OFFSETS)
+@pytest.mark.parametrize("pole", ["0", "1", "tau", "1+tau"])
+def test_appell_refuses_exactly_where_a_denominator_is_not_above_its_rounding(pole, du, tau):
+    u = {"0": 0.0, "1": 1.0, "tau": tau, "1+tau": 1 + tau}[pole] + du
+    expected = appell_refused(u, tau)
+    assert expected or du  # every pole u in Z + tau Z is refused
+    if expected:
+        with pytest.raises(PoleError, match="Appell denominator vanishes"):
+            appell(1, u, 0.3, tau)
+    else:
+        assert cmath.isfinite(appell(1, u, 0.3, tau).value)
+
+
 # ---------------------------------------------------------------------------
 # Decay main terms as tau -> 0, in closed form through the dual nome
 # q0 = exp(-2*pi*i/tau); no command evaluates them, so they live here
