@@ -14,15 +14,18 @@ Implements, for tau in the upper half-plane:
 Each evaluator returns an EvalResult: the value and a bound on its error.
 theta, the Appell sums and the Mordell rule's nodes stop where a Gaussian
 majorant of their terms is below e^LOG_EPS (gaussian_window) and bound the
-rest by a geometric series (gaussian_tail); eta is a theta value.  Every
-bound covers float rounding too, by one rule (ROUND_TERM, ROUND_SUM), and
-underflow, by one TINY = ulp(0.0) per summed term, per tail and per final
-product, except that of evaluate_V_bounded, which covers truncation only.
+rest by a geometric series (gaussian_tail); eta is a theta value.  Each
+term is one exponential, an Appell term's prefactor e^(pi i ell u) inside
+it, so nothing multiplies a sum after it is taken.  Every bound covers
+float rounding too, by one rule (ROUND_TERM, ROUND_SUM), and underflow, by
+one TINY = ulp(0.0) per summed term and per tail, except that of
+evaluate_V_bounded, which covers truncation only.  theta and V refuse a sum
+past V_MAX_TERMS terms.
 
 One rule refuses a divisor, the ball rule of Arb (Johansson, IEEE TC 2017):
 a value whose error bound reaches its magnitude cannot divide, since no
 digit of the quotient would be known.  divisor() applies it to mu's theta
-and to the theta divisors of decomposition, and _appell_term inline to
+and to the theta divisors of decomposition, and appell inline to each
 1 - e^(2 pi i u) q^n against that term's own rounding.  It raises PoleError,
 a DomainError, so the CLI's one refusal (exit 2) covers poles too; no cut
 is set by hand.
@@ -48,6 +51,9 @@ LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
 UNIT, ROUND_TERM, ROUND_SUM = 2.0 ** -53, 4.0, 4.0
 # what a term, tail or product that underflows loses, beyond any relative budget
 TINY = math.ulp(0.0)
+# most terms one evaluation of theta or V may sum: Im tau too near 0, or |q|
+# too near 1, raises instead of running for hours
+V_MAX_TERMS = 1 << 20
 
 
 class DomainError(InputError):
@@ -117,7 +123,10 @@ def theta(z, tau):
     tau = _require_upper_half(tau)
     z = complex(z)
     alpha, beta = math.pi * tau.imag, TWO_PI * abs(z.imag)
-    J = int(gaussian_window(alpha, beta, 0.0)) + 4
+    window = gaussian_window(alpha, beta, 0.0)
+    if not window < V_MAX_TERMS // 2 - 3:  # else the 2J terms would pass V_MAX_TERMS
+        raise DomainError(f"theta sum needs over {V_MAX_TERMS} terms (tau={tau})")
+    J = int(window) + 4
     a = 1j * math.pi * tau
     b = 2j * math.pi * (z + 0.5)
     size_a, size_b = abs(a), abs(b)
@@ -264,35 +273,20 @@ def mordell(z, tau):
 _APPELL_MAX_TERMS = 20000
 
 
-def _appell_term(ell, n, u, v, tau):
-    """Term n of the sum in A_ell and the size of its exponents, e^(pi i ell u)'s included
-    (1/(1-d) scales the error of d by 1/|1-d|).  No intermediate overflows: where
-    |d| = |e^{2pi i u} q^n| > 1 the term is taken as -d^-1/(1-d^-1)."""
-    sign = -1.0 if (ell * n) % 2 else 1.0
-    log_num = 2j * math.pi * (n * v + tau * ell * n * (n + 1) / 2.0)
-    x = 2j * math.pi * (u + n * tau)
-    size_x = TWO_PI * (abs(u) + abs(n) * abs(tau))
-    size = math.pi * (2 * abs(n * v) + ell * (abs(tau) * abs(n * (n + 1)) + abs(u))) + size_x
-    d = cmath.exp(x)
-    if abs(d) > 1.0:
-        sign, log_num, d = -sign, log_num - x, cmath.exp(-x)
-    slack, gap = abs(d) * (1.0 + size_x), abs(1.0 - d)
-    if not gap > ROUND_TERM * UNIT * slack:  # divisor's rule, on d's own rounding
-        raise PoleError(f"Appell denominator vanishes at n={n} (u={u}, tau={tau})")
-    return sign * cmath.exp(log_num) / (1.0 - d), size + slack / gap
-
-
 def appell(ell, u, v, tau):
     """Level-ell Appell sum
-    A_ell(u,v,tau) = e^(pi*i*ell*u) * sum_n (-1)^(ell*n) e^(2*pi*i*n*v)
-                     q^(ell*n(n+1)/2) / (1 - e^(2*pi*i*u) q^n),
-    over -bottom < n < top.  With t = Im tau and s = Im u, |e^(2 pi i u) q^n| is <= 1/2
-    for n >= (ln 2/(2 pi) - s)/t and >= 2 for n = -m, m >= (ln 2/(2 pi) + s)/t; past
-    those points terms n and -m times |e^(pi i ell u)| are at most g(n) and g(m), with
-    alpha = pi ell t and beta, gamma below; top and bottom pass gaussian_window too.
+    A_ell(u,v,tau) = sum_n (-1)^(ell*n) e^(pi*i*ell*u + 2*pi*i*n*v)
+                     q^(ell*n(n+1)/2) / (1 - d),   d = e^x,  x = 2*pi*i*(u + n*tau),
+    over -bottom < n < top.  With t = Im tau and s = Im u, |d| is <= 1/2 for
+    n >= (ln 2/(2 pi) - s)/t and >= 2 for n = -m, m >= (ln 2/(2 pi) + s)/t; past those
+    points terms n and -m are at most g(n) and g(m), with alpha = pi ell t and beta,
+    gamma below; top and bottom pass gaussian_window too.
         n:  beta = -(pi ell t + 2 pi Im v),        gamma = ln 2 - pi ell s,
-        m:  beta = pi ell t - 2 pi t + 2 pi Im v,  gamma = ln 2 + (2 - ell) pi s."""
-    if ell < 1:
+        m:  beta = pi ell t - 2 pi t + 2 pi Im v,  gamma = ln 2 + (2 - ell) pi s.
+    Each term is one exponential over 1 - d, d taken where |d| <= 1: where Re x > 0 the
+    term is -e^(... - x)/(1 - 1/d), so no term overflows that is itself finite.  1/(1-d)
+    scales d's rounding by 1/|1-d|, and a 1 - d not above it is a pole (divisor's rule)."""
+    if not (ell >= 1 and ell % 1 == 0):
         raise DomainError("Appell level must be a positive integer")
     tau = _require_upper_half(tau)
     u, v = complex(u), complex(v)
@@ -304,16 +298,26 @@ def appell(ell, u, v, tau):
     if not max(top, bottom) <= _APPELL_MAX_TERMS:
         raise DomainError(f"Appell sum needs over {_APPELL_MAX_TERMS} terms a side (tau={tau})")
     top, bottom = math.ceil(top), math.ceil(bottom)
-    total, weight = 0j, 0.0
+    exp = cmath.exp
+    value, weight = 0j, 0.0
     for n in [*range(top), *range(-1, -bottom, -1)]:
-        term, size = _appell_term(ell, n, u, v, tau)
-        total += term
-        weight += abs(term) * (1.0 + size)
-    prefactor = cmath.exp(1j * math.pi * ell * u)
-    terms = top + bottom - 1
-    rounding = (terms + ROUND_SUM) * ROUND_TERM * UNIT * weight + terms * TINY
-    return EvalResult(prefactor * total, gaussian_tail(*pos, top) + gaussian_tail(*neg, bottom)
-                      + abs(prefactor) * rounding + 3 * TINY)
+        sign = -1.0 if (ell * n) % 2 else 1.0
+        log_num = 1j * math.pi * (ell * u + 2 * n * v + ell * n * (n + 1) * tau)
+        x = 2j * math.pi * (u + n * tau)
+        size_x = TWO_PI * (abs(u) + abs(n) * abs(tau))
+        if x.real > 0:
+            sign, log_num, x = -sign, log_num - x, -x
+        d = exp(x)
+        slack, gap = abs(d) * (1.0 + size_x), abs(1.0 - d)
+        if not gap > ROUND_TERM * UNIT * slack:
+            raise PoleError(f"Appell denominator vanishes at n={n} (u={u}, tau={tau})")
+        term = sign * exp(log_num) / (1.0 - d)
+        value += term
+        size = math.pi * (ell * (abs(u) + abs(n * (n + 1)) * abs(tau)) + 2 * abs(n * v))
+        weight += abs(term) * (1.0 + size + size_x + slack / gap)
+    K = top + bottom - 1
+    return EvalResult(value, gaussian_tail(*pos, top) + gaussian_tail(*neg, bottom)
+                      + (K + ROUND_SUM) * ROUND_TERM * UNIT * weight + (K + 2) * TINY)
 
 
 def mu(u, v, tau):
@@ -332,9 +336,6 @@ def mu(u, v, tau):
 
 # relative size of the remainder at which evaluate_V_bounded stops summing
 V_REL_TOL = 2.0 ** -60
-# most terms one evaluation may sum: |q| too close to 1 raises instead of
-# running for hours
-V_MAX_TERMS = 1 << 20
 
 
 def evaluate_V_bounded(w, q, max_terms=None):

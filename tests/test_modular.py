@@ -264,8 +264,46 @@ def test_appell_level2_converges():
 
 
 def test_appell_level_validation():
-    with pytest.raises(DomainError):
-        appell(0, 0.2, 0.3, 1j)
+    # a level that is not a positive integer is refused, 1.5 included
+    for ell in (1.5, 0, -1):
+        with pytest.raises(DomainError, match="positive integer"):
+            appell(ell, 0.2 + 0.05j, 0.3, 1j)
+    for ell in (1, 2, 3, 2.0):
+        assert cmath.isfinite(appell(ell, 0.2 + 0.05j, 0.3, 1j).value)
+
+
+# far from the real axis in u, where e^(pi i ell u) or d = e^(2 pi i (u + n tau)) can
+# pass e^709: each term is one exponential taken where |d| <= 1, so only a value
+# past the floats overflows (A_3 at Im u = -300 is 2.1e409)
+FAR_APPELL_POINTS = [(1, 0.3 - 150j, 0.2, 0.8j), (1, 0.3 + 150j, 0.2, 0.8j),
+                     (2, 0.1 - 120j, 0.3, 0.5 + 0.9j),
+                     *((ell, 0.3 + s, 0.2, 0.8j) for ell in (1, 2, 3) for s in (300j, -300j))]
+
+
+@pytest.mark.parametrize("point", FAR_APPELL_POINTS)
+def test_appell_bound_holds_far_from_the_real_axis(point):
+    with mp.workdps(70):
+        want = appell_sum(*point, dps=60)
+        if abs(want) > mp.mpf(2) ** 1024:  # the value itself is past the floats
+            with pytest.raises(OverflowError):
+                appell(*point)
+            return
+        got = appell(*point)
+        assert abs(got.value - want) <= got.truncation_bound, point
+
+
+@pytest.mark.parametrize("f", [lambda tau: theta(0.1, tau), eta, lambda tau: mu(0.2, 0.3, tau)],
+                         ids=["theta", "eta", "mu"])
+@pytest.mark.parametrize("tau", [1e-12j, 1e-300j])
+def test_theta_refuses_a_sum_past_its_term_cap(f, tau):
+    # 2J terms grow like 1/sqrt(Im tau): at 1e-300 the sum would never end
+    with pytest.raises(DomainError, match=f"over {modular.V_MAX_TERMS} terms"):
+        f(tau)
+
+
+def test_theta_sums_up_to_its_term_cap():
+    # about 757 000 terms, under the cap of 2^20
+    assert cmath.isfinite(theta(0.1, 1e-10j).value)
 
 
 def test_appell_refuses_a_sum_past_its_term_cap():
@@ -347,7 +385,7 @@ def refused(result):
 
 def appell_refused(u, tau):
     """Whether a denominator 1 - d of A_1(u, v, tau), n in -3..3, is not above
-    d's rounding, d taken as _appell_term takes it (1/d where |d| > 1)."""
+    d's rounding, d taken as appell takes it (1/d where |d| > 1)."""
     u = complex(u)
     for n in range(-3, 4):
         x = 2j * math.pi * (u + n * tau)
