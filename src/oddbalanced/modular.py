@@ -4,7 +4,10 @@ Implements, for tau in the upper half-plane:
 
 * theta(z;tau) = sum over half-integers n of exp(pi*i*n^2*tau + 2*pi*i*n*(z+1/2)),
 * Dedekind eta(tau) = q^(1/24) * prod_{k>=1} (1-q^k) = -i q^(1/6) theta(-tau;3tau),
+* Zwegers' R(u;tau), the non-holomorphic part of mu's completion,
 * the Mordell integral h(z;tau) = int exp(pi*i*tau*x^2 - 2*pi*z*x)/cosh(pi*x) dx,
+  which is R(z;tau) + e^(pi i z^2/tau) R(z/tau;-1/tau)/sqrt(-i tau) (Zwegers,
+  thesis, Ch. 1), and sec(pi z) on the boundary tau = 0,
 * level-ell Appell sums A_ell(u,v,tau) and the normalised quotient
   mu(u,v,tau) = A_1(u,v,tau)/theta(v;tau),
 * the rank generating function V(w;q) at a point (evaluate_V_bounded), the
@@ -12,15 +15,17 @@ Implements, for tau in the upper half-plane:
   ratios share.
 
 Each evaluator returns an EvalResult: the value and a bound on its error.
-theta, the Appell sums and the Mordell rule's nodes stop where a Gaussian
-majorant of their terms is below e^LOG_EPS (gaussian_window) and bound the
-rest by a geometric series (gaussian_tail); eta is a theta value.  Each
-term is one exponential, an Appell term's prefactor e^(pi i ell u) inside
-it, so nothing multiplies a sum after it is taken.  Every bound covers
-float rounding too, by one rule (ROUND_TERM, ROUND_SUM), and underflow, by
-one TINY = ulp(0.0) per summed term and per tail, except that of
-evaluate_V_bounded, which covers truncation only.  theta and V refuse a sum
-past V_MAX_TERMS terms.
+theta, R and the Appell sums are Gaussian sums: each stops where a Gaussian
+majorant of its terms is below e^LOG_EPS (gaussian_window) and bounds the
+rest by a geometric series (gaussian_tail); eta and h are theta and R
+values.  Each term is one exponential, and a prefactor goes into it: the
+log_factor argument of theta and R (eta's q^(1/6), h's e^(pi i z^2/tau)/
+sqrt(-i tau)) and an Appell term's e^(pi i ell u), so nothing multiplies a
+sum after it is taken and no factor overflows or underflows apart.  Every
+bound covers float rounding too, by one rule (ROUND_TERM, ROUND_SUM), and
+underflow, by one TINY = ulp(0.0) per summed term and per tail, except that
+of evaluate_V_bounded, which covers truncation only.  theta, R and V refuse
+a sum past V_MAX_TERMS terms.
 
 One rule refuses a divisor, the ball rule of Arb (Johansson, IEEE TC 2017):
 a value whose error bound reaches its magnitude cannot divide, since no
@@ -117,27 +122,29 @@ def gaussian_tail(alpha, beta, gamma, x):
     return math.exp((-alpha * x + beta) * x + gamma) / (1.0 - ratio)
 
 
-def theta(z, tau):
-    """Jacobi theta with half-integer characteristics; odd in z.  Sums the half-integers
-    in [-J, J), J = int(gaussian_window) + 4 for g(|n|), alpha = pi Im tau, beta = 2 pi |Im z|."""
+def theta(z, tau, log_factor=0):
+    """e^log_factor theta(z;tau), theta with half-integer characteristics; odd in z.  Sums
+    the half-integers in [-J, J), J = int(gaussian_window) + 4 for g(|n|), alpha = pi Im tau,
+    beta = 2 pi |Im z|, gamma = Re log_factor: log_factor goes into each term's exponent,
+    so a prefactor that would underflow or overflow alone costs no digit."""
     tau = _require_upper_half(tau)
-    z = complex(z)
-    alpha, beta = math.pi * tau.imag, TWO_PI * abs(z.imag)
-    window = gaussian_window(alpha, beta, 0.0)
+    z, log_factor = complex(z), complex(log_factor)
+    alpha, beta, gamma = math.pi * tau.imag, TWO_PI * abs(z.imag), log_factor.real
+    window = gaussian_window(alpha, beta, gamma)
     if not window < V_MAX_TERMS // 2 - 3:  # else the 2J terms would pass V_MAX_TERMS
         raise DomainError(f"theta sum needs over {V_MAX_TERMS} terms (tau={tau})")
     J = int(window) + 4
     a = 1j * math.pi * tau
     b = 2j * math.pi * (z + 0.5)
-    size_a, size_b = abs(a), abs(b)
+    size_a, size_b, size_l = abs(a), abs(b), abs(log_factor)
     exp = cmath.exp
     value, weight = 0j, 0.0
     for k in range(-J, J):
         n = k + 0.5
-        term = exp((a * n + b) * n)
+        term = exp((a * n + b) * n + log_factor)
         value += term
-        weight += abs(term) * (1.0 + size_a * n * n + size_b * abs(n))
-    return EvalResult(value, 2.0 * gaussian_tail(alpha, beta, 0.0, J + 0.5)
+        weight += abs(term) * (1.0 + size_a * n * n + size_b * abs(n) + size_l)
+    return EvalResult(value, 2.0 * gaussian_tail(alpha, beta, gamma, J + 0.5)
                       + (2 * J + ROUND_SUM) * ROUND_TERM * UNIT * weight + (2 * J + 2) * TINY)
 
 
@@ -147,123 +154,88 @@ def theta(z, tau):
 
 def eta(tau):
     """eta(tau) = sum_n (-1)^n q^((6n-1)^2/24) = -i q^(1/6) theta(-tau; 3tau) (the
-    pentagonal number theorem), good to |q^(1/6)| times theta's bound plus ROUND_TERM
-    (1 + |2 pi tau/6|) UNITs of |eta| for the prefactor."""
+    pentagonal number theorem), q^(1/6) in theta's exponent: theta's bound."""
     tau = _require_upper_half(tau)
-    th = theta(-tau, 3 * tau)
-    prefactor = qpow(tau, 1.0 / 6.0)
-    value = -1j * prefactor * th.value
-    return EvalResult(value, abs(prefactor) * th.truncation_bound
-                      + ROUND_TERM * (1.0 + abs(TWO_PI * tau / 6.0)) * UNIT * abs(value))
+    th = theta(-tau, 3 * tau, 2j * math.pi * tau / 6.0)
+    return EvalResult(-1j * th.value, th.truncation_bound)
 
 
 # ---------------------------------------------------------------------------
-# Mordell integral
+# Zwegers' R and the Mordell integral
 # ---------------------------------------------------------------------------
 
-# half-widths a of the strips |Im x| < a in which the trapezoidal rule may
-# bound the integrand; the poles of 1/cosh(pi x) sit at +-i/2
-STRIP_WIDTHS = (0.1, 0.2, 0.3, 0.4, 0.45, 0.49)
-# the strip term's target, relative to the bound on the integral of
-# |integrand| along the real axis: the least that the rounding budget can be
-STRIP_REL = (ROUND_TERM + ROUND_SUM) * UNIT
+def _log_erfc(x):
+    """log erfc(x).  Past x = 26, where erfc nears the subnormals, by the asymptotic series
+    erfc(x) = e^(-x^2)/(x sqrt(pi)) sum_k (-1)^k (2k-1)!!/(2x^2)^k, whose first 8 terms
+    leave under 3e-21 there."""
+    if x < 26.0:
+        return math.log(math.erfc(x))
+    s = t = 1.0
+    for k in range(1, 9):
+        t *= -(2 * k - 1) / (2.0 * x * x)
+        s += t
+    return -x * x - math.log(x * math.sqrt(math.pi) / s)
 
 
-def _strip_l1(z, tau, a):
-    """M(a) >= int |f(u+iy)| du for every |y| <= a, where f is the Mordell
-    integrand (inf when the bound overflows or the integral diverges).
+def R(u, tau, log_factor=0):
+    """e^log_factor R(u;tau), Zwegers' R (thesis, Ch. 1):
 
-    With A = pi Im(tau),
+        R = sum over half-integers n of sgn(n) erfc(sgn(n) (n + a) sqrt(2 pi y))
+                                         (-1)^(n-1/2) e^(-pi i n^2 tau - 2 pi i n u),
 
-        |e^(pi i tau x^2 - 2 pi z x)| = e^(-A (u^2 - y^2) - 2 pi (Re tau u y
-                                         + Re z u - Im z y))
-
-    at x = u+iy; |cosh(pi(u+iy))| >= cosh(pi u) cos(pi y) and
-    1/cosh(pi u) <= 2 e^(-pi|u|).  So for |y| <= a,
-    |f(u+iy)| <= 2 e^(A a^2 + 2 pi |Im z| a)/cos(pi a) * e^(-A u^2 + c|u|)
-    with c = 2 pi (|Re tau| a + |Re z|) - pi, and
-
-        int_0^inf e^(-A u^2 + c u) du = sqrt(pi/A)/2 e^(s^2) erfc(-s),
-        s = c/(2 sqrt A),
-
-    which is at most 1/|c| for c < 0 (the bound used past s = -20, where
-    erfc underflows, and at A = 0: the boundary tau = 0, |Re z| < 1/2)."""
-    A = math.pi * tau.imag
-    c = TWO_PI * (abs(tau.real) * a + abs(z.real)) - math.pi
-    try:
-        scale = 4.0 * math.exp(A * a * a + TWO_PI * abs(z.imag) * a) / math.cos(math.pi * a)
-        if A == 0 or c < -40.0 * math.sqrt(A):
-            return scale / -c if c < 0 else math.inf
-        s = c / (2.0 * math.sqrt(A))
-        return scale * math.sqrt(math.pi / A) / 2.0 * math.exp(s * s) * math.erfc(-s)
-    except OverflowError:
-        return math.inf
+    y = Im tau, a = Im u/y.  Each term is one exponential, log erfc inside it, so
+    no factor of a term overflows apart.  By erfc(X) <= min(2, e^(-X^2)) a term is at
+    most g(|n|), alpha = pi y, beta = 2 pi |Im u|, gamma = ln 2 + Re log_factor; the sum
+    runs over [-J, J) as theta's does.  Rounding as theta's, the exponent's magnitudes
+    counting, beyond exp's 1, 2 for erfc's few ulps, |log erfc|, and X's rounding, at
+    most |a| sqrt(2 pi y) + 4 |X| UNITs, scaled by |d log erfc/dX| <= 2 (|X| + 1)."""
+    tau = _require_upper_half(tau)
+    u, log_factor = complex(u), complex(log_factor)
+    y = tau.imag
+    alpha, beta, gamma = math.pi * y, TWO_PI * abs(u.imag), LN2 + log_factor.real
+    window = gaussian_window(alpha, beta, gamma)
+    if not window < V_MAX_TERMS // 2 - 3:  # else the 2J terms would pass V_MAX_TERMS
+        raise DomainError(f"R sum needs over {V_MAX_TERMS} terms (tau={tau})")
+    J = int(window) + 4
+    a, root = u.imag / y, math.sqrt(TWO_PI * y)
+    A = -1j * math.pi * tau
+    B = -2j * math.pi * (u - 0.5)
+    size_a, size_b, size_l, size_x = abs(A), abs(B), abs(log_factor), abs(a) * root
+    exp = cmath.exp
+    value, weight = 0j, 0.0
+    for k in range(-J, J):
+        n = k + 0.5
+        sign = 1.0 if n > 0 else -1.0
+        X = sign * (n + a) * root
+        log_erfc = _log_erfc(X)
+        # (-1)^(n-1/2) = -i e^(pi i n): -i sign is exact
+        term = -1j * sign * exp(log_erfc + (A * n + B) * n + log_factor)
+        value += term
+        weight += abs(term) * (3.0 + abs(log_erfc) + 2.0 * (abs(X) + 1.0) * (abs(X) + size_x)
+                               + size_a * n * n + size_b * abs(n) + size_l)
+    return EvalResult(value, 2.0 * gaussian_tail(alpha, beta, gamma, J + 0.5)
+                      + (2 * J + ROUND_SUM) * ROUND_TERM * UNIT * weight + (2 * J + 2) * TINY)
 
 
 def mordell(z, tau):
-    """h(z;tau) = int f, f(x) = exp(pi i tau x^2 - 2 pi z x)/cosh(pi x), by
-    the trapezoidal rule folded onto x >= 0,
-
-        h * [f(0) + sum_{k=1..n} (f(kh) + f(-kh))].
-
-    f is analytic in every strip |Im x| < a < 1/2, so the infinite rule
-    h sum_k f(kh) differs from the integral by at most 2M/(e^(2 pi a/h) - 1),
-    where M bounds int |f(u+iy)| du for |y| <= a (Trefethen and Weideman,
-    SIAM Review 56, 2014, Theorem 5.1; M in closed form from _strip_l1).
-    Each a of STRIP_WIDTHS with a finite M gives the h at which that term is
-    STRIP_REL of M(0), and the widest such h is taken; DomainError if no M
-    is finite.  Then |f(+-kh)| <= g(k) = 2 e^(-A k^2 + B k), A = pi Im(tau) h^2,
-    B = (2 pi |Re z| - pi) h, so n = ceil(gaussian_window) and the nodes past n
-    on both sides sum to at most 2h gaussian_tail(n + 1); DomainError where
-    nh would pass 1e4.
-
-    The bound is the strip term, plus that tail, plus ROUND_TERM + ROUND_SUM
-    UNITs of h times the rounding weight: each node adds |f| (1 + s), s the
-    magnitudes |pi i tau| x^2 + |pi (1 +- 2z)| x that form its exponent; plus
-    a TINY for each node and for the tail.  The sum is compensated, so that
-    its own error does not grow with the number of nodes.  Allows Im(tau) = 0 (the boundary case) when |Re z| < 1/2,
-    where the 1/cosh factor alone makes the integral converge.
-    """
+    """h(z;tau) = int e^(pi i tau x^2 - 2 pi z x)/cosh(pi x) dx, for Im tau > 0 by Zwegers'
+    law h(z;tau) = R(z;tau) + e^(pi i z^2/tau) R(z/tau;-1/tau)/sqrt(-i tau) (thesis, Ch. 1),
+    the prefactor in the second sum's exponent, and at tau = 0, |Re z| < 1/2, by the
+    closed form h(z;0) = sec(pi z).  Good to the two sums' bounds plus the UNIT of their
+    sum; sec to ROUND_TERM (2 + |w tan w|) UNITs of its value, w = pi z, the 2 for cos and
+    the reciprocal, w tan w for the rounding of w."""
     z, tau = complex(z), complex(tau)
-    if tau.imag < 0:
-        raise DomainError(f"tau={tau} below the real axis")
-    if tau.imag == 0 and abs(z.real) >= 0.5:
-        raise DomainError(
-            f"divergent parameter regime: Im(tau)=0 needs |Re z| < 1/2, got z={z}")
-    target = STRIP_REL * _strip_l1(z, tau, 0.0)
-    rules = [(TWO_PI * a / math.log1p(2.0 * M / target), a, M)
-             for a in STRIP_WIDTHS for M in [_strip_l1(z, tau, a)]
-             if 2.0 * M / target < 1e300]
-    if not rules:
-        raise DomainError(f"no strip bound is finite (z={z}, tau={tau})")
-    h, a, M = max(rules)
-    strip = 2.0 * M / math.expm1(TWO_PI * a / h)
-    majorant = (math.pi * tau.imag * h * h, (TWO_PI * abs(z.real) - math.pi) * h, LN2)
-    window = gaussian_window(*majorant)
-    if not window * h <= 1e4:
-        raise DomainError(f"integrand decays too slowly for quadrature (z={z}, tau={tau})")
-    n = math.ceil(window)
-    alpha = 1j * math.pi * tau
-    # f(+-x) = e^((alpha x - pi (1 +- 2z)) x) w with w = e^(pi x)/cosh(pi x)
-    # = 2/(1 + e^(-2 pi x)), which cannot overflow; 1 +- 2z is exact where it
-    # is small (Re z near -+1/2), where pi +- 2 pi z would lose the digits
-    # that the slow decay needs.  The sum is Kahan's.
-    plus, minus = math.pi * (1 + 2 * z), math.pi * (1 - 2 * z)
-    size_a, size_p, size_m = abs(alpha), abs(plus), abs(minus)
-    pi, exp, cexp = math.pi, math.exp, cmath.exp
-    value, carry, weight = 1.0, 0.0, 1.0  # f(0) = 1
-    for k in range(1, n + 1):
-        x = k * h
-        w = 2.0 / (1.0 + exp(-2.0 * pi * x))
-        fp, fm = cexp((alpha * x - plus) * x) * w, cexp((alpha * x - minus) * x) * w
-        term = fp + fm - carry
-        total = value + term
-        carry = (total - value) - term
-        value = total
-        common = 1.0 + size_a * x * x
-        weight += abs(fp) * (common + size_p * x) + abs(fm) * (common + size_m * x)
-    return EvalResult(h * value, strip + 2.0 * h * gaussian_tail(*majorant, n + 1)
-                      + (ROUND_TERM + ROUND_SUM) * UNIT * h * weight + (2 * n + 2) * TINY)
+    if tau == 0 and abs(z.real) < 0.5:
+        w = math.pi * z
+        value = 1.0 / cmath.cos(w)
+        return EvalResult(value, ROUND_TERM * UNIT * abs(value) * (2.0 + abs(w * cmath.tan(w))))
+    if not tau.imag > 0:
+        raise DomainError(f"h(z;tau) needs Im tau > 0, or tau = 0 with |Re z| < 1/2: "
+                          f"got z={z}, tau={tau}")
+    near = R(z, tau)
+    far = R(z / tau, -1 / tau, 1j * math.pi * z * z / tau - 0.5 * cmath.log(-1j * tau))
+    value = near.value + far.value
+    return EvalResult(value, near.truncation_bound + far.truncation_bound + UNIT * abs(value))
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,34 @@ def eta_product(tau, dps=40):
 
 def mordell_integral(z, tau, dps=30):
     """h(z;tau) = int e^(pi i tau x^2 - 2 pi z x)/cosh(pi x) dx at dps digits
-    by mpmath's quadrature on unit subintervals of [-X, X], X the first
+    by Gauss-Legendre quadrature on unit subintervals of [-X, X], X the first
     integer past which the majorant e^(-pi Im(tau) x^2 + (2 pi |Re z| - pi) x)
-    is below e^-80."""
-    with mp.workdps(dps):
+    is below 10^-(dps + 10)."""
+    with mp.workdps(dps + 10):
         z, tau = mp.mpc(z), mp.mpc(tau)
-        X = int(mp.ceil(_past(mp.pi * tau.imag, 2 * mp.pi * abs(z.real) - mp.pi, 0, -80)))
+        X = int(mp.ceil(_past(mp.pi * tau.imag, 2 * mp.pi * abs(z.real) - mp.pi, 0,
+                              -(dps + 10) * mp.ln(10))))
         return mp.quad(lambda x: mp.exp(mp.pi * 1j * tau * x * x - 2 * mp.pi * z * x)
-                       / mp.cosh(mp.pi * x), mp.linspace(-X, X, 2 * X + 1))
+                       / mp.cosh(mp.pi * x), mp.linspace(-X, X, 2 * X + 1),
+                       method="gauss-legendre")
+
+
+def zwegers_R(u, tau, log_factor=0, dps=40):
+    """e^log_factor R(u;tau), R = sum over half-integers n of
+    sgn(n) erfc(sgn(n) sqrt(pi) (n + a) sqrt(2y)) (-1)^(n-1/2) e^(-pi i n^2 tau - 2 pi i n u),
+    y = Im tau, a = Im u/y (Zwegers, thesis, Ch. 1), at dps digits: erfc taken
+    directly, so sgn(n) - erf loses no digits.  By erfc(X) <= min(2, e^(-X^2)) term n
+    of R is at most e^(-pi y n^2 + 2 pi |Im u| |n| + ln 2); the sum runs until that
+    majorant is below 10^-(dps + 10), and e^log_factor multiplies it."""
+    with mp.workdps(dps + 10):
+        u, tau = mp.mpc(u), mp.mpc(tau)
+        y, half = tau.imag, mp.mpf(1) / 2
+        N = int(_past(mp.pi * y, 2 * mp.pi * abs(u.imag), mp.ln(2), -(dps + 10) * mp.ln(10))) + 1
+        terms = []
+        for k in range(-N - 1, N + 1):
+            n = k + half
+            sign = 1 if n > 0 else -1
+            terms.append(sign * mp.erfc(sign * mp.sqrt(2 * mp.pi * y) * (n + u.imag / y))
+                         * mp.exp(1j * mp.pi * (n - half) - 1j * mp.pi * n * n * tau
+                                  - 2j * mp.pi * n * u))
+        return mp.exp(log_factor) * mp.fsum(terms)

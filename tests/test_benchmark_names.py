@@ -6,7 +6,10 @@ name is gone leaves its metrics out, and the benchmark run then reports
 them as null, so one test runs the probes and requires every probed
 metric that BENCHMARK.json declares.  The reference values the benchmark
 checks outputs against come from the program too, so another test
-regenerates them and requires the checked-in file byte for byte.
+regenerates them and requires the checked-in file byte for byte.  The
+benchmark's checker holds each command's rows to its own copy of the
+program's limits, so a third test requires the two copies to agree: a law
+the checker does not list fails here, not in a benchmark run.
 """
 
 import json
@@ -40,3 +43,14 @@ def test_make_reference_regenerates_the_reference(monkeypatch, tmp_path):
     make_reference.main()
     assert ((tmp_path / "reference.json").read_bytes()
             == (ROOT / "perfbench" / "reference.json").read_bytes())
+
+
+def test_the_checker_holds_each_check_to_the_program_limit(monkeypatch):
+    from oddbalanced import decomposition, transforms
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+
+    assert {law: checks.TRANSFORM_LIMITS.get(law) for law in transforms.THRESHOLDS} \
+        == transforms.THRESHOLDS
+    assert decomposition.MAX_RESIDUAL == checks.DECOMPOSITION_LIMIT

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from oddbalanced.decomposition import (
     DEFAULT_GRID,
+    MAX_RESIDUAL,
     T1,
     T2,
     T_mid,
+    _theta_of_tau,
     run_grid,
     series_lhs,
     verify_decomposition,
 )
-from oddbalanced.modular import DomainError, PoleError, eta, q0pow, qpow, theta
+from oddbalanced.modular import PoleError, eta, q0pow, qpow, theta
+from mpmath_references import theta_sum
 from test_modular import POLE_OFFSETS, POLE_TAUS, appell_refused, refused
 
 SQRT2_OVER_4 = math.sqrt(2) / 4
@@ -80,12 +83,17 @@ def test_T_mid_tracks_its_main_term_at_third():
     assert devs[2] < 1e-4
 
 
-def test_T_mid_refuses_a_divisor_below_its_bound():
-    # theta(tau;2tau) has no zero, but at Im tau = 0.012 it is 8.1e-14,
-    # under theta's error bound of 1.4e-12, and at 0.01 it is 1.3e-16
-    for t in (0.012, 0.01):
-        with pytest.raises(DomainError, match=f"Im tau={t}"):
-            T_mid(0.2, t * 1j)
+@pytest.mark.parametrize("t", [0.015, 0.012, 0.01])
+def test_small_tau_theta_factors_take_the_S_law(t):
+    # theta(tau;2tau) is 8.1e-14 at Im tau = 0.012, and summed directly its
+    # bound of 1.4e-12 is above it; by the S law its nome is e^(-pi/(2t))
+    tau = t * 1j
+    for k, m in ((1, 2), (2, 6), (4, 12)):
+        got = _theta_of_tau(k, m, tau)
+        with mp.workdps(40):
+            assert abs(got.value - theta_sum(k * tau, m * tau)) <= got.truncation_bound
+            assert got.truncation_bound < 1e-12 * abs(got.value)
+    assert verify_decomposition(0.2, tau, 3000).residual <= MAX_RESIDUAL
 
 
 def test_T2_pole_at_zero():

@@ -24,7 +24,7 @@ from oddbalanced.modular import (
     theta,
 )
 
-from mpmath_references import appell_sum, eta_product, mordell_integral, theta_sum
+from mpmath_references import appell_sum, eta_product, mordell_integral, theta_sum, zwegers_R
 
 PI_I = 1j * math.pi
 
@@ -143,25 +143,38 @@ def test_mordell_divergent_domain():
     assert abs(mordell(0.6, 1j).value) > 0
 
 
-@pytest.mark.parametrize("z, tau, reason", [
-    (0, -1j, "below the real axis"),
-    (0.1, 5 + 0j, "no strip bound is finite"),  # |Re tau| a pushes every M to inf
-    # Im tau = 0 and Re z near 1/2: the nodes would reach x = 1.45e4
-    (0.4995, 0j, "integrand decays too slowly for quadrature"),
-], ids=["lower half-plane", "no strip", "slow decay"])
-def test_mordell_refusals(z, tau, reason):
-    with pytest.raises(DomainError, match=reason):
+@pytest.mark.parametrize("z, tau", [
+    (0, -1j),
+    (0.1, 5 + 0j),  # h converges on the real axis, but R needs Im tau > 0
+    (0.3, 0.3),
+], ids=["lower half-plane", "real tau", "real tau 0.3"])
+def test_mordell_refusals(z, tau):
+    with pytest.raises(DomainError, match=r"needs Im tau > 0, or tau = 0 with \|Re z\| < 1/2"):
         mordell(z, tau)
 
 
-def test_strip_bound_that_overflows_is_inf():
-    # e^(2 pi |Im z| a) at Im z = 300 is past the float range
-    assert modular._strip_l1(0.1 + 300j, 1j, 0.49) == math.inf
+def test_mordell_refuses_a_sum_past_its_term_cap():
+    # R(z;tau) at Im tau = 1e-12 would need about 8e6 terms
+    with pytest.raises(DomainError, match=f"over {modular.V_MAX_TERMS} terms"):
+        mordell(0.1, 1e-12j)
+    with pytest.raises(DomainError, match=f"over {modular.V_MAX_TERMS} terms"):
+        modular.R(0.1, 1e-12j)
 
 
-def _assert_within_bound(z, tau, result):
-    with mp.workdps(30):
-        err = abs(mp.mpc(result.value) - mordell_integral(z, tau))
+def test_mordell_on_the_boundary_is_sec():
+    # h(z;0) = sec(pi z) in closed form, up to |Re z| < 1/2: at 0.4995 the
+    # integrand decays like e^(-0.001 pi |x|), where a quadrature would need
+    # nodes out past x = 1e4
+    for z in (0.4995, -0.4995 + 0.3j, 0.25):
+        got = mordell(z, 0)
+        with mp.workdps(40):
+            want = mp.sec(mp.pi * mp.mpc(z))
+            assert abs(got.value - want) <= got.truncation_bound, z
+
+
+def _assert_within_bound(z, tau, result, dps=30):
+    with mp.workdps(dps):
+        err = abs(mp.mpc(result.value) - mordell_integral(z, tau, dps))
     assert err <= result.truncation_bound, (z, tau, float(err), result.truncation_bound)
 
 
@@ -211,6 +224,114 @@ MORDELL_POINTS = st.one_of(
 def test_mordell_bound_holds_against_mpmath(point):
     z, tau = point
     _assert_within_bound(z, tau, mordell(z, tau))
+
+
+def _mordell_box(count, seed):
+    """count points of verify-transforms' Mordell box, drawn as _mordell_point draws them."""
+    rng = random.Random(seed)
+    return [(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1)),
+             complex(rng.uniform(-0.2, 0.2), rng.uniform(0.4, 1.5))) for _ in range(count)]
+
+
+# both sides of the Mordell law at 50 seeded points of its box; the points at
+# which lemma-ratios takes h(2z;2tau), z = j/c folded below 1/4, tau = it, down to
+# t = 0.001; and the boundary tau = 0
+MORDELL_60_DIGIT_POINTS = [
+    *(p for z, tau in _mordell_box(50, 41) for p in ((z, tau), _inverted(z, tau))),
+    *(_lemma_point(2 / c, t) for c in (5, 7) for t in (0.1, 0.05, 0.025, 0.0125, 0.001)),
+    *((z, 0) for z in (0, 0.2, -0.15 + 0.2j)),
+]
+
+
+def test_mordell_bound_holds_against_mpmath_at_60_digits():
+    for z, tau in MORDELL_60_DIGIT_POINTS:
+        _assert_within_bound(z, tau, mordell(z, tau), dps=60)
+
+
+def test_log_erfc_across_its_asymptotic_series():
+    # math.erfc below x = 26, the series past it, where erfc nears the subnormals
+    for x in (-3.0, 0.0, 5.0, 25.99, 26.0, 26.5, 27.0, 40.0, 1e3, 1e8):
+        with mp.workdps(40):
+            want = mp.log(mp.erfc(x))
+            assert abs(modular._log_erfc(x) - want) <= 4 * modular.UNIT * abs(want), x
+
+
+# R's terms, each one exponential, at points where a factor taken apart would
+# overflow or underflow: e^log_factor near the float limits, and Im tau = 1000,
+# where the dominant terms take log erfc from its asymptotic series
+_rng = random.Random(7)
+R_POINTS = [(0.3 + 0.2j, 1j, 700), (0.3 + 0.2j, 1j, -700), (0.3 + 0.2j, 1j, 300 + 50j),
+            (0, 1000j, 790), (0.1, 1000j, 790), (0.3 + 2j, 300j, 0), (0.2 + 0.3j, 300j, 240),
+            *((complex(_rng.uniform(-1, 1), _rng.uniform(-1.5, 1.5)),
+               complex(_rng.uniform(-1, 1), _rng.uniform(0.05, 2)), 0) for _ in range(30))]
+
+
+@pytest.mark.parametrize("u, tau, log_factor", R_POINTS)
+def test_R_bound_holds_against_mpmath(u, tau, log_factor):
+    got = modular.R(u, tau, log_factor)
+    with mp.workdps(70):
+        assert abs(got.value - zwegers_R(u, tau, log_factor, dps=60)) <= got.truncation_bound
+
+
+def _residual(lhs, rhs):
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+def _R(u, tau):
+    return modular.R(u, tau).value
+
+
+def test_R_satisfies_its_three_laws():
+    # Zwegers, thesis, Ch. 1: R(u+1) = -R(u), R(-u) = R(u) and
+    # R(u) + e^(-2 pi i u - pi i tau) R(u+tau) = 2 e^(-pi i u - pi i tau/4)
+    rng = random.Random(1102)
+    for _ in range(100):
+        u = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5))
+        r = _R(u, tau)
+        assert _residual(_R(u + 1, tau), -r) < 1e-12, (u, tau)
+        assert _residual(_R(-u, tau), r) < 1e-12, (u, tau)
+        assert _residual(r + cmath.exp(-2 * PI_I * u - PI_I * tau) * _R(u + tau, tau),
+                         2 * cmath.exp(-PI_I * u - PI_I * tau / 4)) < 1e-12, (u, tau)
+
+
+def _mu_hat(u, v, tau):
+    """mu's completion mu + (i/2) R(u - v;tau) (Zwegers, thesis, Ch. 1)."""
+    return mu(u, v, tau).value + 0.5j * _R(u - v, tau)
+
+
+def test_completed_mu_satisfies_its_three_laws():
+    # Zwegers, thesis, Thm 1.11, in this module's conventions: the S law's
+    # exponent takes a minus sign; on verify-transforms' Appell box
+    rng = random.Random(1111)
+    for _ in range(100):
+        u = complex(rng.uniform(0.08, 0.42), rng.uniform(0.02, 0.25))
+        v = complex(rng.uniform(0.1, 0.45), rng.uniform(-0.1, 0.1))
+        tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.5))
+        m = _mu_hat(u, v, tau)
+        assert _residual(_mu_hat(u / tau, v / tau, -1 / tau),
+                         -sqrt_neg_itau(tau) * cmath.exp(-PI_I * (u - v) ** 2 / tau) * m) < 1e-12
+        assert _residual(_mu_hat(u, v, tau + 1), cmath.exp(-PI_I / 4) * m) < 1e-12
+        assert _residual(_mu_hat(u + tau, v, tau),
+                         -cmath.exp(PI_I * tau + 2 * PI_I * (u - v)) * m) < 1e-12
+
+
+def test_theta_takes_a_factor_into_its_exponent():
+    for z, tau in ((0.3 + 0.2j, 0.5j), (0.17, 0.4 + 0.8j), (-0.5, 1j)):
+        for log_factor in (-300 + 2j, 5.0, 1j):
+            got = theta(z, tau, log_factor)
+            with mp.workdps(40):
+                want = mp.exp(log_factor) * theta_sum(z, tau)
+                assert abs(got.value - want) <= got.truncation_bound, (z, tau, log_factor)
+
+
+@pytest.mark.parametrize("t", [650, 690, 700, 1000])
+def test_eta_bound_holds_far_up_the_imaginary_axis(t):
+    # q^(1/6) is subnormal past t = 680 and underflows at 1000; in theta's
+    # exponent it costs no digit: eta(1000i) = 2.0043e-114
+    got = eta(t * 1j)
+    with mp.workdps(80):
+        assert abs(got.value - eta_product(t * 1j, dps=60)) <= got.truncation_bound
 
 
 def test_appell_and_theta_bounds_hold_against_mpmath():
