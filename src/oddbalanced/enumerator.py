@@ -240,8 +240,8 @@ def json_lines(n):
                     [sizes[j] for j, r in fit for _ in odds[r]],
                     [r for _, r in fit])
             desc, right_sizes, sums = rooms[total]
-            asc = [row[count:] for row, count in zip(ascending[left], counts)]
-            asc_sides += chain.from_iterable(map(asc.__getitem__, sums))
+            rows = ascending[left]
+            asc_sides += chain.from_iterable([rows[r][counts[r]:] for r in sums])
             desc_sides += desc
             line_tails += map(tails[len(left)].__getitem__, right_sizes)
         # a line's parts: its ascending side, the peak, its descending side

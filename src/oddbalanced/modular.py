@@ -15,17 +15,21 @@ Implements, for tau in the upper half-plane:
   ratios share.
 
 Each evaluator returns an EvalResult: the value and a bound on its error.
-theta, R and the Appell sums are Gaussian sums: each stops where a Gaussian
-majorant of its terms is below e^LOG_EPS (gaussian_window) and bounds the
-rest by a geometric series (gaussian_tail); eta and h are theta and R
-values.  Each term is one exponential, and a prefactor goes into it: the
-log_factor argument of theta and R (eta's q^(1/6), h's e^(pi i z^2/tau)/
-sqrt(-i tau)) and an Appell term's e^(pi i ell u), so nothing multiplies a
-sum after it is taken and no factor overflows or underflows apart.  Every
-bound covers float rounding too, by one rule (ROUND_TERM, ROUND_SUM), and
-underflow, by one TINY = ulp(0.0) per summed term and per tail, except that
-of evaluate_V_bounded, which covers truncation only.  theta, R and V refuse
-a sum past V_MAX_TERMS terms.
+theta, R and the Appell sums are Gaussian sums, and one rule, written once,
+counts, refuses and bounds them.  gaussian_count ends each side where a
+Gaussian majorant of the terms is below e^LOG_EPS (gaussian_window), and
+refuses a sum past its cap: V_MAX_TERMS terms for theta and R, as for V,
+and 20000 a side for an Appell sum.  gaussian_result bounds the rest by a
+geometric series a side (gaussian_tail) and adds rounding, each error
+once: a term whose exponent is built from magnitudes summing to s is good
+to ROUND_TERM (1 + s) UNITs of itself, adding K terms costs K + ROUND_SUM
+UNITs of the sum of their sizes, and a term or tail that underflows loses
+one TINY = ulp(0.0).  eta and h are theta and R values.  Every bound covers
+rounding but that of evaluate_V_bounded, which covers truncation only.  Each
+term is one exponential, and a prefactor goes into it: the log_factor
+argument of theta and R (eta's q^(1/6), h's e^(pi i z^2/tau)/sqrt(-i tau))
+and an Appell term's e^(pi i ell u), so nothing multiplies a sum after it is
+taken and no factor overflows or underflows apart.
 
 One rule refuses a divisor, the ball rule of Arb (Johansson, IEEE TC 2017):
 a value whose error bound reaches its magnitude cannot divide, since no
@@ -52,11 +56,12 @@ TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
 LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
 # exp turns an exponent's absolute error into a relative one: a term built from magnitudes
-# summing to s is good to ROUND_TERM (1 + s) UNITs, K such terms to K + ROUND_SUM times that
+# summing to s is good to ROUND_TERM (1 + s) UNITs of itself, and adding K terms costs
+# K + ROUND_SUM UNITs of the sum of their sizes (gaussian_result)
 UNIT, ROUND_TERM, ROUND_SUM = 2.0 ** -53, 4.0, 4.0
 # what a term, tail or product that underflows loses, beyond any relative budget
 TINY = math.ulp(0.0)
-# most terms one evaluation of theta or V may sum: Im tau too near 0, or |q|
+# most terms one evaluation of theta, R or V may sum: Im tau too near 0, or |q|
 # too near 1, raises instead of running for hours
 V_MAX_TERMS = 1 << 20
 
@@ -122,30 +127,54 @@ def gaussian_tail(alpha, beta, gamma, x):
     return math.exp((-alpha * x + beta) * x + gamma) / (1.0 - ratio)
 
 
+def gaussian_count(majorant, least, cap, refusal, tau):
+    """The terms a Gaussian sum takes a side: the least integer at or past both least and
+    gaussian_window(*majorant), past which every term is at most g, below e^LOG_EPS and
+    falling.  DomainError "refusal (tau=...)" where that passes cap, or is not a number."""
+    x = max(gaussian_window(*majorant), least)
+    if not x <= cap:
+        raise DomainError(f"{refusal} (tau={tau})")
+    return math.ceil(x)
+
+
+def gaussian_result(value, tails, K, norm, weight):
+    """The EvalResult of a Gaussian sum: value, the float sum of its K terms t_k, and tails,
+    the bounds on its two omitted tails.  norm = sum |t_k|, and weight = sum |t_k| (1 + s_k),
+    s_k the magnitudes that form t_k's exponent (and, for an Appell term, its denominator).
+
+    Rounding, each error counted once.  exp turns an exponent's absolute error into a
+    relative one, so t_k is good to ROUND_TERM (1 + s_k) UNITs of itself, and the K terms
+    together to ROUND_TERM UNIT weight.  Recursive summation then rounds each of its K - 1
+    partial sums, each at most norm, by at most one UNIT of itself, so it adds at most
+    (K - 1) UNIT norm; ROUND_SUM covers the second-order terms and the bound's own
+    rounding.  A term or tail that underflows loses up to TINY beyond any relative budget:
+    K + 2 of them."""
+    return EvalResult(value, tails + ROUND_TERM * UNIT * weight + (K + ROUND_SUM) * UNIT * norm
+                      + (K + 2) * TINY)
+
+
 def theta(z, tau, log_factor=0):
     """e^log_factor theta(z;tau), theta with half-integer characteristics; odd in z.  Sums
-    the half-integers in [-J, J), J = int(gaussian_window) + 4 for g(|n|), alpha = pi Im tau,
-    beta = 2 pi |Im z|, gamma = Re log_factor: log_factor goes into each term's exponent,
-    so a prefactor that would underflow or overflow alone costs no digit."""
+    the half-integers in [-J, J), J = 3 + gaussian_count (at least 1) for g(|n|),
+    alpha = pi Im tau, beta = 2 pi |Im z|, gamma = Re log_factor, at most V_MAX_TERMS in all:
+    log_factor goes into each term's exponent, so a prefactor that would underflow or
+    overflow alone costs no digit."""
     tau = _require_upper_half(tau)
     z, log_factor = complex(z), complex(log_factor)
-    alpha, beta, gamma = math.pi * tau.imag, TWO_PI * abs(z.imag), log_factor.real
-    window = gaussian_window(alpha, beta, gamma)
-    if not window < V_MAX_TERMS // 2 - 3:  # else the 2J terms would pass V_MAX_TERMS
-        raise DomainError(f"theta sum needs over {V_MAX_TERMS} terms (tau={tau})")
-    J = int(window) + 4
-    a = 1j * math.pi * tau
-    b = 2j * math.pi * (z + 0.5)
+    g = (math.pi * tau.imag, TWO_PI * abs(z.imag), log_factor.real)
+    J = 3 + gaussian_count(g, 1, V_MAX_TERMS // 2 - 3,
+                           f"theta sum needs over {V_MAX_TERMS} terms", tau)
+    a, b = 1j * math.pi * tau, 2j * math.pi * (z + 0.5)
     size_a, size_b, size_l = abs(a), abs(b), abs(log_factor)
     exp = cmath.exp
-    value, weight = 0j, 0.0
+    value, norm, weight = 0j, 0.0, 0.0
     for k in range(-J, J):
         n = k + 0.5
         term = exp((a * n + b) * n + log_factor)
         value += term
-        weight += abs(term) * (1.0 + size_a * n * n + size_b * abs(n) + size_l)
-    return EvalResult(value, 2.0 * gaussian_tail(alpha, beta, gamma, J + 0.5)
-                      + (2 * J + ROUND_SUM) * ROUND_TERM * UNIT * weight + (2 * J + 2) * TINY)
+        norm += (mag := abs(term))
+        weight += mag * (1.0 + size_a * n * n + size_b * abs(n) + size_l)
+    return gaussian_result(value, 2.0 * gaussian_tail(*g, J + 0.5), 2 * J, norm, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +221,13 @@ def R(u, tau, log_factor=0):
     tau = _require_upper_half(tau)
     u, log_factor = complex(u), complex(log_factor)
     y = tau.imag
-    alpha, beta, gamma = math.pi * y, TWO_PI * abs(u.imag), LN2 + log_factor.real
-    window = gaussian_window(alpha, beta, gamma)
-    if not window < V_MAX_TERMS // 2 - 3:  # else the 2J terms would pass V_MAX_TERMS
-        raise DomainError(f"R sum needs over {V_MAX_TERMS} terms (tau={tau})")
-    J = int(window) + 4
+    g = (math.pi * y, TWO_PI * abs(u.imag), LN2 + log_factor.real)
+    J = 3 + gaussian_count(g, 1, V_MAX_TERMS // 2 - 3, f"R sum needs over {V_MAX_TERMS} terms", tau)
     a, root = u.imag / y, math.sqrt(TWO_PI * y)
-    A = -1j * math.pi * tau
-    B = -2j * math.pi * (u - 0.5)
+    A, B = -1j * math.pi * tau, -2j * math.pi * (u - 0.5)
     size_a, size_b, size_l, size_x = abs(A), abs(B), abs(log_factor), abs(a) * root
     exp = cmath.exp
-    value, weight = 0j, 0.0
+    value, norm, weight = 0j, 0.0, 0.0
     for k in range(-J, J):
         n = k + 0.5
         sign = 1.0 if n > 0 else -1.0
@@ -211,10 +236,10 @@ def R(u, tau, log_factor=0):
         # (-1)^(n-1/2) = -i e^(pi i n): -i sign is exact
         term = -1j * sign * exp(log_erfc + (A * n + B) * n + log_factor)
         value += term
-        weight += abs(term) * (3.0 + abs(log_erfc) + 2.0 * (abs(X) + 1.0) * (abs(X) + size_x)
-                               + size_a * n * n + size_b * abs(n) + size_l)
-    return EvalResult(value, 2.0 * gaussian_tail(alpha, beta, gamma, J + 0.5)
-                      + (2 * J + ROUND_SUM) * ROUND_TERM * UNIT * weight + (2 * J + 2) * TINY)
+        norm += (mag := abs(term))
+        weight += mag * (3.0 + abs(log_erfc) + 2.0 * (abs(X) + 1.0) * (abs(X) + size_x)
+                         + size_a * n * n + size_b * abs(n) + size_l)
+    return gaussian_result(value, 2.0 * gaussian_tail(*g, J + 0.5), 2 * J, norm, weight)
 
 
 def mordell(z, tau):
@@ -262,16 +287,14 @@ def appell(ell, u, v, tau):
         raise DomainError("Appell level must be a positive integer")
     tau = _require_upper_half(tau)
     u, v = complex(u), complex(v)
-    t, alpha = tau.imag, math.pi * ell * tau.imag
-    pos = (alpha, -(alpha + TWO_PI * v.imag), LN2 - math.pi * ell * u.imag)
-    neg = (alpha, alpha - TWO_PI * (t - v.imag), LN2 + math.pi * (2 - ell) * u.imag)
-    top = max((LN2 / TWO_PI - u.imag) / t, gaussian_window(*pos), 0.0)
-    bottom = max((LN2 / TWO_PI + u.imag) / t, gaussian_window(*neg), 1.0)
-    if not max(top, bottom) <= _APPELL_MAX_TERMS:
-        raise DomainError(f"Appell sum needs over {_APPELL_MAX_TERMS} terms a side (tau={tau})")
-    top, bottom = math.ceil(top), math.ceil(bottom)
+    s, t, alpha = u.imag, tau.imag, math.pi * ell * tau.imag
+    pos = (alpha, -(alpha + TWO_PI * v.imag), LN2 - math.pi * ell * s)
+    neg = (alpha, alpha - TWO_PI * (t - v.imag), LN2 + math.pi * (2 - ell) * s)
+    refusal = f"Appell sum needs over {_APPELL_MAX_TERMS} terms a side"
+    top = gaussian_count(pos, max((LN2 / TWO_PI - s) / t, 0.0), _APPELL_MAX_TERMS, refusal, tau)
+    bottom = gaussian_count(neg, max((LN2 / TWO_PI + s) / t, 1.0), _APPELL_MAX_TERMS, refusal, tau)
     exp = cmath.exp
-    value, weight = 0j, 0.0
+    value, norm, weight = 0j, 0.0, 0.0
     for n in [*range(top), *range(-1, -bottom, -1)]:
         sign = -1.0 if (ell * n) % 2 else 1.0
         log_num = 1j * math.pi * (ell * u + 2 * n * v + ell * n * (n + 1) * tau)
@@ -285,11 +308,11 @@ def appell(ell, u, v, tau):
             raise PoleError(f"Appell denominator vanishes at n={n} (u={u}, tau={tau})")
         term = sign * exp(log_num) / (1.0 - d)
         value += term
+        norm += (mag := abs(term))
         size = math.pi * (ell * (abs(u) + abs(n * (n + 1)) * abs(tau)) + 2 * abs(n * v))
-        weight += abs(term) * (1.0 + size + size_x + slack / gap)
-    K = top + bottom - 1
-    return EvalResult(value, gaussian_tail(*pos, top) + gaussian_tail(*neg, bottom)
-                      + (K + ROUND_SUM) * ROUND_TERM * UNIT * weight + (K + 2) * TINY)
+        weight += mag * (1.0 + size + size_x + slack / gap)
+    return gaussian_result(value, gaussian_tail(*pos, top) + gaussian_tail(*neg, bottom),
+                           top + bottom - 1, norm, weight)
 
 
 def mu(u, v, tau):

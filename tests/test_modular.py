@@ -248,6 +248,16 @@ def test_mordell_bound_holds_against_mpmath_at_60_digits():
         _assert_within_bound(z, tau, mordell(z, tau), dps=60)
 
 
+def test_mordell_bound_charges_each_rounding_once():
+    # lemma-ratios' h(2z;2tau) for c = 7, t = 0.001, where R(z;0.002i) sums about 180
+    # terms: a bound that charged every term the rounding of the whole sum read
+    # 1.4e-11 here, against an error near 1e-15
+    z, tau = _lemma_point(2 / 7, 0.001)
+    got = mordell(z, tau)
+    assert got.truncation_bound <= 1e-12
+    _assert_within_bound(z, tau, got, dps=60)
+
+
 def test_log_erfc_across_its_asymptotic_series():
     # math.erfc below x = 26, the series past it, where erfc nears the subnormals
     for x in (-3.0, 0.0, 5.0, 25.99, 26.0, 26.5, 27.0, 40.0, 1e3, 1e8):
