@@ -151,8 +151,8 @@ def cmd_verify_decomposition(config):
     from . import decomposition
 
     samples = decomposition.run_grid(decomposition.load_grid(config.grid))
-    rows = [(s.z, s.tau, s.order, s.lhs, s.rhs, s.residual, s.lhs_tail) for s in samples]
-    bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual}
+    rows = [(s.z, s.tau, s.order, s.lhs, s.rhs.value, s.residual, s.lhs_tail) for s in samples]
+    bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual, "budget": s.budget}
            for s in samples if not s.residual < decomposition.MAX_RESIDUAL]
     return _rows_text(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
                              "series_tail_bound"], config), bad

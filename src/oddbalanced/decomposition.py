@@ -17,6 +17,11 @@ e^(2*pi*i*z*e), so that w^(1/2) := e^(pi*i*z).  The sign of the T1 term
 is the one the numerics force: with the opposite sign the residual is
 O(1) on every grid point, with this one it sits at rounding level.
 
+T1, T_mid and T2 return modular.EvalResults: balls built by the type's
+own arithmetic from the evaluators' balls and the powers' (_power), so
+each term, and the right side T1 + T - w*T2, carries the error of every
+input.
+
 The factors of tau alone, theta(tau;2tau), theta(2tau;6tau) and
 theta(4tau;12tau), take the S law where |w| < 1 (_theta_of_tau): summed
 directly, theta(tau;2tau) at tau = 0.012i is 8.1e-14 under its bound of
@@ -31,11 +36,13 @@ a point just off one evaluates once its divisor is above its bound.
 verify_decomposition computes the left side by summing the outer series of V
 directly (modular.evaluate_V_bounded, whose ratio tail bound holds for
 complex z too) and the right side from the modular evaluators, and reports
-the normalised residual.  Both sides are 1-periodic in z, so it first
-reduces Re z mod 1 (math.fmod, exact in binary floating point): at a
-large Re z the float w = e^(2*pi*i*z) would carry no correct digit.
-load_grid reads and checks the grid that verify-decomposition's --grid
-names.
+the normalised residual and its budget: (the series tail bound + the right
+side's radius)/max(1, |lhs|).  The budget leaves out the left side's
+rounding, which evaluate_V_bounded does not bound yet.  Both sides are
+1-periodic in z, so it first reduces Re z mod 1 (math.fmod, exact in
+binary floating point): at a large Re z the float w = e^(2*pi*i*z) would
+carry no correct digit.  load_grid reads and checks the grid that
+verify-decomposition's --grid names.
 """
 
 import cmath
@@ -69,13 +76,17 @@ def _theta_of_tau(k, m, tau):
     if abs(w) >= 1:
         return theta(k * tau, w)
     c = k / m
-    th = theta(c, -1 / w, -1j * math.pi * c * c * w - 0.5 * cmath.log(-1j * w))
-    return EvalResult(1j * th.value, th.truncation_bound)
+    return 1j * theta(c, -1 / w, -1j * math.pi * c * c * w - 0.5 * cmath.log(-1j * w))
+
+
+def _power(x, exponent):
+    """modular.qpow(x, exponent) = e^(2 pi i x exponent) as an EvalResult."""
+    return EvalResult.exp(2j * math.pi * x * exponent)
 
 
 def T1(z, tau):
     """-i q^(1/8) w^(-1/2) mu(z+1/2, 1/2, tau); invariant under z -> z+1."""
-    return -1j * qpow(tau, 0.125) * qpow(z, -0.5) * mu(z + 0.5, 0.5, tau).value
+    return -1j * _power(tau, 0.125) * _power(z, -0.5) * mu(z + 0.5, 0.5, tau)
 
 
 def T_mid(z, tau):
@@ -83,9 +94,8 @@ def T_mid(z, tau):
     # theta(tau;2tau) has no zero, but at tau = it it falls like e^(-pi/8t)
     den = divisor(_theta_of_tau(1, 2, tau),
                   f"theta(tau;2tau) is below its error bound at Im tau={tau.imag}")
-    return (-qpow(tau, -0.125) * qpow(z, -0.5)
-            * theta(0.5 + z, tau).value / den.value
-            * mu(2 * z + 0.5, 0.5, 2 * tau).value)
+    return (-_power(tau, -0.125) * _power(z, -0.5) * theta(0.5 + z, tau) / den
+            * mu(2 * z + 0.5, 0.5, 2 * tau))
 
 
 def T2(z, tau):
@@ -97,12 +107,12 @@ def T2(z, tau):
     they are not above their error bounds; theta(2tau;6tau) has no zero but,
     like T's theta(tau;2tau), falls fast as Im tau -> 0."""
     den = divisor(theta(4 * z, 4 * tau),
-                  f"theta(4z;4tau) vanishes at z={z} (z = 0, 1/4, 1/2 or 3/4 mod 1)").value
+                  f"theta(4z;4tau) vanishes at z={z} (z = 0, 1/4, 1/2 or 3/4 mod 1)")
     den_ratio = divisor(_theta_of_tau(2, 6, tau),
-                        f"theta(2tau;6tau) is below its error bound at Im tau={tau.imag}").value
-    ratio = (_theta_of_tau(4, 12, tau).value / den_ratio) ** 3
-    return (1j * qpow(tau, 11.0 / 8.0) * qpow(z, -0.5) * ratio
-            * theta(z, tau).value * theta(2 * z + tau, 2 * tau).value / den)
+                        f"theta(2tau;6tau) is below its error bound at Im tau={tau.imag}")
+    r = _theta_of_tau(4, 12, tau) / den_ratio
+    return (1j * _power(tau, 11.0 / 8.0) * _power(z, -0.5) * (r * (r * r))
+            * theta(z, tau) * theta(2 * z + tau, 2 * tau) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +124,26 @@ def series_lhs(z, tau, order):
     with the evaluator's truncation bound scaled by |(1 + w^-1) q|."""
     w = qpow(z, 1)
     q = qpow(tau, 1)
-    v = evaluate_V_bounded(w, q, order)
+    v, tail = evaluate_V_bounded(w, q, order)
     factor = (1 + 1 / w) * q
-    return factor * v.value, abs(factor) * v.truncation_bound
+    return factor * v, abs(factor) * tail
 
 
-class DecompositionSample(namedtuple("DecompositionSample",
-                                     "z tau order lhs t1 t t2 lhs_tail")):
+class DecompositionSample(namedtuple("DecompositionSample", "z tau order lhs rhs lhs_tail")):
+    """One grid point: lhs and lhs_tail from series_lhs, rhs = T1 + T - w T2 as one ball."""
     __slots__ = ()
 
     @property
-    def rhs(self):
-        return self.t1 + self.t - qpow(_mod_one(self.z), 1) * self.t2
+    def residual(self):
+        rhs, _ = self.rhs
+        return abs(rhs - self.lhs) / max(1.0, abs(self.lhs))
 
     @property
-    def residual(self):
-        return abs(self.rhs - self.lhs) / max(1.0, abs(self.lhs))
+    def budget(self):
+        """(lhs_tail + the right side's radius)/max(1, |lhs|): what the residual may carry
+        from the series tail and the evaluators, all but the left side's rounding."""
+        _, radius = self.rhs
+        return (self.lhs_tail + radius) / max(1.0, abs(self.lhs))
 
 
 def _mod_one(z):
@@ -148,13 +162,13 @@ def verify_decomposition(z, tau, order):
         raise DomainError(
             f"series tail bound {tail:.2e} too large at order {order}; increase it")
     try:
-        t1, t, t2 = T1(point, tau), T_mid(point, tau), T2(point, tau)
+        rhs = T1(point, tau) + T_mid(point, tau) - _power(point, 1) * T2(point, tau)
     except PoleError as exc:
         if point == complex(z):
             raise
         raise PoleError(f"{exc}; z={complex(z)} given, Re z taken mod 1") from None
     return DecompositionSample(z=complex(z), tau=complex(tau), order=order,
-                               lhs=lhs, t1=t1, t=t, t2=t2, lhs_tail=tail)
+                               lhs=lhs, rhs=rhs, lhs_tail=tail)
 
 
 # z values avoid 0, 1/4, 1/2, 3/4 (T2 theta zeros / mu poles)

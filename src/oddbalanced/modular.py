@@ -14,30 +14,33 @@ Implements, for tau in the upper half-plane:
   one numeric evaluator of V that the decomposition check and the lemma
   ratios share.
 
-Each evaluator returns an EvalResult: the value and a bound on its error.
-theta, R and the Appell sums are Gaussian sums, and one rule, written once,
-counts, refuses and bounds them.  gaussian_count ends each side where a
-Gaussian majorant of the terms is below e^LOG_EPS (gaussian_window), and
-refuses a sum past its cap: V_MAX_TERMS terms for theta and R, as for V,
-and 20000 a side for an Appell sum.  gaussian_result bounds the rest by a
-geometric series a side (gaussian_tail) and adds rounding, each error
-once: a term whose exponent is built from magnitudes summing to s is good
-to ROUND_TERM (1 + s) UNITs of itself, adding K terms costs K + ROUND_SUM
-UNITs of the sum of their sizes, and a term or tail that underflows loses
-one TINY = ulp(0.0).  eta and h are theta and R values.  Every bound covers
-rounding but that of evaluate_V_bounded, which covers truncation only.  Each
-term is one exponential, and a prefactor goes into it: the log_factor
-argument of theta and R (eta's q^(1/6), h's e^(pi i z^2/tau)/sqrt(-i tau))
-and an Appell term's e^(pi i ell u), so nothing multiplies a sum after it is
-taken and no factor overflows or underflows apart.
+Each evaluator returns an EvalResult: the value and a bound on its error, a
+midpoint-radius ball that does its own arithmetic (+, -, * and /, each
+adding its own rounding, and EvalResult.exp for a power of q or w), so no
+caller combines bounds by hand: mu is A_1/theta, h is R + R, and eta is -i
+times a theta value.  theta, R and the Appell sums are Gaussian sums, and
+one rule, written once, counts, refuses and bounds them.  gaussian_count
+ends each side where a Gaussian majorant of the terms is below e^LOG_EPS
+(gaussian_window), and refuses a sum past its cap: V_MAX_TERMS terms for
+theta and R, as for V, and 20000 a side for an Appell sum.  gaussian_result
+bounds the rest by a geometric series a side (gaussian_tail) and adds
+rounding, each error once: a term whose exponent is built from magnitudes
+summing to s is good to ROUND_TERM (1 + s) UNITs of itself, adding K terms
+costs K + ROUND_SUM UNITs of the sum of their sizes, and a term or tail that
+underflows loses one TINY = ulp(0.0).  Every bound covers rounding but that
+of evaluate_V_bounded, which covers truncation only.  Each term is one
+exponential, and a prefactor goes into it: the log_factor argument of theta
+and R (eta's q^(1/6), h's e^(pi i z^2/tau)/sqrt(-i tau)) and an Appell
+term's e^(pi i ell u), so nothing multiplies a sum after it is taken and no
+factor overflows or underflows apart.
 
 One rule refuses a divisor, the ball rule of Arb (Johansson, IEEE TC 2017):
 a value whose error bound reaches its magnitude cannot divide, since no
-digit of the quotient would be known.  divisor() applies it to mu's theta
-and to the theta divisors of decomposition, and appell inline to each
-1 - e^(2 pi i u) q^n against that term's own rounding.  It raises PoleError,
-a DomainError, so the CLI's one refusal (exit 2) covers poles too; no cut
-is set by hand.
+digit of the quotient would be known.  EvalResult's / applies it through
+divisor(), which mu and decomposition call first as well, to name the
+divisor they refuse; appell applies it inline to each 1 - e^(2 pi i u) q^n
+against that term's own rounding.  It raises PoleError, a DomainError, so
+the CLI's one refusal (exit 2) covers poles too; no cut is set by hand.
 
 sqrt(-i*tau) always means the principal branch, which is the convention
 validated by the transformation-law tests.
@@ -74,12 +77,71 @@ class PoleError(DomainError, ArithmeticError):
     """A divisor that is not above its own error bound: on a pole, or too near one."""
 
 
-EvalResult = namedtuple("EvalResult", "value truncation_bound")
+class EvalResult(namedtuple("EvalResult", "value truncation_bound")):
+    """A value and a bound on its error: the ball of midpoint value and radius
+    truncation_bound, which holds the exact result.  Its arithmetic is the midpoint-radius
+    rule of Arb (Johansson, IEEE TC 2017): each operation takes the float result of the
+    midpoints, propagates the operands' radii, and adds its own rounding in UNITs of its
+    result.  With a, b the midpoints and ra, rb the radii of x, y (a plain number is exact,
+    rb = 0), and v the result's midpoint:
+
+        x + y:  ra + rb + |v| UNIT: complex addition rounds each part once, so the sum is
+                good to one UNIT of itself.  x - y is x + (-y), and -x is exact.
+        x * y:  |a| rb + (|b| + rb) ra + 4 |v| UNIT: a complex product is good to sqrt 5
+                UNITs of itself (Brent, Percival and Zimmermann, Math. Comp. 2007), and a
+                real factor is taken as complex.
+        x / y:  (ra + |v| rb)/(|b| - rb) + 4 |v| UNIT, since x/y - a/b = ((x - a) - (a/b)
+                (y - b))/y; PoleError by divisor's rule where |b| <= rb.  CPython divides by
+                the scaled (Smith) formula, whose quotient was measured within 3.5 UNITs of
+                itself on 10^6 points, near-equal parts of the divisor and a local search
+                for the worst among them.
+
+    exp(x) is e^x of a float exponent x formed from a few products, good to ROUND_TERM
+    (1 + |x|) UNITs of itself, the rule gaussian_result charges each term.
+
+    Not charged: underflow and overflow, and the rounding of the radius itself, a few flops
+    in round-to-nearest that may leave it a few UNITs of itself short, more for / near its
+    refusal, where |b| - rb takes the float |b|."""
+    __slots__ = ()
+
+    @classmethod
+    def exp(cls, x):
+        value = cmath.exp(x)
+        return cls(value, ROUND_TERM * UNIT * abs(value) * (1.0 + abs(x)))
+
+    def __neg__(self):
+        return EvalResult(-self.value, self.truncation_bound)
+
+    def __add__(self, other):
+        (a, ra), (b, rb) = self, _ball(other)
+        value = a + b
+        return EvalResult(value, ra + rb + UNIT * abs(value))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        (a, ra), (b, rb) = self, _ball(other)
+        value = a * b
+        return EvalResult(value, abs(a) * rb + (abs(b) + rb) * ra + 4.0 * UNIT * abs(value))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        (a, ra), (b, rb) = self, divisor(_ball(other), "a divisor is below its error bound")
+        value = a / b
+        return EvalResult(value, (ra + abs(value) * rb) / (abs(b) - rb) + abs(value) * 4 * UNIT)
+
+
+def _ball(x):
+    """x as a (value, bound) pair; a plain number is exact."""
+    return x if isinstance(x, EvalResult) else (x, 0.0)
 
 
 def divisor(result, message):
     """result, if |value| > its bound; else PoleError(message): no digit of a quotient is known."""
-    if not abs(result.value) > result.truncation_bound:
+    value, bound = result
+    if not abs(value) > bound:
         raise PoleError(message)
     return result
 
@@ -183,10 +245,10 @@ def theta(z, tau, log_factor=0):
 
 def eta(tau):
     """eta(tau) = sum_n (-1)^n q^((6n-1)^2/24) = -i q^(1/6) theta(-tau; 3tau) (the
-    pentagonal number theorem), q^(1/6) in theta's exponent: theta's bound."""
+    pentagonal number theorem), q^(1/6) in theta's exponent: theta's bound, and the
+    product's rounding."""
     tau = _require_upper_half(tau)
-    th = theta(-tau, 3 * tau, 2j * math.pi * tau / 6.0)
-    return EvalResult(-1j * th.value, th.truncation_bound)
+    return -1j * theta(-tau, 3 * tau, 2j * math.pi * tau / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +308,8 @@ def mordell(z, tau):
     """h(z;tau) = int e^(pi i tau x^2 - 2 pi z x)/cosh(pi x) dx, for Im tau > 0 by Zwegers'
     law h(z;tau) = R(z;tau) + e^(pi i z^2/tau) R(z/tau;-1/tau)/sqrt(-i tau) (thesis, Ch. 1),
     the prefactor in the second sum's exponent, and at tau = 0, |Re z| < 1/2, by the
-    closed form h(z;0) = sec(pi z).  Good to the two sums' bounds plus the UNIT of their
-    sum; sec to ROUND_TERM (2 + |w tan w|) UNITs of its value, w = pi z, the 2 for cos and
+    closed form h(z;0) = sec(pi z).  Good to the bound of the two sums' sum (EvalResult's
+    +); sec to ROUND_TERM (2 + |w tan w|) UNITs of its value, w = pi z, the 2 for cos and
     the reciprocal, w tan w for the rounding of w."""
     z, tau = complex(z), complex(tau)
     if tau == 0 and abs(z.real) < 0.5:
@@ -257,10 +319,8 @@ def mordell(z, tau):
     if not tau.imag > 0:
         raise DomainError(f"h(z;tau) needs Im tau > 0, or tau = 0 with |Re z| < 1/2: "
                           f"got z={z}, tau={tau}")
-    near = R(z, tau)
-    far = R(z / tau, -1 / tau, 1j * math.pi * z * z / tau - 0.5 * cmath.log(-1j * tau))
-    value = near.value + far.value
-    return EvalResult(value, near.truncation_bound + far.truncation_bound + UNIT * abs(value))
+    return R(z, tau) + R(z / tau, -1 / tau,
+                         1j * math.pi * z * z / tau - 0.5 * cmath.log(-1j * tau))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +376,10 @@ def appell(ell, u, v, tau):
 
 
 def mu(u, v, tau):
-    """A_1(u,v,tau)/theta(v;tau), good to (a + |mu| b)/(|theta| - b) + 4 |mu| UNITs;
+    """A_1(u,v,tau)/theta(v;tau), good to the quotient's bound (EvalResult's /);
     PoleError where theta(v;tau) is not above its bound (divisor)."""
     th = divisor(theta(v, tau), f"theta({v};{tau}) is below its error bound; mu undefined")
-    ap = appell(1, u, v, tau)
-    value = ap.value / th.value
-    a, b = ap.truncation_bound, th.truncation_bound
-    return EvalResult(value, (a + abs(value) * b) / (abs(th.value) - b) + abs(value) * 4 * UNIT)
+    return appell(1, u, v, tau) / th
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,9 @@ FORCED_FAILURES = [
     pytest.param(
         ["verify-decomposition"], decomposition, "run_grid",
         lambda grid: [decomposition.DecompositionSample(
-            z=0j, tau=1j, order=10, lhs=1 + 0j, t1=2 + 0j, t=0j, t2=0j, lhs_tail=0.0)],
-        "z,tau,order,lhs,rhs,residual,series_tail_bound\n0j,1j,10,(1+0j),(2+0j),1.0,0.0\n",
-        [{"z": "0j", "tau": "1j", "residual": 1.0}],
+            z=0j, tau=1j, order=10, lhs=1 + 0j, rhs=EvalResult(2 + 0j, 0.5), lhs_tail=0.25)],
+        "z,tau,order,lhs,rhs,residual,series_tail_bound\n0j,1j,10,(1+0j),(2+0j),1.0,0.25\n",
+        [{"z": "0j", "tau": "1j", "residual": 1.0, "budget": 0.75}],
         id="verify-decomposition"),
     pytest.param(
         ["equidistribution", "--moduli", "3", "--checkpoints", "20,60"], asymptotics,
@@ -314,6 +314,21 @@ def test_a_point_in_a_pole_band_is_one_line_or_a_row(tmp_path, capsys, pole, dz,
     else:
         assert code in (0, 1) and len(captured.out.splitlines()) == 2
         assert len(captured.err.splitlines()) == code and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("z_re, tau_re", [(0.25 + 1e-6, 0.0), (0.5 + 1e-13, 0.0),
+                                          (0.25 + 1e-13, 0.0), (0.75 + 1e-12, 0.0),
+                                          (0.5 + 1e-12, 0.5)])
+def test_a_failed_point_near_a_pole_records_a_budget_above_its_residual(tmp_path, capsys,
+                                                                        z_re, tau_re):
+    # the check still fails there, and the budget says why: the Appell and
+    # theta rounding that a divisor near 0 amplifies is in the right side's radius
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"z_re": z_re, "tau_re": tau_re, "tau_im": 0.8}]))
+    code, captured = run_cli(["verify-decomposition", "--grid", str(grid)], capsys)
+    assert code == 1
+    [record] = json.loads(captured.err)["detail"]
+    assert decomposition.MAX_RESIDUAL <= record["residual"] <= record["budget"]
 
 
 def test_asym_report_c1(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -18,7 +19,7 @@ from oddbalanced.decomposition import (
     verify_decomposition,
 )
 from oddbalanced.modular import PoleError, eta, q0pow, qpow, theta
-from mpmath_references import theta_sum
+from mpmath_references import appell_sum, theta_sum
 from test_modular import POLE_OFFSETS, POLE_TAUS, appell_refused, refused
 
 SQRT2_OVER_4 = math.sqrt(2) / 4
@@ -39,15 +40,15 @@ def T2_limit_w1(tau):
 
 
 def test_T1_finite_and_periodic():
-    val = T1(1 / 3, 0.9j)
+    val = T1(1 / 3, 0.9j).value
     assert abs(val) > 0 and abs(val) < 10
     # mu flips sign under z -> z+1 while w^(-1/2) contributes e^(-pi i)
-    assert abs(T1(1 / 3 + 1, 0.9j) - val) < 1e-10 * abs(val)
+    assert abs(T1(1 / 3 + 1, 0.9j).value - val) < 1e-10 * abs(val)
 
 
 def test_T1_bounded_towards_real_axis():
     for t in (0.1, 0.05, 0.02):
-        assert abs(T1(0.0, t * 1j)) < 1.0
+        assert abs(T1(0.0, t * 1j).value) < 1.0
 
 
 def test_T_mid_growth_constant():
@@ -55,14 +56,14 @@ def test_T_mid_growth_constant():
     devs = []
     for t in (0.1, 0.05, 0.02):
         tau = t * 1j
-        val = T_mid(0.0, tau) * q0pow(tau, 1 / 16)
+        val = T_mid(0.0, tau).value * q0pow(tau, 1 / 16)
         devs.append(abs(val - SQRT2_OVER_4))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 0.02
 
 
 def test_T_mid_finite_generic():
-    assert abs(T_mid(1 / 3, 0.9j)) < 10
+    assert abs(T_mid(1 / 3, 0.9j).value) < 10
 
 
 def test_T_mid_tracks_its_main_term_at_third():
@@ -78,7 +79,7 @@ def test_T_mid_tracks_its_main_term_at_third():
         main = (-qpow(z, -0.5) * SQRT2_OVER_4
                 * mordell(1 - 2 * z, 2 * tau).value
                 * q0pow(tau, z * z / 2 - 1 / 16) * qpow(tau, 0.125))
-        devs.append(abs(T_mid(z, tau) / main - 1))
+        devs.append(abs(T_mid(z, tau).value / main - 1))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-4
 
@@ -94,6 +95,43 @@ def test_small_tau_theta_factors_take_the_S_law(t):
             assert abs(got.value - theta_sum(k * tau, m * tau)) <= got.truncation_bound
             assert got.truncation_bound < 1e-12 * abs(got.value)
     assert verify_decomposition(0.2, tau, 3000).residual <= MAX_RESIDUAL
+
+
+def T_references(z, tau):
+    """T1, T and T2 at 40 digits, each from appell_sum and theta_sum by its definition."""
+    with mp.workdps(40):
+        z, tau, half = mp.mpc(z), mp.mpc(tau), mp.mpf(1) / 2
+        w_half = mp.exp(-1j * mp.pi * z)
+
+        def q(exponent):
+            return mp.exp(2j * mp.pi * tau * exponent)
+
+        def mu(u, t):
+            return appell_sum(1, u, half, t) / theta_sum(half, t)
+
+        t1 = -1j * q(mp.mpf(1) / 8) * w_half * mu(z + half, tau)
+        t = (-q(-mp.mpf(1) / 8) * w_half * theta_sum(half + z, tau) / theta_sum(tau, 2 * tau)
+             * mu(2 * z + half, 2 * tau))
+        t2 = (1j * q(mp.mpf(11) / 8) * w_half
+              * (theta_sum(4 * tau, 12 * tau) / theta_sum(2 * tau, 6 * tau)) ** 3
+              * theta_sum(z, tau) * theta_sum(2 * z + tau, 2 * tau) / theta_sum(4 * z, 4 * tau))
+        return t1, t, t2
+
+
+_SEEDED = random.Random(44)
+T_POINTS = ([(z, tau) for z, tau, _ in DEFAULT_GRID]
+            + [(0.2, 0.015j), (0.2, 0.03j), (0.25 + 1e-6, 0.8j)]
+            + [(complex(_SEEDED.uniform(0, 1), _SEEDED.uniform(-0.3, 0.3)),
+                complex(_SEEDED.uniform(-0.5, 0.5), _SEEDED.uniform(0.15, 1.0)))
+               for _ in range(20)])
+
+
+@pytest.mark.parametrize("z, tau", T_POINTS)
+def test_each_term_is_within_its_radius_of_its_40_digit_value(z, tau):
+    # the default grid, the S law's small tau, a point near an Appell pole,
+    # and seeded points of the strip
+    for got, want in zip((T1(z, tau), T_mid(z, tau), T2(z, tau)), T_references(z, tau)):
+        assert abs(got.value - want) <= got.truncation_bound
 
 
 def test_T2_pole_at_zero():
@@ -122,11 +160,11 @@ def test_each_term_refuses_exactly_where_a_divisor_is_not_above_its_bound(pole, 
             with pytest.raises(PoleError):
                 term(z, tau)
         else:
-            assert cmath.isfinite(term(z, tau))
+            assert cmath.isfinite(term(z, tau).value)
 
 
 def test_T2_finite_generic():
-    assert abs(T2(1 / 3, 0.8j)) < 10
+    assert abs(T2(1 / 3, 0.8j).value) < 10
 
 
 def test_T2_magnitude_tracks_exponent():
@@ -136,7 +174,7 @@ def test_T2_magnitude_tracks_exponent():
     norm = []
     for t in (0.1, 0.05):
         tau = t * 1j
-        norm.append(abs(T2(z, tau)) * math.sqrt(t) / abs(q0pow(tau, expo)))
+        norm.append(abs(T2(z, tau).value) * math.sqrt(t) / abs(q0pow(tau, expo)))
     assert 0.8 < norm[0] / norm[1] < 1.25
 
 
@@ -145,8 +183,8 @@ def test_T2_limit_extrapolation():
     # then reproduces the closed-form limit
     for tau in (0.9j, 0.7j, 1.1j):
         z1, z2 = 1e-2, 1e-3
-        s1 = (T2(z1, tau) + T2(-z1, tau)) / 2
-        s2 = (T2(z2, tau) + T2(-z2, tau)) / 2
+        s1 = (T2(z1, tau).value + T2(-z1, tau).value) / 2
+        s2 = (T2(z2, tau).value + T2(-z2, tau).value) / 2
         extrap = (z1 * z1 * s2 - z2 * z2 * s1) / (z1 * z1 - z2 * z2)
         limit = T2_limit_w1(tau)
         assert abs(extrap - limit) < 1e-6 * abs(limit)

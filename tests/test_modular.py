@@ -1,16 +1,19 @@
 import cmath
 import math
+import operator
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oddbalanced import InputError, modular, transforms
 from oddbalanced.genfunc import evaluate_V
 from oddbalanced.modular import (
     DomainError,
+    EvalResult,
     PoleError,
     _require_upper_half,
     appell,
@@ -555,6 +558,95 @@ def test_appell_refuses_exactly_where_a_denominator_is_not_above_its_rounding(po
             appell(1, u, 0.3, tau)
     else:
         assert cmath.isfinite(appell(1, u, 0.3, tau).value)
+
+
+# ---------------------------------------------------------------------------
+# EvalResult's arithmetic, held to exact rational arithmetic
+# ---------------------------------------------------------------------------
+
+# parts and radii are 0 or between 1e-100 and 1e100, so that no operation
+# underflows or overflows: EvalResult charges neither (modular's TINY is the
+# evaluators' rule for underflow)
+_SIZES = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
+_PARTS = st.builds(lambda sign, size: sign * size, st.sampled_from((1.0, -1.0)), _SIZES)
+_MIDS = st.builds(complex, _PARTS, _PARTS)
+# a radius of any size, or one of the midpoint's size, where each operand's radius and
+# a divisor's nearness to its refusal show
+_BALLS = st.one_of(st.builds(EvalResult, _MIDS, _SIZES),
+                   st.builds(lambda mid, scale: EvalResult(mid, scale * abs(mid)), _MIDS,
+                             st.floats(0.0, 2.0)))
+# an offset in the closed unit disc, exactly
+_OFFSETS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+    lambda d: Fraction(d[0]) ** 2 + Fraction(d[1]) ** 2 <= 1)
+_OPERATIONS = {
+    "+": (operator.add, lambda p, q: (p[0] + q[0], p[1] + q[1])),
+    "-": (operator.sub, lambda p, q: (p[0] - q[0], p[1] - q[1])),
+    "*": (operator.mul, lambda p, q: (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])),
+    "/": (operator.truediv, lambda p, q: ((p[0] * q[0] + p[1] * q[1]) / (q[0] ** 2 + q[1] ** 2),
+                                          (p[1] * q[0] - p[0] * q[1]) / (q[0] ** 2 + q[1] ** 2))),
+}
+
+
+def _exact_point(x, offset):
+    """x's midpoint plus its radius times offset, as two Fractions; a plain number is exact."""
+    value, radius = x if isinstance(x, EvalResult) else (x, 0.0)
+    return (Fraction(value.real) + Fraction(radius) * Fraction(offset[0]),
+            Fraction(value.imag) + Fraction(radius) * Fraction(offset[1]))
+
+
+# each operation's roughest case found, with exact operands: the error is 0.9993
+# UNITs of the sum, 1.876 of the product and 3.41 of the quotient, so a smaller
+# constant than EvalResult's fails here
+@example(x=EvalResult(-1.2787469841831576 + 0.37883245916447544j, 0.0),
+         y=1.2801649499608165 - 0.1286721074075993j, dx=(0.0, 0.0), dy=(0.0, 0.0),
+         op="+", swap=False)
+@example(x=EvalResult(0.29035653631571345 + 0.26856995682133605j, 0.0),
+         y=0.24111834354064293 + 0.22211977095376828j, dx=(0.0, 0.0), dy=(0.0, 0.0),
+         op="*", swap=True)
+@example(x=EvalResult(0.14708864889062245 + 0.1486027266698003j, 0.0),
+         y=EvalResult(0.5984669016152755 + 0.5562588094302624j, 0.0), dx=(0.0, 0.0),
+         dy=(0.0, 0.0), op="/", swap=False)
+# the far edges of both operands, where each radius's share of the result's counts
+@example(x=EvalResult(0j, 1.0), y=EvalResult(0j, 1.0), dx=(1.0, 0.0), dy=(1.0, 0.0), op="*",
+         swap=False)
+@example(x=EvalResult(1 + 0j, 1.0), y=EvalResult(2 + 0j, 1.0), dx=(1.0, 0.0), dy=(-1.0, 0.0),
+         op="/", swap=False)
+@settings(max_examples=400, deadline=None)
+@given(x=_BALLS, y=st.one_of(_BALLS, _MIDS), dx=_OFFSETS, dy=_OFFSETS,
+       op=st.sampled_from(sorted(_OPERATIONS)), swap=st.booleans())
+def test_each_operation_holds_the_exact_result_of_any_points_of_its_operands(x, y, dx, dy,
+                                                                            op, swap):
+    # The radius is its formula in round-to-nearest, a few flops deep, so it is
+    # held to within 8 UNITs of itself.  A divisor with rb <= |b|/2 keeps the
+    # float |b| - rb good to 2 UNITs of itself; nearer its refusal, |b|'s own
+    # rounding is not charged (CHANGES, FOUND).
+    floats, exact = _OPERATIONS[op]
+    p, q = _exact_point(x, dx), _exact_point(y, dy)
+    if op == "/":
+        b, rb = y if isinstance(y, EvalResult) else (y, 0.0)
+        if not abs(b) > rb:
+            with pytest.raises(PoleError):
+                x / y
+            return
+        assume(rb <= abs(b) / 2)
+    if op == "*" and swap:
+        got, want = floats(y, x), exact(q, p)
+    else:
+        got, want = floats(x, y), exact(p, q)
+    err = (Fraction(got.value.real) - want[0]) ** 2 + (Fraction(got.value.imag) - want[1]) ** 2
+    assert err <= (Fraction(got.truncation_bound) * (1 + 8 * Fraction(modular.UNIT))) ** 2
+
+
+@pytest.mark.parametrize("divisor, refused", [
+    (0j, True), (EvalResult(3 + 4j, 5.0), True), (EvalResult(1 + 0j, math.inf), True),
+    (EvalResult(3 + 4j, math.nextafter(5.0, 0)), False), (EvalResult(1e-300j, 0.0), False),
+])
+def test_division_refuses_exactly_where_the_divisor_is_not_above_its_radius(divisor, refused):
+    if refused:
+        with pytest.raises(PoleError, match="below its error bound"):
+            EvalResult(1 + 0j, 0.0) / divisor
+    else:
+        assert cmath.isfinite((EvalResult(1 + 0j, 0.0) / divisor).value)
 
 
 # ---------------------------------------------------------------------------
