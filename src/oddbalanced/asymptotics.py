@@ -9,8 +9,10 @@ correct; nstr prints them in mpmath.nstr's format.  Exact integers from
 the expansion modules enter only the ratio, as one correctly rounded
 division.  Each exact report is one function from a RankTable to its rows:
 asym_report returns a list of ReportRow (at c = 1 from the table reduced
-mod 1, the totals), logconcavity_scan one LogConcavityReport.  The
-settings of each report come from its caller (cli.COMMANDS); only
+mod 1, the totals), logconcavity_scan one LogConcavityReport.  Each
+report's command has its entry here (cmd_asym_report, cmd_equidistribution,
+cmd_logconcavity_scan, cmd_lemma_ratios), which passes the report its
+settings and holds the command's pass rule and default checkpoints; only
 asym_report's dps has a default, DEFAULT_DPS.  No third-party
 package is needed, and decimal is imported inside the functions that
 evaluate a main term, so only asym-report loads it.  modular is
@@ -22,6 +24,8 @@ logconcavity-scan) never load it.
 import math
 from collections import namedtuple
 from functools import cache
+
+from . import InputError
 
 DEFAULT_DPS = 50
 
@@ -273,3 +277,106 @@ def lemma_ratio_report(moduli, t_values):
                     deviation=abs(val.value / main - 1.0),
                     series_tail_bound=val.truncation_bound))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The commands: each runs its report and applies its pass rule
+# ---------------------------------------------------------------------------
+
+# the default checkpoints: equidistribution's and asym-report's at a
+# residue class, and asym-report's totals (--c 1)
+RESIDUE_CHECKPOINTS = (150, 600)
+TOTAL_CHECKPOINTS = (100, 400, 1600)
+
+
+def _fmt(x):
+    # str of a float or complex is its shortest round-trip repr
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return str(x)
+
+
+def _check_residue(config):
+    if config.residue >= config.modulus:
+        raise InputError(f"need a < c, got a={config.residue}, c={config.modulus}")
+
+
+def cmd_asym_report(config):
+    """The `asym-report` command: asym_report's rows, the main term and ratio to
+    --precision digits; it checks nothing.  An even c needs --allow-even."""
+    from . import genfunc
+
+    _check_residue(config)
+    if config.modulus % 2 == 0 and not config.allow_even:
+        raise InputError(f"c={config.modulus} is even, so no main term applies; "
+                         "pass --allow-even to tabulate the exact counts only")
+    c = config.modulus
+    checkpoints = config.checkpoints or (TOTAL_CHECKPOINTS if c == 1 else RESIDUE_CHECKPOINTS)
+    # the table reduced mod c; at c = 1 its one column is the totals v(n)
+    table = genfunc.expand_V_rank(max(checkpoints), c)
+    rows = asym_report(config.residue, c, checkpoints, table, dps=config.precision)
+    header = ReportRow._fields[:4 if c == 1 else 5]  # one class: no statistic
+    digits = config.precision
+    return [(r.n, r.exact, _fmt(nstr(r.main_term, digits)), _fmt(nstr(r.ratio, digits)),
+             r.equidistribution_stat)[:len(header)] for r in rows], header, None
+
+
+def cmd_equidistribution(config):
+    """The `equidistribution` command: each modulus's statistic at each checkpoint; a
+    modulus fails where it does not shrink from the least checkpoint to the largest."""
+    from . import genfunc
+
+    checkpoints = config.checkpoints or RESIDUE_CHECKPOINTS
+    genfunc.check_budget(max(checkpoints), max(config.moduli))  # before any expansion
+    rows, failures = [], []
+    for c in config.moduli:
+        table = genfunc.expand_V_rank(max(checkpoints), c)
+        stats = [(n, equidistribution_stat(table, c, n)) for n in sorted(checkpoints)]
+        rows += [(c, n, stat) for n, stat in stats]
+        if stats[-1][1] >= stats[0][1]:
+            failures.append({"c": c, "stats": dict(stats)})
+    return rows, ("c", "n", "stat"), failures
+
+
+def cmd_logconcavity_scan(config):
+    """The `logconcavity-scan` command: logconcavity_scan's report as one row (the
+    pass rule is in the comment below)."""
+    from . import genfunc
+
+    _check_residue(config)
+    n_max = config.n_max
+    table = genfunc.expand_V_rank(n_max + 1, config.modulus)
+    pbar = genfunc.expand_overpartition(n_max + 1)
+    r = logconcavity_scan(config.residue, config.modulus, n_max, table, pbar)
+    row = {"residue": r.residue, "modulus": r.modulus, "n_max": r.n_max,
+           "square_threshold": r.square_threshold,
+           "square_violation_count": len(r.square_violations),
+           "square_fails_to_end": r.square_fails_to_end,
+           "double_threshold": r.double_threshold, "double_scan_max": r.double_scan_max,
+           "double_violation_count": len(r.double_violations),
+           "bound_threshold": r.bound_threshold,
+           "bound_violation_count": len(r.bound_violations)}
+    # The squared reading failing all the way to the top is an expected
+    # finding (the counts grow log-concavely): it is reported in the
+    # square_fails_to_end column, loudly, but does not fail the run.  The
+    # doubled-argument reading and the overpartition bound are unambiguous
+    # claims and must stabilise below the top of the range.
+    failure = ({"reading": "doubled-argument", "threshold": r.double_threshold}
+               if r.double_fails_to_end else
+               {"reading": "overpartition-bound", "threshold": r.bound_threshold}
+               if r.bound_fails_to_end else None)
+    return [tuple(map(_fmt, row.values()))], tuple(row), failure
+
+
+def cmd_lemma_ratios(config):
+    """The `lemma-ratios` command: lemma_ratio_report's rows; a (c, j) fails where its
+    deviation at the least t is not below its deviation at the largest."""
+    rows = lemma_ratio_report(config.moduli, config.t_values)
+    devs = {}  # (c, j) -> {t: deviation}, in the order of the rows
+    for r in rows:
+        devs.setdefault((r.c, r.j), {})[r.t] = r.deviation
+    failures = [{"c": c, "j": j, "devs": d} for (c, j), d in devs.items()
+                if not d[min(d)] < d[max(d)]]
+    return rows, LemmaRatioRow._fields, failures

@@ -8,30 +8,34 @@ produce identical bytes.  Exit codes: 0 all checks passed, 1 a threshold
 check failed (a JSON failure record goes to stderr), 2 usage error (a
 one-line message goes to stderr).
 
-Each handler cmd_<command>(config) returns (text, failure): the
-command's whole output, and the detail of its failure record when a
-check failed (None or empty when every check passed).  dispatch alone
-writes the text to --output or stdout (through _write, as --help writes
-its text), then the failure record to stderr, and returns the exit code.
-Every refusal is one InputError, from the parser, an option's domain,
-_write (an --output or stdout that cannot take every byte) or a layer
-(genfunc's expansions, decomposition.load_grid, modular); main alone
-turns it, or a value that leaves the float range, into the one-line
-message and exit 2.  stderr is written best effort.
+Each command runs in its layer: COMMANDS names the module, and dispatch
+imports it and calls its cmd_<command>(config), which returns (rows,
+header, failure): the output's rows and their header (for enumerate its
+text chunks, and no header), and the detail of its failure record when a
+check failed (None or empty when every check passed).  The entry keeps
+the command's pass rule beside the limit it reads, and the rules that tie
+two values together (a < c, an even c only with --allow-even).  dispatch
+alone formats the rows, writes them to --output or stdout (through
+_write, as --help writes its text), then the failure record to stderr,
+and returns the exit code.  Every refusal is one InputError, from the
+parser, an option's domain, _write (an --output or stdout that cannot
+take every byte) or a layer; main alone turns it, or a value that leaves
+the float range, into the one-line message and exit 2.  stderr is
+written best effort.
 
 Each option's range has one home, the domain column of COMMANDS: dispatch
-checks every value against it before the handler runs, and --help prints
-it.  A list option's domain holds its least length too.  The handlers
-keep only the rules that tie two values together: a < c and an even c
-only with --allow-even.  A check's limit is no option: verify-transforms
-holds each law to transforms.THRESHOLDS, verify-decomposition each point
-to decomposition.MAX_RESIDUAL.
+checks every value against it before the entry runs, and --help prints
+it.  A list option's domain holds its least length too.  A default that
+a layer chooses (--checkpoints) is None in the table, and only --help
+imports that layer to print it.
 
-Each command starts in a fresh process, so start-up is part of its cost.
-Importing this module loads no other module of the package and nothing
-the interpreter has not loaded already: the argv parser is a table
-(COMMANDS), not argparse, and each handler imports the layers it runs.
-The exact commands load genfunc (the reports also asymptotics, never
+Each command starts in a fresh process, so start-up is part of its cost,
+and where no bytecode is cached every run compiles this module from
+source.  So it holds the front end alone, and its import loads no other
+module of the package nor anything the interpreter has not loaded: the
+argv parser is a table (COMMANDS), not argparse.  No layer imports it:
+under -m it runs as __main__, and an import would compile it again.  The
+exact commands load genfunc (the reports also asymptotics, never
 modular), enumerate loads enumerator, and the numeric commands load
 modular with transforms, decomposition or asymptotics, never the exact
 engine.  json loads only for --format json, a --grid file or a failure
@@ -45,12 +49,8 @@ finalization, two full garbage collections over every live object and
 the teardown of every module, which nothing here needs: _write flushes
 stdout inside the try that makes a failed write a usage error, _stderr
 flushes each line it writes, an --output file is closed by its with
-block, and no atexit handler is registered.  The teardown grows with
-what a command leaves alive, since the collections visit every live
-object (a rank table's integers, the rows and text of the output) and
-the teardown every module the command loaded, and a bare interpreter
-pays its own share besides.  main(argv) returns its code and never ends
-the process, so in-process callers see no change.
+block, and no atexit handler is registered.  main(argv) returns its code
+and never ends the process, so in-process callers see no change.
 
 The argv grammar: a command, then its options in any order, each written
 --flag value or --flag=value; --allow-even alone takes no value.  Every
@@ -81,22 +81,13 @@ class RunConfig:
     """The settings of one run, named as COMMANDS stores them.
     RunConfig(command, **settings) takes the command's defaults from
     COMMANDS and then the given settings, so every default has its one
-    home in the table."""
+    home in the table, or in the layer where the table holds None."""
 
     def __init__(self, command, **settings):
         self.command = command
         for dest, _, default, _ in _options(command).values():
             setattr(self, dest, default)
         vars(self).update(settings)
-
-
-def _fmt(x):
-    # str of a float or complex is its shortest round-trip repr
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(x).lower()
-    return str(x)
 
 
 def _rows_text(rows, header, config):
@@ -120,49 +111,6 @@ def _rows_text(rows, header, config):
     return ",".join(header) + "\n" + (line * len(rows)) % tuple(cells)
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_expand(config):
-    from . import genfunc
-
-    table = genfunc.expand_V_rank(config.n_max)
-    return _rows_text(table.nonzero_items(), ["n", "m", "count"], config), None
-
-
-def cmd_enumerate(config):
-    from . import enumerator
-
-    return enumerator.json_lines(config.n), None
-
-
-def cmd_verify_transforms(config):
-    from . import transforms
-
-    rows = transforms.all_rows(seed=config.seed)
-    limits = transforms.THRESHOLDS
-    failures = [{"law": r.law, "point": r.point, "residual": r.residual,
-                 "limit": limits[r.law]} for r in rows if not r.residual < limits[r.law]]
-    return _rows_text(rows, transforms.LawResidual._fields, config), failures
-
-
-def cmd_verify_decomposition(config):
-    from . import decomposition
-
-    samples = decomposition.run_grid(decomposition.load_grid(config.grid))
-    rows = [(s.z, s.tau, s.order, s.lhs, s.rhs.value, s.residual, s.lhs_tail) for s in samples]
-    bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual, "budget": s.budget}
-           for s in samples if not s.residual < decomposition.MAX_RESIDUAL]
-    return _rows_text(rows, ["z", "tau", "order", "lhs", "rhs", "residual",
-                             "series_tail_bound"], config), bad
-
-
-def _check_residue(config):
-    if config.residue >= config.modulus:
-        raise InputError(f"need a < c, got a={config.residue}, c={config.modulus}")
-
-
 # the digits of asym-report's main terms and ratios; each main term is
 # computed to this many digits plus decimal's guard digits, and its cost
 # grows with them
@@ -177,94 +125,6 @@ MAX_ENUMERATE_N = 36
 # where each power packs 501 fields of 29 bytes
 MAX_MODULUS = 1000
 
-# the default checkpoints: equidistribution's and asym-report's at a
-# residue class, and asym-report's totals (--c 1)
-RESIDUE_CHECKPOINTS = (150, 600)
-TOTAL_CHECKPOINTS = (100, 400, 1600)
-
-
-def cmd_asym_report(config):
-    from . import asymptotics, genfunc
-
-    _check_residue(config)
-    if config.modulus % 2 == 0 and not config.allow_even:
-        raise InputError(f"c={config.modulus} is even, so no main term applies; "
-                         "pass --allow-even to tabulate the exact counts only")
-    c = config.modulus
-    checkpoints = config.checkpoints or (TOTAL_CHECKPOINTS if c == 1
-                                         else RESIDUE_CHECKPOINTS)
-    # the table reduced mod c; at c = 1 its one column is the totals v(n)
-    table = genfunc.expand_V_rank(max(checkpoints), c)
-    rows = asymptotics.asym_report(config.residue, c, checkpoints, table,
-                                   dps=config.precision)
-    header = asymptotics.ReportRow._fields[:4 if c == 1 else 5]  # one class: no statistic
-    nstr, digits = asymptotics.nstr, config.precision
-    return _rows_text([(r.n, r.exact, _fmt(nstr(r.main_term, digits)), _fmt(nstr(r.ratio, digits)),
-                        r.equidistribution_stat)[:len(header)] for r in rows], header, config), None
-
-
-def cmd_equidistribution(config):
-    from . import asymptotics, genfunc
-
-    checkpoints = config.checkpoints
-    genfunc.check_budget(max(checkpoints), max(config.moduli))  # before any expansion
-    rows = []
-    failures = []  # the moduli whose statistic did not shrink
-    for c in config.moduli:
-        table = genfunc.expand_V_rank(max(checkpoints), c)
-        stats = [(n, asymptotics.equidistribution_stat(table, c, n))
-                 for n in sorted(checkpoints)]
-        rows += [(c, n, stat) for n, stat in stats]
-        if stats[-1][1] >= stats[0][1]:
-            failures.append({"c": c, "stats": dict(stats)})
-    return _rows_text(rows, ["c", "n", "stat"], config), failures
-
-
-def cmd_logconcavity_scan(config):
-    from . import asymptotics, genfunc
-
-    _check_residue(config)
-    n_max = config.n_max
-    table = genfunc.expand_V_rank(n_max + 1, config.modulus)
-    pbar = genfunc.expand_overpartition(n_max + 1)
-    report = asymptotics.logconcavity_scan(config.residue, config.modulus,
-                                           n_max, table, pbar)
-    row = {
-        "residue": report.residue,
-        "modulus": report.modulus,
-        "n_max": report.n_max,
-        "square_threshold": report.square_threshold,
-        "square_violation_count": len(report.square_violations),
-        "square_fails_to_end": report.square_fails_to_end,
-        "double_threshold": report.double_threshold,
-        "double_scan_max": report.double_scan_max,
-        "double_violation_count": len(report.double_violations),
-        "bound_threshold": report.bound_threshold,
-        "bound_violation_count": len(report.bound_violations),
-    }
-    # The squared reading failing all the way to the top is an expected
-    # finding (the counts grow log-concavely): it is reported in the
-    # square_fails_to_end column, loudly, but does not fail the run.  The
-    # doubled-argument reading and the overpartition bound are unambiguous
-    # claims and must stabilise below the top of the range.
-    failure = ({"reading": "doubled-argument", "threshold": report.double_threshold}
-               if report.double_fails_to_end else
-               {"reading": "overpartition-bound", "threshold": report.bound_threshold}
-               if report.bound_fails_to_end else None)
-    return _rows_text([tuple(map(_fmt, row.values()))], list(row), config), failure
-
-
-def cmd_lemma_ratios(config):
-    from . import asymptotics
-
-    rows = asymptotics.lemma_ratio_report(config.moduli, config.t_values)
-    devs = {}  # (c, j) -> {t: deviation}, in the order of the rows
-    for r in rows:
-        devs.setdefault((r.c, r.j), {})[r.t] = r.deviation
-    failures = [{"c": c, "j": j, "devs": d} for (c, j), d in devs.items()
-                if not d[min(d)] < d[max(d)]]
-    return _rows_text(rows, asymptotics.LemmaRatioRow._fields, config), failures
-
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
@@ -272,39 +132,43 @@ def cmd_lemma_ratios(config):
 
 def dispatch(config):
     """Check every option's value against its domain, run the command's
-    handler, write its text to --output (or stdout) and return the exit
-    code: 1, after a JSON failure record on stderr, when a check failed,
-    else 0."""
+    entry in its layer, write its text to --output (or stdout) and return
+    the exit code: 1, after a JSON failure record on stderr, when a check
+    failed, else 0."""
     for flag, (dest, _, _, domain) in _options(config.command).items():
         value = getattr(config, dest)
         if domain and value is not None and not domain[1](value):
             raise InputError(f"{flag} must be {domain[0]}, got {_typed(value)}")
-    # the handler is looked up when it runs, so a wrapper put on a cmd_*
-    # attribute of this module sees the call
-    text, failure = globals()["cmd_" + config.command.replace("-", "_")](config)
-    _write(text, config.output)
+    from importlib import import_module
+
+    command = config.command
+    layer = import_module("." + COMMANDS[command][2], __package__)
+    # the entry is looked up when it runs, so a wrapper put on it sees the call
+    rows, header, failure = getattr(layer, "cmd_" + command.replace("-", "_"))(config)
+    _write(rows if header is None else [_rows_text(rows, header, config)], config.output)
     if not failure:
         return EXIT_OK
     import json
 
-    record = {"status": "fail", "check": config.command, "detail": failure}
+    record = {"status": "fail", "check": command, "detail": failure}
     _stderr(json.dumps(record) + "\n")
     return EXIT_CHECK_FAILED
 
 
-def _write(text, output=None):
-    """Write text to the file output, or to stdout where output is None,
-    and flush it; a target that cannot take every byte raises InputError.
-    The flush is made here, where a failure is a usage error, because run
-    ends the process without the interpreter's flush at exit."""
+def _write(chunks, output=None):
+    """Write the list of texts chunks to the file output, or to stdout
+    where output is None, and flush it; a target that cannot take every
+    byte raises InputError.  The flush is made here, where a failure is a
+    usage error, because run ends the process without the interpreter's
+    flush at exit."""
     try:
         if output is not None:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         elif sys.stdout is None:  # the process started with fd 1 closed
             raise OSError("it is closed")
         elif not hasattr(sys.stdout, "buffer"):  # a text stream in process
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
             # through the binary stream, looping on its count: under
@@ -313,12 +177,13 @@ def _write(text, output=None):
             # the rest unseen
             stdout = sys.stdout
             stdout.flush()
-            data = memoryview(text.encode(stdout.encoding, stdout.errors))
-            while data:
-                written = stdout.buffer.write(data)
-                if written is None:  # a non-blocking fd that is full
-                    raise OSError("it would block")
-                data = data[written:]
+            for chunk in chunks:
+                data = memoryview(chunk.encode(stdout.encoding, stdout.errors))
+                while data:
+                    written = stdout.buffer.write(data)
+                    if written is None:  # a non-blocking fd that is full
+                        raise OSError("it would block")
+                    data = data[written:]
             stdout.buffer.flush()
     except OSError as exc:
         target = "stdout" if output is None else f"--output {output}"
@@ -372,11 +237,13 @@ def _list_of(entry, least=1):
             lambda values: len(values) >= least and all(map(test, values)))
 
 
-# Every command's help line and options, {flag: (dest, parse, default,
-# domain)}.  A parse of None marks a bare flag, which sets True.  A domain
-# is None or (text, test): dispatch refuses a value that fails the test,
-# a list value as a whole (_list_of).  _COMMON follows every command's own
-# options, but for a flag the command maps to None (enumerate's --format).
+# Every command's help line, options, {flag: (dest, parse, default,
+# domain)}, and layer, the module whose cmd_<command> runs it.  A parse of
+# None marks a bare flag, which sets True.  A default of None is no value,
+# or one the layer chooses (--checkpoints).  A domain is None or (text,
+# test): dispatch refuses a value that fails the test, a list value as a
+# whole (_list_of).  _COMMON follows every command's own options, but for
+# a flag the command maps to None (enumerate's --format).
 _COMMON = {
     "--format": ("fmt", _format, "csv", None),
     "--output": ("output", str, None, None),
@@ -384,16 +251,16 @@ _COMMON = {
 COMMANDS = {
     "expand": ("dump the exact rank table v(m,n) (the 2^28-bit budget "
                "admits --n-max to 6373)",
-               {"--n-max": ("n_max", int, 10, _within(0))}),
+               {"--n-max": ("n_max", int, 10, _within(0))}, "genfunc"),
     "enumerate": ("list all sequences of size 2n+2 as JSON lines",
                   {"--n": ("n", int, 5, _within(0, MAX_ENUMERATE_N)),
-                   "--format": None}),
+                   "--format": None}, "enumerator"),
     "verify-transforms": ("residual table for the transformation laws", {
-        "--seed": ("seed", int, 20260810, None)}),
+        "--seed": ("seed", int, 20260810, None)}, "transforms"),
     "verify-decomposition": (
         "residuals of the three-term decomposition identity (--grid is "
         '"default" or a JSON file of {z_re, z_im, tau_re, tau_im, order})', {
-            "--grid": ("grid", str, "default", None)}),
+            "--grid": ("grid", str, "default", None)}, "decomposition"),
     "asym-report": (
         "exact counts vs main term at checkpoints (--allow-even tabulates an "
         "even c without the main term; the 2^28-bit budget admits checkpoints "
@@ -402,23 +269,23 @@ COMMANDS = {
             "--c": ("modulus", int, 1, _within(1, MAX_MODULUS)),
             "--checkpoints": ("checkpoints", _int_list, None, _list_of(_within(1))),
             "--allow-even": ("allow_even", None, False, None),
-            "--precision": ("precision", int, 50, _within(30, MAX_PRECISION))}),
+            "--precision": ("precision", int, 50, _within(30, MAX_PRECISION))}, "asymptotics"),
     "equidistribution": ("max_a |c v(a,c;n)/v(n) - 1| at checkpoints", {
         "--moduli": ("moduli", _int_list, (3, 5, 7), _list_of(_within(2, MAX_MODULUS))),
-        "--checkpoints": ("checkpoints", _int_list, RESIDUE_CHECKPOINTS,
-                          _list_of(_within(1), 2))}),
+        "--checkpoints": ("checkpoints", _int_list, None, _list_of(_within(1), 2))},
+        "asymptotics"),
     "logconcavity-scan": (
         "product inequalities and the overpartition bound (the 2^28-bit "
         "budget admits --n-max to 151144 at c = 1)", {
         "--a": ("residue", int, 0, _within(0)),
         "--c": ("modulus", int, 1, _within(1, MAX_MODULUS)),
-        "--n-max": ("n_max", int, 600, _within(1))}),
+        "--n-max": ("n_max", int, 600, _within(1))}, "asymptotics"),
     # an odd c >= 3 puts no z = j/c at 1/4, 1/2 or 3/4
     "lemma-ratios": ("series value over interval main term at z=j/c", {
         "--moduli": ("moduli", _int_list, (3, 5), _list_of((
             f"odd, 3..{MAX_MODULUS}", lambda c: 3 <= c <= MAX_MODULUS and c % 2))),
         "--t-values": ("t_values", _float_list, (0.1, 0.05, 0.025), _list_of((
-            "positive and finite", lambda t: 0 < t < math.inf), 2))}),
+            "positive and finite", lambda t: 0 < t < math.inf), 2))}, "asymptotics"),
 }
 
 
@@ -433,15 +300,18 @@ def _typed(value):
     return (",".join(map(str, value)) or '""') if isinstance(value, tuple) else str(value)
 
 
-def _default_text(flag, parse, default):
+def _default_text(command, flag, parse, default):
     """An option's default for --help: as it is typed, or in words where
     the default is no value."""
     if parse is None:
         return "(a bare flag)"
     if default is not None:
         return _typed(default)
-    if flag == "--checkpoints":  # asym-report's, chosen by --c
-        return f"{_typed(TOTAL_CHECKPOINTS)} at --c 1, else {_typed(RESIDUE_CHECKPOINTS)}"
+    if flag == "--checkpoints":  # asymptotics' own, for asym-report chosen by --c
+        from .asymptotics import RESIDUE_CHECKPOINTS, TOTAL_CHECKPOINTS
+
+        return (_typed(RESIDUE_CHECKPOINTS) if command == "equidistribution" else
+                f"{_typed(TOTAL_CHECKPOINTS)} at --c 1, else {_typed(RESIDUE_CHECKPOINTS)}")
     return "(stdout)"
 
 
@@ -451,15 +321,15 @@ def _help(command=None):
     usage = f"usage: oddbalanced {command or '<command>'} [--flag value | --flag=value ...]"
     if command is None:
         lines = [usage, "commands:"]
-        lines += [f"  {name:22}{text}" for name, (text, _) in COMMANDS.items()]
+        lines += [f"  {name:22}{text}" for name, (text, _, _) in COMMANDS.items()]
         lines.append("every command takes --output FILE (default stdout); all but "
                      "enumerate take --format csv|json")
     else:
         lines = [usage, COMMANDS[command][0], "options, their defaults and domains:"]
-        lines += [f"  {flag:16}{_default_text(flag, parse, default)}"
+        lines += [f"  {flag:16}{_default_text(command, flag, parse, default)}"
                   + (f" ({domain[0]})" if domain else "")
                   for flag, (_, parse, default, domain) in _options(command).items()]
-    _write("\n".join(lines) + "\n")
+    _write(["\n".join(lines) + "\n"])
     raise SystemExit(EXIT_OK)
 
 

@@ -42,7 +42,8 @@ rounding, which evaluate_V_bounded does not bound yet.  Both sides are
 1-periodic in z, so it first reduces Re z mod 1 (math.fmod, exact in
 binary floating point): at a large Re z the float w = e^(2*pi*i*z) would
 carry no correct digit.  load_grid reads and checks the grid that
-verify-decomposition's --grid names.
+verify-decomposition's --grid names, and the command's entry,
+cmd_verify_decomposition, fails each point not below MAX_RESIDUAL.
 """
 
 import cmath
@@ -218,3 +219,14 @@ def load_grid(source):
                      complex(_grid_number(p, "tau_re", 0.0), _grid_number(p, "tau_im")),
                      int(order)))
     return grid
+
+
+def cmd_verify_decomposition(config):
+    """The `verify-decomposition` command: a row for each point of load_grid(--grid), and
+    a failure, with its budget, for each point whose residual is not below MAX_RESIDUAL."""
+    samples = run_grid(load_grid(config.grid))
+    # a row prints the right side's midpoint; its radius is in the budget
+    rows = [(s.z, s.tau, s.order, s.lhs, s.rhs[0], s.residual, s.lhs_tail) for s in samples]
+    bad = [{"z": repr(s.z), "tau": repr(s.tau), "residual": s.residual, "budget": s.budget}
+           for s in samples if not s.residual < MAX_RESIDUAL]
+    return rows, ("z", "tau", "order", "lhs", "rhs", "residual", "series_tail_bound"), bad

@@ -9,8 +9,9 @@ the independent oracle for the series expansion.
 One engine (_peak_groups) generates the sequences in groups that share
 the peak and both sides' even parts; at each peak it pairs a left side
 only with the right sides that fit in the room it leaves.
-enumerate_sequences flattens the groups into records; json_lines writes
-the `enumerate` command's text from the same groups, one join per peak.
+enumerate_sequences flattens the groups into records; json_lines builds
+`enumerate`'s text (cmd_enumerate, which checks nothing) from the same
+groups, one text per peak.
 Its sides come from two tables (ascending, descending) keyed by the even
 parts, whose row r holds the side texts for the odd multisets of sum r
 that some peak admits, largest part first.  Each row is built once, at
@@ -212,7 +213,8 @@ def json_lines(n):
     leave one room and meet the same rights, so a room's descending sides
     are listed once, in the order of its lines; each left adds its
     ascending sides and the tails of its ranks.  A peak's text is one join
-    of every line's four parts, with no string per line or group."""
+    of every line's four parts, with no string per line or group; the
+    list of the peaks' texts is returned, never joined."""
     size = 2 * n + 2
     before = [str(k) + "," for k in range(size + 1)]
     after = ["," + str(k) for k in range(size + 1)]
@@ -253,7 +255,12 @@ def json_lines(n):
         texts.append("".join(parts))
     # the top peak's last tail starts no line
     texts[-1] = texts[-1][:-len(head)]
-    return "".join(texts)
+    return texts
+
+
+def cmd_enumerate(config):
+    """The `enumerate` command: json_lines(--n), one text per peak; it checks nothing."""
+    return json_lines(config.n), None, None
 
 
 def count_rank_table(n_max):

@@ -53,7 +53,8 @@ Overpartitions are 1/phi(-q), one division by phi(-q), the module's
 only divisor (_div_phi_minus_q).  This module is exact only: numeric
 values of V come from modular.evaluate_V_bounded, the outer sum taken at
 a point in O(terms) complex operations with a ratio tail bound;
-evaluate_V here is a thin caller of it.
+evaluate_V here is a thin caller of it.  cmd_expand is the `expand`
+command's entry, and checks nothing.
 """
 
 from functools import reduce
@@ -326,3 +327,8 @@ def expand_overpartition(order):
         raise ValueError("order must be >= 0")
     return _div_phi_minus_q([1] + [0] * order)
 
+
+def cmd_expand(config):
+    """The `expand` command: the rank table to --n-max as (n, m, count) rows;
+    it checks nothing."""
+    return expand_V_rank(config.n_max).nonzero_items(), ("n", "m", "count"), None

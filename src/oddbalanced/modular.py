@@ -16,9 +16,10 @@ Implements, for tau in the upper half-plane:
 
 Each evaluator returns an EvalResult: the value and a bound on its error, a
 midpoint-radius ball that does its own arithmetic (+, -, * and /, each
-adding its own rounding, and EvalResult.exp for a power of q or w), so no
-caller combines bounds by hand: mu is A_1/theta, h is R + R, and eta is -i
-times a theta value.  theta, R and the Appell sums are Gaussian sums, and
+adding its own rounding and rounding its radius up, and EvalResult.exp
+for a power of q or w), so no caller combines bounds by hand: mu is
+A_1/theta, h is R + R, and eta is -i times a theta value.  theta, R and
+the Appell sums are Gaussian sums, and
 one rule, written once, counts, refuses and bounds them.  gaussian_count
 ends each side where a Gaussian majorant of the terms is below e^LOG_EPS
 (gaussian_window), and refuses a sum past its cap: V_MAX_TERMS terms for
@@ -35,11 +36,11 @@ term's e^(pi i ell u), so nothing multiplies a sum after it is taken and no
 factor overflows or underflows apart.
 
 One rule refuses a divisor, the ball rule of Arb (Johansson, IEEE TC 2017):
-a value whose error bound reaches its magnitude cannot divide, since no
-digit of the quotient would be known.  EvalResult's / applies it through
-divisor(), which mu and decomposition call first as well, to name the
-divisor they refuse; appell applies it inline to each 1 - e^(2 pi i u) q^n
-against that term's own rounding.  It raises PoleError, a DomainError, so
+a value whose error bound reaches its magnitude, less the magnitude's own
+rounding, cannot divide: no digit of the quotient would be known.
+EvalResult's / applies it through divisor(), which mu and decomposition
+call first as well, to name the divisor they refuse; appell applies it
+inline to each 1 - e^(2 pi i u) q^n against that term's own rounding.  It raises PoleError, a DomainError, so
 the CLI's one refusal (exit 2) covers poles too; no cut is set by hand.
 
 sqrt(-i*tau) always means the principal branch, which is the convention
@@ -62,6 +63,8 @@ LOG_EPS = -45.0  # e^-45 ~ 3e-20, comfortably below double precision noise
 # summing to s is good to ROUND_TERM (1 + s) UNITs of itself, and adding K terms costs
 # K + ROUND_SUM UNITs of the sum of their sizes (gaussian_result)
 UNIT, ROUND_TERM, ROUND_SUM = 2.0 ** -53, 4.0, 4.0
+# the factor that rounds an EvalResult's radius up past the rounding of its own flops
+UP = 1.0 + 8.0 * UNIT
 # what a term, tail or product that underflows loses, beyond any relative budget
 TINY = math.ulp(0.0)
 # most terms one evaluation of theta, R or V may sum: Im tau too near 0, or |q|
@@ -90,24 +93,25 @@ class EvalResult(namedtuple("EvalResult", "value truncation_bound")):
         x * y:  |a| rb + (|b| + rb) ra + 4 |v| UNIT: a complex product is good to sqrt 5
                 UNITs of itself (Brent, Percival and Zimmermann, Math. Comp. 2007), and a
                 real factor is taken as complex.
-        x / y:  (ra + |v| rb)/(|b| - rb) + 4 |v| UNIT, since x/y - a/b = ((x - a) - (a/b)
-                (y - b))/y; PoleError by divisor's rule where |b| <= rb.  CPython divides by
-                the scaled (Smith) formula, whose quotient was measured within 3.5 UNITs of
-                itself on 10^6 points, near-equal parts of the divisor and a local search
-                for the worst among them.
+        x / y:  (ra + |v| rb)/(|b| - rb - |b| UNIT) + 4 |v| UNIT, since x/y - a/b = ((x - a)
+                - (a/b) (y - b))/y and the exact |y| is at least |b| - rb less the float |b|'s
+                own rounding; PoleError by divisor's rule where that is not above 0.  CPython
+                divides by the scaled (Smith) formula, whose quotient was measured within 3.5
+                UNITs of itself on 10^6 points, near-equal parts of the divisor and a local
+                search for the worst among them.
 
     exp(x) is e^x of a float exponent x formed from a few products, good to ROUND_TERM
     (1 + |x|) UNITs of itself, the rule gaussian_result charges each term.
 
-    Not charged: underflow and overflow, and the rounding of the radius itself, a few flops
-    in round-to-nearest that may leave it a few UNITs of itself short, more for / near its
-    refusal, where |b| - rb takes the float |b|."""
+    Each radius, a few flops in round-to-nearest, is then rounded up by the factor UP =
+    1 + 8 UNIT, which covers those flops' own rounding.  Not charged: underflow and
+    overflow."""
     __slots__ = ()
 
     @classmethod
     def exp(cls, x):
         value = cmath.exp(x)
-        return cls(value, ROUND_TERM * UNIT * abs(value) * (1.0 + abs(x)))
+        return cls(value, ROUND_TERM * UNIT * abs(value) * (1.0 + abs(x)) * UP)
 
     def __neg__(self):
         return EvalResult(-self.value, self.truncation_bound)
@@ -115,7 +119,7 @@ class EvalResult(namedtuple("EvalResult", "value truncation_bound")):
     def __add__(self, other):
         (a, ra), (b, rb) = self, _ball(other)
         value = a + b
-        return EvalResult(value, ra + rb + UNIT * abs(value))
+        return EvalResult(value, (ra + rb + UNIT * abs(value)) * UP)
 
     def __sub__(self, other):
         return self + -other
@@ -123,14 +127,15 @@ class EvalResult(namedtuple("EvalResult", "value truncation_bound")):
     def __mul__(self, other):
         (a, ra), (b, rb) = self, _ball(other)
         value = a * b
-        return EvalResult(value, abs(a) * rb + (abs(b) + rb) * ra + 4.0 * UNIT * abs(value))
+        return EvalResult(value, (abs(a) * rb + (abs(b) + rb) * ra + 4.0 * UNIT * abs(value)) * UP)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         (a, ra), (b, rb) = self, divisor(_ball(other), "a divisor is below its error bound")
-        value = a / b
-        return EvalResult(value, (ra + abs(value) * rb) / (abs(b) - rb) + abs(value) * 4 * UNIT)
+        value, size = a / b, abs(b)
+        return EvalResult(value, ((ra + abs(value) * rb) / (size - rb - UNIT * size)
+                                  + abs(value) * 4 * UNIT) * UP)
 
 
 def _ball(x):
@@ -139,9 +144,11 @@ def _ball(x):
 
 
 def divisor(result, message):
-    """result, if |value| > its bound; else PoleError(message): no digit of a quotient is known."""
+    """result, if |value| less its own rounding (UNIT |value|) is above its bound; else
+    PoleError(message): no digit of a quotient is known."""
     value, bound = result
-    if not abs(value) > bound:
+    size = abs(value)
+    if not size - bound > UNIT * size:
         raise PoleError(message)
     return result
 

@@ -5,7 +5,8 @@ deterministic pseudo-random grid: the caller's seed (verify-transforms
 --seed) fixes the points, so CLI output is byte-stable.  FAMILIES holds
 the grids: 6 theta/eta laws at each of 20 points, one Appell and one
 Mordell law at 10 points each, and h(0;0) = 1 makes 141 rows in all.
-THRESHOLDS holds each law's residual ceiling; no option moves it.
+THRESHOLDS holds each law's residual ceiling; no option moves it.  The
+command's entry, cmd_verify_transforms, fails each row not below its law's.
 
 modular.mordell takes h from Zwegers' R, h(z;tau) = R(z;tau) +
 e^(pi i z^2/tau) R(z/tau;-1/tau)/sqrt(-i tau), and R is even in u, so the
@@ -112,3 +113,12 @@ def all_rows(seed):
     rows.append(LawResidual("mordell_value_at_origin", "z=0;tau=0",
                             abs(mordell(0, 0).value - 1.0)))
     return rows
+
+
+def cmd_verify_transforms(config):
+    """The `verify-transforms` command: all_rows(--seed), and a failure for each row whose
+    residual is not below its law's THRESHOLDS entry."""
+    rows = all_rows(seed=config.seed)
+    failures = [{"law": r.law, "point": r.point, "residual": r.residual,
+                 "limit": THRESHOLDS[r.law]} for r in rows if not r.residual < THRESHOLDS[r.law]]
+    return rows, LawResidual._fields, failures

@@ -74,7 +74,8 @@ def build_parser():
     sp = sub.add_parser("equidistribution",
                         help="max_a |c v(a,c;n)/v(n) - 1| at checkpoints")
     sp.add_argument("--moduli", type=_int_list, default=(3, 5, 7))
-    sp.add_argument("--checkpoints", type=_int_list, default=(150, 600))
+    # no value: the layer, asymptotics, chooses the default checkpoints
+    sp.add_argument("--checkpoints", type=_int_list, default=None)
     common(sp)
 
     sp = sub.add_parser("logconcavity-scan",

@@ -635,10 +635,11 @@ def test_json_rows_match_json_dumps(capsys):
 def test_json_writer_matches_json_dumps(rows):
     header = ["text", "n"]
     # the writer takes tuples in header order; None and bool cells are
-    # converted by the handler that builds the row
-    text = cli._rows_text([tuple(cli._fmt(r.get(k)) for k in header) for r in rows], header,
+    # converted by the command entry that builds the row (asymptotics._fmt)
+    fmt = asymptotics._fmt
+    text = cli._rows_text([tuple(fmt(r.get(k)) for k in header) for r in rows], header,
                           cli.RunConfig(command="expand", fmt="json"))
-    payload = [{k: cli._fmt(r.get(k)) for k in header} for r in rows]
+    payload = [{k: fmt(r.get(k)) for k in header} for r in rows]
     assert text == json.dumps(payload, indent=1) + "\n"
 
 
@@ -892,8 +893,9 @@ def test_cli_import_loads_only_the_standard_library(tmp_path):
 
 
 # no command loads the kernels, argparse or fractions, and only
-# asym-report loads decimal
-_NEVER = {"kernels", "argparse", "fractions"}
+# asym-report loads decimal; no layer imports cli, which runs as __main__,
+# so a second import would compile it again
+_NEVER = {"kernels", "argparse", "fractions", "cli"}
 _NUMERIC_ABSENT = {"genfunc", "enumerator", "json", "decimal"} | _NEVER
 _EXACT_ABSENT = {"modular", "json", "cmath"} | _NEVER
 

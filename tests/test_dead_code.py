@@ -10,10 +10,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oddbalanced"
 
 # module.name -> what reads it, though no code of the package references it by name
 ALLOWED = {
-    **{f"cli.cmd_{command}": "cli.main's dispatch, which finds each handler by its command's name"
-       for command in ("expand", "enumerate", "verify_transforms", "verify_decomposition",
-                       "asym_report", "equidistribution", "logconcavity_scan",
-                       "lemma_ratios")},
+    **{f"{layer}.cmd_{command}": "cli.dispatch, which finds each command's entry by its name "
+                                 "in the layer that COMMANDS names"
+       for layer, command in (("genfunc", "expand"), ("enumerator", "enumerate"),
+                              ("transforms", "verify_transforms"),
+                              ("decomposition", "verify_decomposition"),
+                              *(("asymptotics", command) for command in (
+                                  "asym_report", "equidistribution", "logconcavity_scan",
+                                  "lemma_ratios")))},
     "enumerator.OddBalancedSequence._make": "namedtuple's constructor hook (_replace calls it)",
     **{f"kernels.{name}": "the benchmark's per-layer probes, by name (ROADMAP item 2)"
        for name in ("shifted_add", "shifted_add_one", "acc_add", "table_mul_w",

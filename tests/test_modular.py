@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddbalanced import InputError, modular, transforms
@@ -513,8 +513,10 @@ POLE_OFFSETS = (0.0, 1e-13, 1e-12, 1e-9)
 
 
 def refused(result):
-    """The one divisor rule: no digit of a quotient by result is known."""
-    return not abs(result.value) > result.truncation_bound
+    """The one divisor rule: no digit of a quotient by result is known, since |value|,
+    less its own rounding, is not above the bound."""
+    size = abs(result.value)
+    return not size - result.truncation_bound > modular.UNIT * size
 
 
 def appell_refused(u, tau):
@@ -575,6 +577,18 @@ _MIDS = st.builds(complex, _PARTS, _PARTS)
 _BALLS = st.one_of(st.builds(EvalResult, _MIDS, _SIZES),
                    st.builds(lambda mid, scale: EvalResult(mid, scale * abs(mid)), _MIDS,
                              st.floats(0.0, 2.0)))
+
+
+def _near_refusal(mid, steps):
+    """mid as a divisor whose radius is `steps` floats below |mid|."""
+    radius = abs(mid)
+    for _ in range(steps):
+        radius = math.nextafter(radius, 0.0)
+    return EvalResult(mid, radius)
+
+
+# divisors at their refusal: a radius from 0 to 8 ulps below the midpoint's size
+_AT_REFUSAL = st.builds(_near_refusal, _MIDS, st.integers(0, 8))
 # an offset in the closed unit disc, exactly
 _OFFSETS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
     lambda d: Fraction(d[0]) ** 2 + Fraction(d[1]) ** 2 <= 1)
@@ -611,35 +625,49 @@ def _exact_point(x, offset):
          swap=False)
 @example(x=EvalResult(1 + 0j, 1.0), y=EvalResult(2 + 0j, 1.0), dx=(1.0, 0.0), dy=(-1.0, 0.0),
          op="/", swap=False)
+# where a radius rounded to nearest, and not up, misses the exact result: a sum, a
+# product and a quotient, each at its operands' far edges, and a quotient by a divisor
+# whose float |b| is above its exact one, 1 ulp from its refusal
+@example(x=EvalResult(0j, 1.0), y=EvalResult(0j, 1e-16), dx=(1.0, 0.0), dy=(1.0, 0.0), op="+",
+         swap=False)
+@example(x=EvalResult(1.9666446620369578 - 0.7752643431608237j, 2.113936145794154),
+         y=EvalResult(-1.8213747836905374 - 1.5054104115567428j, 2.3629783346207796),
+         dx=(0.9303235889834021, -0.3667397166670689),
+         dy=(-0.7707962265269093, -0.6370817664726228), op="*", swap=False)
+@example(x=EvalResult(0j, 0.27374545224597113), y=-3.918805942064476 - 0.4530273204267834j,
+         dx=(1.0, 0.0), dy=(0.0, 0.0), op="/", swap=False)
+@example(x=EvalResult(0.745935416716319 + 1.8761626011763979j, 0.0),
+         y=EvalResult(-1.8982165560261568 + 0.16564989117398632j, 1.9054306547386488),
+         dx=(0.0, 0.0), dy=(0.9962139274423073, -0.08693567029691092), op="/", swap=False)
+# a divisor one float below its refusal, its exact point nearest 0 on its edge
+@example(x=EvalResult(1 + 0j, 0.0), y=_near_refusal(5 + 0j, 1), dx=(0.0, 0.0), dy=(-1.0, 0.0),
+         op="/", swap=False)
 @settings(max_examples=400, deadline=None)
-@given(x=_BALLS, y=st.one_of(_BALLS, _MIDS), dx=_OFFSETS, dy=_OFFSETS,
+@given(x=_BALLS, y=st.one_of(_BALLS, _MIDS, _AT_REFUSAL), dx=_OFFSETS, dy=_OFFSETS,
        op=st.sampled_from(sorted(_OPERATIONS)), swap=st.booleans())
 def test_each_operation_holds_the_exact_result_of_any_points_of_its_operands(x, y, dx, dy,
                                                                             op, swap):
-    # The radius is its formula in round-to-nearest, a few flops deep, so it is
-    # held to within 8 UNITs of itself.  A divisor with rb <= |b|/2 keeps the
-    # float |b| - rb good to 2 UNITs of itself; nearer its refusal, |b|'s own
-    # rounding is not charged (CHANGES, FOUND).
+    # The radius is its formula rounded up (modular.UP), so the exact result is
+    # inside it with no allowance, divisors at their refusal included
     floats, exact = _OPERATIONS[op]
     p, q = _exact_point(x, dx), _exact_point(y, dy)
-    if op == "/":
-        b, rb = y if isinstance(y, EvalResult) else (y, 0.0)
-        if not abs(b) > rb:
-            with pytest.raises(PoleError):
-                x / y
-            return
-        assume(rb <= abs(b) / 2)
+    if op == "/" and refused(y if isinstance(y, EvalResult) else EvalResult(y, 0.0)):
+        with pytest.raises(PoleError):
+            x / y
+        return
     if op == "*" and swap:
         got, want = floats(y, x), exact(q, p)
     else:
         got, want = floats(x, y), exact(p, q)
     err = (Fraction(got.value.real) - want[0]) ** 2 + (Fraction(got.value.imag) - want[1]) ** 2
-    assert err <= (Fraction(got.truncation_bound) * (1 + 8 * Fraction(modular.UNIT))) ** 2
+    assert err <= Fraction(got.truncation_bound) ** 2
 
 
 @pytest.mark.parametrize("divisor, refused", [
     (0j, True), (EvalResult(3 + 4j, 5.0), True), (EvalResult(1 + 0j, math.inf), True),
     (EvalResult(3 + 4j, math.nextafter(5.0, 0)), False), (EvalResult(1e-300j, 0.0), False),
+    # at a power of 2, |b| - rb is one UNIT of |b|, the float |b|'s own rounding
+    (EvalResult(4 + 0j, math.nextafter(4.0, 0)), True),
 ])
 def test_division_refuses_exactly_where_the_divisor_is_not_above_its_radius(divisor, refused):
     if refused:

@@ -1,7 +1,8 @@
 """decomposition.py reads no field of an EvalResult by name: T1, T_mid, T2 and the
 right side T1 + T - w T2 each keep their inputs' radii, so no residual that
 verify-decomposition prints comes without the error its inputs carry.  The sample
-unpacks the right side's ball where it reports the residual and the budget."""
+unpacks the right side's ball where it reports the residual and the budget, and the
+command's entry takes the midpoint it prints by index."""
 
 import ast
 from pathlib import Path
