@@ -23,6 +23,15 @@ take every byte) or a layer; main alone turns it, or a value that leaves
 the float range, into the one-line message and exit 2.  stderr is
 written best effort.
 
+The cell rule: every cell a command prints is a number (an int, a float
+or a complex), an nstr text, "", "true" or "false" (asymptotics._fmt),
+or a label the program builds (a law's name, a z=...;tau=... point), and
+every header key is an identifier.  No text from outside reaches a row,
+since the --grid reader admits finite numbers only.  So no cell or key
+holds a comma, a quote, a backslash, a control or a non-ASCII character,
+and _rows_text writes both formats by one template, each cell bare in
+CSV and in plain quotes in JSON, with nothing to escape.
+
 Each option's range has one home, the domain column of COMMANDS: dispatch
 checks every value against it before the entry runs, and --help prints
 it.  A list option's domain holds its least length too.  A default that
@@ -38,9 +47,9 @@ under -m it runs as __main__, and an import would compile it again.  The
 exact commands load genfunc (the reports also asymptotics, never
 modular), enumerate loads enumerator, and the numeric commands load
 modular with transforms, decomposition or asymptotics, never the exact
-engine.  json loads only for --format json, a --grid file or a failure
-record, decimal only for asym-report's main terms, and no command loads
-a third-party package or the kernels.
+engine.  json loads only for a --grid file or a failure record, never
+for an output format, decimal only for asym-report's main terms, and no
+command loads a third-party package or the kernels.
 
 The end of the process is part of the cost too.  run, the entry of
 `python -m oddbalanced.cli` and of the `oddbalanced` script, ends the
@@ -92,23 +101,21 @@ class RunConfig:
 
 def _rows_text(rows, header, config):
     """The text of rows, tuples of cells in header order, in the
-    configured format.  A cell is written as its str (for a float or
-    complex its shortest round-trip repr), all of them by one C-level
-    format of a template made from the header."""
+    configured format: a head, one template per row joined by a
+    separator, and a tail, every cell written as its str (for a float or
+    complex its shortest round-trip repr) by one C-level format.  By the
+    cell rule (module docstring) nothing needs quoting or escaping: the
+    JSON rows are the layout of json.dumps(payload, indent=1), each cell
+    a str in plain quotes, without loading json."""
     rows = list(rows)
-    cells = chain.from_iterable(rows)
     if config.fmt == "json":
-        from json.encoder import encode_basestring_ascii as quote
-
-        # the layout of json.dumps(payload, indent=1), whose indented
-        # encoder is pure Python, each cell quoted by the C function
-        # json.dumps calls for a str
-        template = " {\n" + ",\n".join(
-            "  " + quote(k).replace("%", "%%") + ": %s" for k in header) + "\n }"
-        return ("[\n" + ",\n".join([template] * len(rows)) + "\n]\n"
-                ) % tuple(map(quote, map(str, cells))) if rows else "[]\n"
-    line = ",".join(["%s"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + (line * len(rows)) % tuple(cells)
+        # json.dumps writes an empty list as []
+        head, sep, tail = ("[\n", ",\n", "\n]\n") if rows else ("[]\n", "", "")
+        row = " {\n" + ",\n".join(f'  "{k}": "%s"' for k in header) + "\n }"
+    else:
+        head, sep, tail = ",".join(header) + "\n", "", ""
+        row = ",".join(["%s"] * len(header)) + "\n"
+    return head + sep.join([row] * len(rows)) % tuple(chain.from_iterable(rows)) + tail
 
 
 # the digits of asym-report's main terms and ratios; each main term is

@@ -77,7 +77,8 @@ def _decreasing_evens(parts):
 
 @lru_cache(maxsize=None)
 def _odd_parts(parts):
-    return all(o % 2 == 1 and o > 0 for o in parts)
+    return (all(o % 2 == 1 and o > 0 for o in parts)
+            and tuple(sorted(parts, reverse=True)) == parts)
 
 
 def _subsets_bounded(values, bound):

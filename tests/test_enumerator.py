@@ -136,6 +136,7 @@ INVALID = [
     dict(peak=3, left_evens=(), right_evens=(), side_odds=()),
     dict(peak=4, left_evens=(4,), right_evens=(), side_odds=()),
     dict(peak=4, left_evens=(), right_evens=(), side_odds=(5,)),
+    dict(peak=4, left_evens=(), right_evens=(), side_odds=(1, 3)),
 ]
 
 
